@@ -7,8 +7,8 @@ then lets the selector pick the best model under two different budgets.
 
 from faasplan import (
     MB,
+    DeploymentPackage,
     SelectionConstraints,
-    assemble_package,
     default_provider_limits,
     fit_matrix,
     load_catalog,
@@ -27,7 +27,7 @@ targets = [providers["aws"], providers["gcp"]]
 header = f"{'model':<14} {'bundle':>8}  " + "  ".join(f"{p.name:>12}" for p in targets)
 print(header)
 for model in models:
-    package = assemble_package(code_bytes, runtime, model)
+    package = DeploymentPackage(code_bytes, runtime, model)
     row = fit_matrix(package, targets)
     cells = []
     for fit in row:

@@ -64,7 +64,6 @@ from .packaging import (
     DeploymentPlan,
     FitRow,
     RuntimeLibrary,
-    assemble_package,
     bytes_on_disk,
     fit_matrix,
     load_runtime_libraries,
@@ -102,8 +101,8 @@ __all__ = [
     "ProviderLimits", "RuntimeLibrary", "SampleRecorder", "SampleSet",
     "ScenarioError", "SelectionConstraints", "SimulationConfig", "SimulationResult",
     "StubServer", "Summary", "TrafficPattern", "UNLIMITED", "Unlimited",
-    "ValidationReport", "Violation", "VmBaseline", "assemble_package",
-    "billed_duration", "breakeven", "build_cost_report", "bytes_on_disk",
+    "ValidationReport", "Violation", "VmBaseline", "billed_duration",
+    "breakeven", "build_cost_report", "bytes_on_disk",
     "cost_from_simulation", "default_provider_limits", "effective_cpu",
     "evaluate_candidates", "export_run", "fit_matrix", "format_summary_table",
     "generate_arrivals", "load_catalog", "load_pricing", "load_provider_limits",

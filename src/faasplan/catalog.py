@@ -8,15 +8,14 @@ agree byte for byte.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import CatalogError, DomainError, NoFeasibleModelError, ScenarioError
-from .packaging import DeploymentPackage, RuntimeLibrary, _size_from_entry
+from . import _schema
+from .errors import CatalogError, DomainError, NoFeasibleModelError
+from .packaging import DeploymentPackage, RuntimeLibrary
 from .units import MB
 
 CATALOG_SCHEMA_VERSION = 1
@@ -182,36 +181,22 @@ def select_model(models: Iterable[ModelArtifact], constraints: SelectionConstrai
 
 def parse_catalog(payload, source: str = "<catalog>") -> list[ModelArtifact]:
     """Parse the catalog schema, rejecting duplicates and invalid entries."""
-    if not isinstance(payload, Mapping) or set(payload) != {"version", "models"}:
-        raise CatalogError(f"{source}: top-level keys must be exactly ['models', 'version']")
-    if payload["version"] != CATALOG_SCHEMA_VERSION:
-        raise CatalogError(f"{source}: unsupported schema version {payload['version']!r}")
-    if not isinstance(payload["models"], list):
-        raise CatalogError(f"{source}: 'models' must be a list")
-    allowed = {"name", "size_bytes", "size_mb", "format", "metrics", "embedding_dim"}
     models: list[ModelArtifact] = []
-    seen: set[str] = set()
-    for entry in payload["models"]:
-        if not isinstance(entry, Mapping):
-            raise CatalogError(f"{source}: each model entry must be an object")
-        unknown = set(entry) - allowed
-        if unknown:
-            raise CatalogError(f"{source}: model entry has unknown keys {sorted(unknown)}")
-        name = entry.get("name")
-        if name in seen:
-            raise CatalogError(f"{source}: duplicate model {name!r}")
+    for name, entry in _schema.entries(
+        payload, "models", CATALOG_SCHEMA_VERSION, source, error=CatalogError,
+        keys={"name", "size_bytes", "size_mb", "format", "metrics", "embedding_dim"},
+    ):
+        metrics = entry.block("metrics", default={})
         try:
-            model = ModelArtifact(
+            models.append(ModelArtifact(
                 name=name,
-                size_bytes=_size_from_entry(entry, source, f"model {name!r}"),
-                format=entry.get("format", ""),
-                metrics=entry.get("metrics", {}),
-                embedding_dim=entry.get("embedding_dim"),
-            )
-        except (DomainError, ScenarioError, TypeError) as exc:
+                size_bytes=entry.size("size_mb", "size_bytes"),
+                format=entry.get("format", str, ""),
+                metrics={metric: metrics.get(metric, float) for metric in metrics.raw},
+                embedding_dim=entry.get("embedding_dim", int, None),
+            ))
+        except DomainError as exc:
             raise CatalogError(f"{source}: {exc}") from exc
-        seen.add(name)
-        models.append(model)
     return models
 
 
@@ -226,18 +211,6 @@ def load_catalog(source: str | Path) -> list[ModelArtifact]:
             numbers), duplicates, or entries that violate model
             invariants.
     """
-    if isinstance(source, str) and source in BUILTIN_CATALOGS:
-        text = resources.files("faasplan.data").joinpath(BUILTIN_CATALOGS[source]).read_text("utf-8")
-        label = f"data/{BUILTIN_CATALOGS[source]}"
-    else:
-        path = Path(source)
-        try:
-            text = path.read_text("utf-8")
-        except OSError as exc:
-            raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
-        label = str(path)
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CatalogError(f"{label}:{exc.lineno}: {exc.msg}") from exc
-    return parse_catalog(payload, label)
+    bundled = BUILTIN_CATALOGS.get(source) if isinstance(source, str) else None
+    path = None if bundled else source
+    return parse_catalog(*_schema.load(path, "catalog", CatalogError, bundled=bundled))

@@ -14,12 +14,12 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal
-from functools import lru_cache
 from pathlib import Path
-from typing import Mapping
 
+from . import _schema
 from . import catalog as catalog_mod
 from . import cost as cost_mod
+from ._schema import Block
 from .errors import (
     CatalogError,
     DomainError,
@@ -50,6 +50,8 @@ from .providers import (
     validation_report_to_dict,
 )
 from .simulator import (
+    DEFAULT_COLD_START_MS,
+    DEFAULT_KEEP_ALIVE_S,
     LatencyProfile,
     SimulationConfig,
     TrafficPattern,
@@ -67,13 +69,36 @@ _SCENARIO_KEYS = {
     "version", "name", "description", "provider", "pricing", "catalog", "package",
     "memory_mb", "profile", "traffic", "simulation", "memory_sweep_mb", "cost", "vm",
 }
+_PACKAGE_KEYS = {"code_mb", "code_bytes", "runtime", "model"}
+_PROFILE_KEYS = {
+    "reference_memory_mb", "reference_memory_bytes",
+    "constant_ms", "quantile_anchors", "n_samples", "samples_csv",
+}
+_SIMULATION_KEYS = {
+    "seed", "memory_mb", "memory_bytes", "scaling", "keep_alive_s", "cold_start_ms", "max_instances",
+}
+_SCALING_KEYS = {"mb_per_full_cpu", "bytes_per_full_cpu", "max_useful_cpus"}
+_COST_KEYS = {"n_requests", "billed_ms_per_request", "memory_mb", "memory_bytes", "months"}
+_VM_KEYS = {"monthly_price", "memory_mb", "memory_bytes"}
+# Traffic kind -> the keys its TrafficPattern constructor of the same name takes, in order.
+_TRAFFIC_KEYS = {
+    "steady": ("rate_rps", "duration_s"),
+    "poisson": ("rate_rps", "duration_s"),
+    "burst": ("high_rate", "low_rate", "period_s", "duty", "duration_s"),
+    "trace": ("timestamps",),
+}
+_TRAFFIC_ALIASES = {"poisson_constant": "poisson", "on_off_burst": "burst", "trace_replay": "trace"}
 
 
 class ProfileStore:
-    """Resolves named fixtures, preferring files in ``--profile-dir``."""
+    """Resolves named fixtures, preferring files in ``--profile-dir``.
+
+    Each fixture file is read at most once per store.
+    """
 
     def __init__(self, profile_dir: Path | None = None):
         self.profile_dir = Path(profile_dir) if profile_dir is not None else None
+        self._tables: dict[str, dict] = {}
 
     def _override(self, filename: str) -> Path | None:
         if self.profile_dir is not None:
@@ -82,35 +107,22 @@ class ProfileStore:
                 return candidate
         return None
 
-    @lru_cache(maxsize=None)
-    def providers(self) -> dict[str, ProviderLimits]:
-        return load_provider_limits(self._override("providers.json"))
-
-    @lru_cache(maxsize=None)
-    def pricing(self) -> dict[str, cost_mod.PricingModel]:
-        return cost_mod.load_pricing(self._override("pricing.json"))
-
-    @lru_cache(maxsize=None)
-    def runtimes(self) -> dict[str, RuntimeLibrary]:
-        return load_runtime_libraries(self._override("runtimes.json"))
+    def _lookup(self, filename: str, loader, kind: str, name: str):
+        if filename not in self._tables:
+            self._tables[filename] = loader(self._override(filename))
+        table = self._tables[filename]
+        if name not in table:
+            raise ScenarioError(f"unknown {kind} {name!r}; available: {', '.join(table)}")
+        return table[name]
 
     def provider(self, name: str) -> ProviderLimits:
-        table = self.providers()
-        if name not in table:
-            raise ScenarioError(f"unknown provider {name!r}; available: {', '.join(table)}")
-        return table[name]
+        return self._lookup("providers.json", load_provider_limits, "provider", name)
 
     def pricing_profile(self, name: str) -> cost_mod.PricingModel:
-        table = self.pricing()
-        if name not in table:
-            raise ScenarioError(f"unknown pricing profile {name!r}; available: {', '.join(table)}")
-        return table[name]
+        return self._lookup("pricing.json", cost_mod.load_pricing, "pricing profile", name)
 
     def runtime(self, name: str) -> RuntimeLibrary:
-        table = self.runtimes()
-        if name not in table:
-            raise ScenarioError(f"unknown runtime {name!r}; available: {', '.join(table)}")
-        return table[name]
+        return self._lookup("runtimes.json", load_runtime_libraries, "runtime", name)
 
     def catalog(self, source: str) -> list[catalog_mod.ModelArtifact]:
         if source not in catalog_mod.BUILTIN_CATALOGS:
@@ -139,92 +151,60 @@ class Scenario:
     vm: cost_mod.VmBaseline | None
 
 
-def _require(mapping: Mapping, key: str, context: str):
-    if key not in mapping:
-        raise ScenarioError(f"{context}: missing required key {key!r}")
-    return mapping[key]
-
-
-def _memory_bytes_from(block: Mapping, context: str, default_mb: int | None = None) -> int:
-    if "memory_mb" in block:
-        return round(float(block["memory_mb"]) * MB)
-    if "memory_bytes" in block:
-        return int(block["memory_bytes"])
-    if default_mb is not None:
-        return default_mb * MB
-    raise ScenarioError(f"{context}: missing memory_mb")
-
-
-def _parse_profile(block: Mapping, scenario_dir: Path, context: str) -> LatencyProfile:
-    if "reference_memory_mb" in block:
-        reference = round(float(block["reference_memory_mb"]) * MB)
-    elif "reference_memory_bytes" in block:
-        reference = int(block["reference_memory_bytes"])
-    else:
-        raise ScenarioError(f"{context}: missing reference_memory_mb")
-    sources = [k for k in ("constant_ms", "quantile_anchors", "samples_csv") if k in block]
+def _parse_profile(block: Block, scenario_dir: Path) -> LatencyProfile:
+    reference = block.size("reference_memory_mb", "reference_memory_bytes")
+    sources = [k for k in ("constant_ms", "quantile_anchors", "samples_csv") if k in block.raw]
     if len(sources) != 1:
         raise ScenarioError(
-            f"{context}: give exactly one of constant_ms / quantile_anchors / samples_csv"
+            f"{block.context}: give exactly one of constant_ms / quantile_anchors / samples_csv"
         )
     kind = sources[0]
     if kind == "constant_ms":
-        return LatencyProfile.constant(float(block["constant_ms"]), reference)
+        return LatencyProfile.constant(block.get("constant_ms", float), reference)
     if kind == "quantile_anchors":
-        anchors = {float(q): float(v) for q, v in block["quantile_anchors"].items()}
-        n_samples = int(_require(block, "n_samples", context))
-        return LatencyProfile.from_quantile_anchors(anchors, n_samples, reference)
-    samples = read_samples_csv(scenario_dir / str(block["samples_csv"]))
+        anchors = block.block("quantile_anchors")
+        try:
+            quantiles = {float(q): anchors.get(q, float) for q in anchors.raw}
+        except ValueError:
+            raise ScenarioError(f"{anchors.context}: keys must be quantiles such as \"0.5\"") from None
+        return LatencyProfile.from_quantile_anchors(quantiles, block.get("n_samples", int), reference)
+    csv_path = scenario_dir / block.get("samples_csv", str)
+    try:
+        samples = read_samples_csv(csv_path)
+    except OSError as exc:
+        raise ScenarioError(f"{block.context}: samples_csv: cannot read {csv_path}: {exc}") from exc
     return LatencyProfile(reference, samples)
 
 
-def _parse_traffic(block: Mapping, context: str) -> TrafficPattern:
-    kind = str(_require(block, "kind", context))
-    if kind == "steady":
-        return TrafficPattern.steady(float(block["rate_rps"]), float(block["duration_s"]))
-    if kind in ("poisson", "poisson_constant"):
-        return TrafficPattern.poisson(float(block["rate_rps"]), float(block["duration_s"]))
-    if kind in ("burst", "on_off_burst"):
-        return TrafficPattern.burst(
-            high_rate=float(block["high_rate"]),
-            low_rate=float(block["low_rate"]),
-            period_s=float(block["period_s"]),
-            duty=float(block["duty"]),
-            duration_s=float(block["duration_s"]),
-        )
-    if kind in ("trace", "trace_replay"):
-        return TrafficPattern.trace([float(t) for t in block["timestamps"]])
-    raise ScenarioError(f"{context}: unknown traffic kind {kind!r}")
+def _parse_traffic(block: Block) -> TrafficPattern:
+    kind = block.get("kind", str)
+    kind = _TRAFFIC_ALIASES.get(kind, kind)
+    if kind not in _TRAFFIC_KEYS:
+        raise ScenarioError(f"{block.context}: kind: unknown traffic kind {kind!r}")
+    block = Block(block.raw, block.context, {"kind", *_TRAFFIC_KEYS[kind]})
+    if kind == "trace":
+        return TrafficPattern.trace(block.get_list("timestamps", float))
+    return getattr(TrafficPattern, kind)(*(block.get(key, float) for key in _TRAFFIC_KEYS[kind]))
 
 
-def _parse_scaling(block: Mapping | None, context: str) -> CpuScaling:
-    if block is None:
-        return CpuScaling()
-    kwargs = {}
-    if "bytes_per_full_cpu" in block:
-        kwargs["bytes_per_full_cpu"] = int(block["bytes_per_full_cpu"])
-    elif "mb_per_full_cpu" in block:
-        kwargs["bytes_per_full_cpu"] = round(float(block["mb_per_full_cpu"]) * MB)
-    if "max_useful_cpus" in block:
-        kwargs["max_useful_cpus"] = float(block["max_useful_cpus"])
-    return CpuScaling(**kwargs)
-
-
-def _parse_simulation(block: Mapping, context: str, seed_override: int | None) -> SimulationConfig:
-    keep_alive = block.get("keep_alive_s", None)
-    if keep_alive is None or keep_alive == "inf":
-        keep_alive_s = float("inf")
-    else:
-        keep_alive_s = float(keep_alive)
-    max_instances = block.get("max_instances")
-    seed = int(block.get("seed", 0)) if seed_override is None else seed_override
+def _parse_simulation(block: Block, seed_override: int | None) -> SimulationConfig:
+    seed = block.get("seed", int, 0)
+    scaling = block.block("scaling", _SCALING_KEYS, default={})
+    keep_alive = block.raw.get("keep_alive_s")
     return SimulationConfig(
-        seed=seed,
-        memory_bytes=_memory_bytes_from(block, context),
-        scaling=_parse_scaling(block.get("scaling"), context),
-        keep_alive_s=keep_alive_s,
-        cold_start_ms=float(block.get("cold_start_ms", 1500.0)),
-        max_instances=UNLIMITED if max_instances is None else int(max_instances),
+        seed=seed if seed_override is None else seed_override,
+        memory_bytes=block.size("memory_mb", "memory_bytes"),
+        scaling=CpuScaling(
+            bytes_per_full_cpu=scaling.size("mb_per_full_cpu", "bytes_per_full_cpu",
+                                            CpuScaling.bytes_per_full_cpu),
+            max_useful_cpus=scaling.get("max_useful_cpus", float, CpuScaling.max_useful_cpus),
+        ),
+        keep_alive_s=(
+            float("inf") if keep_alive == "inf"
+            else block.get("keep_alive_s", float, DEFAULT_KEEP_ALIVE_S)
+        ),
+        cold_start_ms=block.get("cold_start_ms", float, DEFAULT_COLD_START_MS),
+        max_instances=block.get("max_instances", int, UNLIMITED),
     )
 
 
@@ -236,9 +216,9 @@ def _resolve_model(entry, scenario_catalog, context: str) -> catalog_mod.ModelAr
             if model.name == entry:
                 return model
         raise ScenarioError(f"{context}: model {entry!r} not found in catalog")
-    if isinstance(entry, Mapping):
+    if isinstance(entry, dict):
         parsed = catalog_mod.parse_catalog(
-            {"version": catalog_mod.CATALOG_SCHEMA_VERSION, "models": [dict(entry)]},
+            {"version": catalog_mod.CATALOG_SCHEMA_VERSION, "models": [entry]},
             context,
         )
         return parsed[0]
@@ -253,89 +233,73 @@ def load_scenario(path: str | Path, store: ProfileStore, seed_override: int | No
             that do not resolve against the fixture store.
     """
     path = Path(path)
-    try:
-        text = path.read_text("utf-8")
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-        # Money-bearing blocks are re-parsed with exact decimals.
-        raw_exact = json.loads(text, parse_float=Decimal)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{path}: top level must be an object")
-    unknown = set(raw) - _SCENARIO_KEYS
-    if unknown:
-        raise ScenarioError(f"{path}: unknown scenario keys {sorted(unknown)}")
-    if raw.get("version") != SCENARIO_SCHEMA_VERSION:
-        raise ScenarioError(f"{path}: scenario version must be {SCENARIO_SCHEMA_VERSION}")
-    context = str(path)
+    # Exact decimals throughout: money stays Decimal, and float() of a
+    # parsed Decimal is the same float json would have produced.
+    raw, context = _schema.load(path, "scenario", parse_float=Decimal)
+    top = Block(raw, context, _SCENARIO_KEYS)
+    if top.get("version", int) != SCENARIO_SCHEMA_VERSION:
+        raise ScenarioError(f"{context}: scenario version must be {SCENARIO_SCHEMA_VERSION}")
 
-    provider = store.provider(raw["provider"]) if "provider" in raw else None
-    pricing = store.pricing_profile(raw["pricing"]) if "pricing" in raw else None
-    models = store.catalog(raw["catalog"]) if "catalog" in raw else None
+    provider_name = top.get("provider", str, None)
+    pricing_name = top.get("pricing", str, None)
+    catalog_source = top.get("catalog", str, None)
+    provider = store.provider(provider_name) if provider_name is not None else None
+    pricing = store.pricing_profile(pricing_name) if pricing_name is not None else None
+    models = store.catalog(catalog_source) if catalog_source is not None else None
 
     package = None
-    if "package" in raw:
-        block = raw["package"]
-        runtime = store.runtime(str(_require(block, "runtime", f"{context}: package")))
-        model = _resolve_model(_require(block, "model", f"{context}: package"), models,
-                               f"{context}: package")
-        if "code_bytes" in block:
-            code_bytes = int(block["code_bytes"])
-        elif "code_mb" in block:
-            code_bytes = round(float(block["code_mb"]) * MB)
-        else:
-            code_bytes = DEFAULT_CODE_BYTES
+    block = top.block("package", _PACKAGE_KEYS, default=None)
+    if block is not None:
+        runtime = store.runtime(block.get("runtime", str))
+        model = _resolve_model(block.get("model"), models, block.context)
+        code_bytes = block.size("code_mb", "code_bytes", DEFAULT_CODE_BYTES)
         package = DeploymentPackage(code_bytes=code_bytes, runtime=runtime, model=model)
 
-    memory_bytes = round(float(raw["memory_mb"]) * MB) if "memory_mb" in raw else None
+    memory_mb = top.get("memory_mb", float, None)
 
-    profile = None
-    if "profile" in raw:
-        profile = _parse_profile(raw["profile"], path.parent, f"{context}: profile")
-    traffic = _parse_traffic(raw["traffic"], f"{context}: traffic") if "traffic" in raw else None
-    sim_config = None
-    if "simulation" in raw:
-        sim_config = _parse_simulation(raw["simulation"], f"{context}: simulation", seed_override)
+    block = top.block("profile", _PROFILE_KEYS, default=None)
+    profile = _parse_profile(block, path.parent) if block is not None else None
+    block = top.block("traffic", default=None)
+    traffic = _parse_traffic(block) if block is not None else None
+    block = top.block("simulation", _SIMULATION_KEYS, default=None)
+    sim_config = _parse_simulation(block, seed_override) if block is not None else None
 
     cost_block = None
-    if "cost" in raw:
-        block = raw_exact["cost"]
+    block = top.block("cost", _COST_KEYS, default=None)
+    if block is not None:
         cost_block = {
-            "n_requests": int(_require(block, "n_requests", f"{context}: cost")),
-            "billed_ms_per_request": block.get("billed_ms_per_request", Decimal(0)),
-            "memory_bytes": _memory_bytes_from(block, f"{context}: cost", default_mb=1024),
-            "months": block.get("months", Decimal(1)),
+            "n_requests": block.get("n_requests", int),
+            "billed_ms_per_request": block.get("billed_ms_per_request", Decimal, Decimal(0)),
+            "memory_bytes": block.size("memory_mb", "memory_bytes", 1024 * MB),
+            "months": block.get("months", Decimal, Decimal(1)),
         }
 
     vm = None
-    if "vm" in raw:
-        block = raw_exact["vm"]
+    block = top.block("vm", _VM_KEYS, default=None)
+    if block is not None:
         vm = cost_mod.VmBaseline(
-            monthly_price=_require(block, "monthly_price", f"{context}: vm"),
-            memory_bytes=_memory_bytes_from(block, f"{context}: vm", default_mb=1024),
+            monthly_price=block.get("monthly_price", Decimal),
+            memory_bytes=block.size("memory_mb", "memory_bytes", 1024 * MB),
         )
 
     return Scenario(
         path=path,
-        name=raw.get("name"),
+        name=top.get("name", str, None),
         provider=provider,
         pricing=pricing,
         catalog=models,
         package=package,
-        memory_bytes=memory_bytes,
+        memory_bytes=None if memory_mb is None else round(memory_mb * MB),
         profile=profile,
         traffic=traffic,
         sim_config=sim_config,
-        memory_sweep_mb=[int(m) for m in raw["memory_sweep_mb"]] if "memory_sweep_mb" in raw else None,
+        memory_sweep_mb=top.get_list("memory_sweep_mb", int, None),
         cost_block=cost_block,
         vm=vm,
     )
 
 
-def _emit(payload: dict, args) -> None:
+def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
@@ -375,7 +339,7 @@ def cmd_validate(args, store: ProfileStore) -> int:
             "package_bytes": plan.package.total_bytes,
             "memory_bytes": plan.memory_bytes,
         })
-        _emit(payload, args)
+        _emit(payload)
     else:
         print(f"provider  {provider.name}")
         print(f"package   {plan.package.total_bytes} B ({_mb_text(plan.package.total_bytes)})")
@@ -431,7 +395,7 @@ def cmd_select(args, store: ProfileStore) -> int:
                 }
                 for ev in evaluations
             ],
-        }, args)
+        })
     else:
         if selected is not None:
             score = selected.score(args.metric)
@@ -490,7 +454,7 @@ def cmd_simulate(args, store: ProfileStore) -> int:
                     }
                     for memory_mb, result in rows
                 ],
-            }, args)
+            })
         else:
             print(format_summary_table(
                 (f"{memory_mb} MB", result.latency_summary)
@@ -511,7 +475,7 @@ def cmd_simulate(args, store: ProfileStore) -> int:
 
     result = simulate(scenario.profile, scenario.traffic, scenario.sim_config, pricing)
     if args.format == "json":
-        _emit(result_to_dict(result), args)
+        _emit(result_to_dict(result))
     else:
         if result.latency_summary is not None:
             print(format_summary_table({"latency_ms": result.latency_summary}))
@@ -525,33 +489,6 @@ def cmd_simulate(args, store: ProfileStore) -> int:
         export_result_csv(result, Path(f"{args.out}.csv"))
         save_result_json(result, Path(f"{args.out}.json"))
     return 0
-
-
-def _report_from_samples_csv(path: Path, pricing, baseline, memory_bytes: int, months) -> cost_mod.CostReport:
-    samples = read_samples_csv(path)
-    n = len(samples)
-    billed = [
-        cost_mod.billed_duration(v, pricing.billing_granularity_ms) for v in samples.values
-    ]
-    # Each entry is an exact multiple of the integer granularity.
-    billed_total = sum(round(b) for b in billed)
-    total = cost_mod.serverless_cost_total(n, billed_total, memory_bytes, pricing)
-    mean_billed = Decimal(billed_total) / n if n else None
-    return cost_mod.CostReport(
-        serverless_total=total,
-        vm_total=cost_mod.vm_baseline_cost(baseline, months),
-        breakeven_requests_per_month=(
-            None if mean_billed is None
-            else cost_mod.breakeven(pricing, baseline, mean_billed, memory_bytes)
-        ),
-        assumptions=cost_mod.CostAssumptions(
-            n_requests=n,
-            billed_ms_per_request=mean_billed,
-            memory_bytes=memory_bytes,
-            months=Decimal(str(months)),
-        ),
-        currency=pricing.currency,
-    )
 
 
 def cmd_cost(args, store: ProfileStore) -> int:
@@ -589,10 +526,11 @@ def cmd_cost(args, store: ProfileStore) -> int:
             report = cost_mod.cost_from_simulation(result, pricing, baseline, months)
         else:
             memory_bytes = (args.memory_mb or 1024) * MB
-            report = _report_from_samples_csv(result_path, pricing, baseline, memory_bytes, months)
+            report = cost_mod.cost_from_samples(read_samples_csv(result_path), pricing, baseline,
+                                                memory_bytes, months)
 
     if args.format == "json":
-        _emit(cost_mod.cost_report_to_dict(report), args)
+        _emit(cost_mod.cost_report_to_dict(report))
     else:
         print(cost_mod.render_cost_table(report))
     return 0
@@ -654,7 +592,7 @@ def cmd_bench(args, store: ProfileStore) -> int:
             "max_schedule_error_ms": result.max_schedule_error_ms,
             "summary": None if summary is None else summary_to_dict(summary),
             "server_exec_summary": None if server_summary is None else summary_to_dict(server_summary),
-        }, args)
+        })
     else:
         print(f"attempts            {result.attempts}")
         print(f"samples             {len(result.samples)}")

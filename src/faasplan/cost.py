@@ -8,19 +8,19 @@ nearest binary float.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Union
 
+from . import _schema
 from .errors import DomainError, ScenarioError
 from .units import GB
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .metrics import SampleSet
     from .simulator import SimulationResult
 
 PRICING_SCHEMA_VERSION = 1
@@ -111,6 +111,15 @@ class CostReport:
     currency: str = "USD"
 
 
+def round_up(value, step):
+    """Smallest multiple of ``step`` at or above ``value``.
+
+    Exact for integers and Fractions, which is how every billed duration
+    is rounded: durations already on a step boundary never move up.
+    """
+    return -(-value // step) * step
+
+
 def billed_duration(exec_ms: float, granularity_ms: int) -> float:
     """Smallest multiple of the granularity at or above ``exec_ms``.
 
@@ -121,8 +130,7 @@ def billed_duration(exec_ms: float, granularity_ms: int) -> float:
         raise DomainError(f"exec_ms must be finite and non-negative, got {exec_ms}")
     if granularity_ms < 1:
         raise DomainError(f"granularity_ms must be at least 1, got {granularity_ms}")
-    units = -(-Fraction(exec_ms) // Fraction(granularity_ms))
-    return float(units * granularity_ms)
+    return float(round_up(Fraction(exec_ms), granularity_ms))
 
 
 def serverless_cost(
@@ -135,18 +143,12 @@ def serverless_cost(
 
     Linear in ``n_requests``; zero requests cost exactly zero.
     """
-    if n_requests < 0:
-        raise DomainError("n_requests must be non-negative")
     billed = _dec(billed_ms_per_request)
     if billed < 0:
         raise DomainError("billed_ms_per_request must be non-negative")
-    if memory_bytes <= 0:
-        raise DomainError("memory_bytes must be positive")
     with localcontext() as ctx:
         ctx.prec = _PRECISION
-        request_fee = Decimal(n_requests) * pricing.per_million_requests / 1_000_000
-        gb_seconds = Decimal(n_requests) * billed / 1000 * Decimal(memory_bytes) / GB
-        return request_fee + gb_seconds * pricing.per_gb_second
+        return serverless_cost_total(n_requests, n_requests * billed, memory_bytes, pricing)
 
 
 def serverless_cost_total(
@@ -227,6 +229,40 @@ def build_cost_report(
     )
 
 
+def _report_from_billed(
+    n: int,
+    billed_total_ms: int,
+    memory_bytes: int,
+    pricing: PricingModel,
+    baseline: VmBaseline,
+    months: Money,
+) -> CostReport:
+    """Report for ``n`` requests whose billed durations sum to ``billed_total_ms``.
+
+    The break-even column uses the mean billed duration, which matches the
+    exact answer whenever every request bills the same. No requests cost
+    exactly zero.
+    """
+    with localcontext() as ctx:
+        ctx.prec = _PRECISION
+        mean_billed = Decimal(billed_total_ms) / n if n else None
+    return CostReport(
+        serverless_total=serverless_cost_total(n, billed_total_ms, memory_bytes, pricing),
+        vm_total=vm_baseline_cost(baseline, months),
+        breakeven_requests_per_month=(
+            None if mean_billed is None
+            else breakeven(pricing, baseline, mean_billed, memory_bytes)
+        ),
+        assumptions=CostAssumptions(
+            n_requests=n,
+            billed_ms_per_request=mean_billed,
+            memory_bytes=memory_bytes,
+            months=_dec(months),
+        ),
+        currency=pricing.currency,
+    )
+
+
 def cost_from_simulation(
     result: "SimulationResult",
     pricing: PricingModel,
@@ -235,33 +271,25 @@ def cost_from_simulation(
 ) -> CostReport:
     """Bill a finished simulation record by record and compare to the VM.
 
-    Uses each record's own billed duration rather than an average; the
-    break-even column uses the mean billed duration, which matches the
-    exact answer whenever every record bills the same. An empty result
-    costs exactly zero.
+    Uses each record's own billed duration rather than an average.
     """
-    n = len(result.records)
     # Simulated billed_ms values are integral multiples of the granularity.
     billed_total_ms = sum(round(r.billed_ms) for r in result.records)
-    total = serverless_cost_total(n, billed_total_ms, result.memory_bytes, pricing)
-    with localcontext() as ctx:
-        ctx.prec = _PRECISION
-        mean_billed = Decimal(billed_total_ms) / n if n else None
-    return CostReport(
-        serverless_total=total,
-        vm_total=vm_baseline_cost(baseline, months),
-        breakeven_requests_per_month=(
-            None if mean_billed is None
-            else breakeven(pricing, baseline, mean_billed, result.memory_bytes)
-        ),
-        assumptions=CostAssumptions(
-            n_requests=n,
-            billed_ms_per_request=mean_billed,
-            memory_bytes=result.memory_bytes,
-            months=_dec(months),
-        ),
-        currency=pricing.currency,
-    )
+    return _report_from_billed(len(result.records), billed_total_ms, result.memory_bytes,
+                               pricing, baseline, months)
+
+
+def cost_from_samples(
+    samples: "SampleSet",
+    pricing: PricingModel,
+    baseline: VmBaseline = DEFAULT_VM_BASELINE,
+    memory_bytes: int = GB,
+    months: Money = 1,
+) -> CostReport:
+    """Bill measured durations (one request each), rounding each up to the granularity."""
+    granularity = pricing.billing_granularity_ms
+    billed_total_ms = sum(round_up(Fraction(v), granularity) for v in samples.values)
+    return _report_from_billed(len(samples), billed_total_ms, memory_bytes, pricing, baseline, months)
 
 
 def _dec_str(value: Decimal) -> str:
@@ -353,29 +381,19 @@ def render_cost_table(report: CostReport) -> str:
 
 def parse_pricing(payload: Mapping, source: str = "<pricing>") -> dict[str, PricingModel]:
     """Parse the pricing fixture schema into an ordered name -> model map."""
-    if set(payload) != {"version", "profiles"}:
-        raise ScenarioError(f"{source}: top-level keys must be exactly ['profiles', 'version']")
-    if payload["version"] != PRICING_SCHEMA_VERSION:
-        raise ScenarioError(f"{source}: unsupported schema version {payload['version']!r}")
-    allowed = {"name", "per_million_requests", "per_gb_second", "billing_granularity_ms", "currency"}
     out: dict[str, PricingModel] = {}
-    for entry in payload["profiles"]:
-        unknown = set(entry) - allowed
-        if unknown:
-            raise ScenarioError(f"{source}: pricing entry has unknown keys {sorted(unknown)}")
-        name = entry.get("name")
-        if not name:
-            raise ScenarioError(f"{source}: pricing entry missing name")
-        if name in out:
-            raise ScenarioError(f"{source}: duplicate pricing profile {name!r}")
+    for name, entry in _schema.entries(
+        payload, "profiles", PRICING_SCHEMA_VERSION, source,
+        keys={"name", "per_million_requests", "per_gb_second", "billing_granularity_ms", "currency"},
+    ):
         try:
             out[name] = PricingModel(
-                per_million_requests=entry["per_million_requests"],
-                per_gb_second=entry["per_gb_second"],
-                billing_granularity_ms=entry.get("billing_granularity_ms", 1),
-                currency=entry.get("currency", "USD"),
+                per_million_requests=entry.get("per_million_requests", Decimal),
+                per_gb_second=entry.get("per_gb_second", Decimal),
+                billing_granularity_ms=entry.get("billing_granularity_ms", int, 1),
+                currency=entry.get("currency", str, "USD"),
             )
-        except (DomainError, KeyError) as exc:
+        except DomainError as exc:
             raise ScenarioError(f"{source}: profile {name!r}: {exc}") from exc
     return out
 
@@ -385,18 +403,4 @@ def load_pricing(path: str | Path | None = None) -> dict[str, PricingModel]:
 
     Rates are parsed straight into Decimal; no float ever touches them.
     """
-    if path is None:
-        text = resources.files("faasplan.data").joinpath("pricing.json").read_text("utf-8")
-        source = "data/pricing.json"
-    else:
-        path = Path(path)
-        try:
-            text = path.read_text("utf-8")
-        except OSError as exc:
-            raise ScenarioError(f"cannot read pricing from {path}: {exc}") from exc
-        source = str(path)
-    try:
-        payload = json.loads(text, parse_float=Decimal)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{source}:{exc.lineno}: {exc.msg}") from exc
-    return parse_pricing(payload, source)
+    return parse_pricing(*_schema.load(path, "pricing", bundled="pricing.json", parse_float=Decimal))

@@ -8,12 +8,11 @@ would deploy and then fail on first invocation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from . import _schema
 from .errors import DomainError, IncompatibleFormatError, ScenarioError
 from .providers import ProviderLimits
 from .units import MB, Limit, Unlimited
@@ -85,16 +84,6 @@ class DeploymentPlan:
             raise DomainError(f"memory_bytes must be positive, got {self.memory_bytes}")
 
 
-def assemble_package(code_bytes: int, runtime: RuntimeLibrary, model: "ModelArtifact") -> DeploymentPackage:
-    """Bundle code, runtime and model, refusing format mismatches.
-
-    Raises:
-        IncompatibleFormatError: if the runtime cannot execute the model.
-        DomainError: if ``code_bytes`` is negative.
-    """
-    return DeploymentPackage(code_bytes=code_bytes, runtime=runtime, model=model)
-
-
 @dataclass(frozen=True)
 class FitRow:
     """Whether a package fits one provider, and how much room is left.
@@ -130,36 +119,16 @@ def bytes_on_disk(path: str | Path) -> int:
     return path.stat().st_size
 
 
-def _size_from_entry(entry: Mapping, source: str, label: str) -> int:
-    has_bytes = "size_bytes" in entry
-    has_mb = "size_mb" in entry
-    if has_bytes == has_mb:
-        raise ScenarioError(f"{source}: {label}: give exactly one of size_bytes / size_mb")
-    if has_bytes:
-        return entry["size_bytes"]
-    return round(entry["size_mb"] * MB)
-
-
 def parse_runtime_libraries(payload: Mapping, source: str = "<runtimes>") -> dict[str, RuntimeLibrary]:
     """Parse the runtimes fixture schema into an ordered name -> runtime map."""
-    if set(payload) != {"version", "runtimes"}:
-        raise ScenarioError(f"{source}: top-level keys must be exactly ['runtimes', 'version']")
-    if payload["version"] != RUNTIMES_SCHEMA_VERSION:
-        raise ScenarioError(f"{source}: unsupported schema version {payload['version']!r}")
     out: dict[str, RuntimeLibrary] = {}
-    for entry in payload["runtimes"]:
-        allowed = {"name", "size_bytes", "size_mb", "model_formats"}
-        unknown = set(entry) - allowed
-        if unknown:
-            raise ScenarioError(f"{source}: runtime entry has unknown keys {sorted(unknown)}")
-        name = entry.get("name")
-        if name in out:
-            raise ScenarioError(f"{source}: duplicate runtime {name!r}")
+    for name, entry in _schema.entries(payload, "runtimes", RUNTIMES_SCHEMA_VERSION, source,
+                                       keys={"name", "size_bytes", "size_mb", "model_formats"}):
         try:
             out[name] = RuntimeLibrary(
                 name=name,
-                size_bytes=_size_from_entry(entry, source, f"runtime {name!r}"),
-                model_formats=frozenset(entry.get("model_formats", ())),
+                size_bytes=entry.size("size_mb", "size_bytes"),
+                model_formats=frozenset(entry.get_list("model_formats", str, [])),
             )
         except DomainError as exc:
             raise ScenarioError(f"{source}: {exc}") from exc
@@ -168,18 +137,4 @@ def parse_runtime_libraries(payload: Mapping, source: str = "<runtimes>") -> dic
 
 def load_runtime_libraries(path: str | Path | None = None) -> dict[str, RuntimeLibrary]:
     """Load runtime definitions from ``path``, or the bundled set if None."""
-    if path is None:
-        text = resources.files("faasplan.data").joinpath("runtimes.json").read_text("utf-8")
-        source = "data/runtimes.json"
-    else:
-        path = Path(path)
-        try:
-            text = path.read_text("utf-8")
-        except OSError as exc:
-            raise ScenarioError(f"cannot read runtimes from {path}: {exc}") from exc
-        source = str(path)
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{source}:{exc.lineno}: {exc.msg}") from exc
-    return parse_runtime_libraries(payload, source)
+    return parse_runtime_libraries(*_schema.load(path, "runtimes", bundled="runtimes.json"))

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from . import _schema
 from .errors import DomainError, ScenarioError
 from .units import MB, UNLIMITED, Limit, Unlimited
 
@@ -164,57 +164,19 @@ def validation_report_from_dict(payload: Mapping) -> ValidationReport:
     ))
 
 
-def _limit_from_json(raw, field: str, name: str, source: str) -> Limit:
-    if raw is None:
-        return UNLIMITED
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ScenarioError(f"{source}: provider {name!r}: {field} must be an integer or null")
-    return raw
-
-
 def parse_provider_limits(payload: Mapping, source: str = "<providers>") -> dict[str, ProviderLimits]:
     """Parse the providers fixture schema into an ordered name -> limits map.
 
     Unknown or missing fields are rejected rather than ignored, so a typo
-    in a limits file cannot silently validate plans against nothing.
+    in a limits file cannot silently validate plans against nothing. A
+    null limit is UNLIMITED.
     """
-    if not isinstance(payload, Mapping):
-        raise ScenarioError(f"{source}: top level must be an object")
-    expected_top = {"version", "providers"}
-    if set(payload) != expected_top:
-        raise ScenarioError(
-            f"{source}: top-level keys must be exactly {sorted(expected_top)}, got {sorted(payload)}"
-        )
-    if payload["version"] != PROVIDERS_SCHEMA_VERSION:
-        raise ScenarioError(
-            f"{source}: unsupported schema version {payload['version']!r} "
-            f"(expected {PROVIDERS_SCHEMA_VERSION})"
-        )
-    entries = payload["providers"]
-    if not isinstance(entries, list):
-        raise ScenarioError(f"{source}: 'providers' must be a list")
     out: dict[str, ProviderLimits] = {}
-    expected_keys = {"name", *_LIMIT_FIELDS}
-    for entry in entries:
-        if not isinstance(entry, Mapping):
-            raise ScenarioError(f"{source}: each provider entry must be an object")
-        if set(entry) != expected_keys:
-            unknown = sorted(set(entry) - expected_keys)
-            missing = sorted(expected_keys - set(entry))
-            raise ScenarioError(
-                f"{source}: provider entry has unknown keys {unknown} / missing keys {missing}"
-            )
-        name = entry["name"]
-        if name in out:
-            raise ScenarioError(f"{source}: duplicate provider {name!r}")
+    fields = {"name", *_LIMIT_FIELDS}
+    for name, entry in _schema.entries(payload, "providers", PROVIDERS_SCHEMA_VERSION, source,
+                                       keys=fields, required=fields):
         try:
-            out[name] = ProviderLimits(
-                name=name,
-                max_package_bytes=_limit_from_json(entry["max_package_bytes"], "max_package_bytes", name, source),
-                max_execution_ms=_limit_from_json(entry["max_execution_ms"], "max_execution_ms", name, source),
-                max_memory_bytes=_limit_from_json(entry["max_memory_bytes"], "max_memory_bytes", name, source),
-                max_request_bytes=_limit_from_json(entry["max_request_bytes"], "max_request_bytes", name, source),
-            )
+            out[name] = ProviderLimits(name, **{f: entry.get(f, int, UNLIMITED) for f in _LIMIT_FIELDS})
         except DomainError as exc:
             raise ScenarioError(f"{source}: {exc}") from exc
     return out
@@ -222,21 +184,7 @@ def parse_provider_limits(payload: Mapping, source: str = "<providers>") -> dict
 
 def load_provider_limits(path: str | Path | None = None) -> dict[str, ProviderLimits]:
     """Load provider limits from ``path``, or the bundled defaults if None."""
-    if path is None:
-        text = resources.files("faasplan.data").joinpath("providers.json").read_text("utf-8")
-        source = "data/providers.json"
-    else:
-        path = Path(path)
-        try:
-            text = path.read_text("utf-8")
-        except OSError as exc:
-            raise ScenarioError(f"cannot read provider limits from {path}: {exc}") from exc
-        source = str(path)
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{source}:{exc.lineno}: {exc.msg}") from exc
-    return parse_provider_limits(payload, source)
+    return parse_provider_limits(*_schema.load(path, "provider limits", bundled="providers.json"))
 
 
 def default_provider_limits() -> dict[str, ProviderLimits]:

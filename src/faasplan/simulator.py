@@ -21,7 +21,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .cost import PricingModel
+from .cost import PricingModel, round_up
 from .errors import DomainError
 from .metrics import (
     SampleSet,
@@ -378,7 +378,6 @@ def simulate(
     instances: list[_Instance] = []
     records: list[InvocationRecord] = []
     latencies: list[float] = []
-    billed_total_us = 0
     n_cold = 0
 
     for i in range(n):
@@ -402,8 +401,7 @@ def simulate(
             cold = start - chosen.free_at_us > keep_alive_us
         end = start + exec_us + (cold_us if cold else 0)
         chosen.free_at_us = end
-        billed_us = -(-exec_us // granularity_us) * granularity_us
-        billed_total_us += billed_us
+        billed_us = round_up(exec_us, granularity_us)
         n_cold += cold
         records.append(InvocationRecord(
             arrival_ms=t / 1000,

@@ -304,3 +304,127 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def scenario_file(tmp_path, doc_or_name, edit=lambda doc: None):
+    doc = doc_or_name
+    if isinstance(doc_or_name, str):
+        doc = json.loads((SCENARIOS / doc_or_name).read_text())
+    edit(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def run_error(capsys, *argv):
+    code = run_cli(*argv)
+    return code, capsys.readouterr().err
+
+
+# Each of these once ended in a traceback instead of exit 2.
+BAD_SCENARIO_VALUES = {
+    "poisson-without-rate": (
+        "simulate", "smobilebert_replay.json",
+        lambda d: d.update(traffic={"kind": "poisson", "duration_s": 1}),
+        "traffic: rate_rps: missing required key"),
+    "reference-memory-not-a-number": (
+        "simulate", "smobilebert_replay.json",
+        lambda d: d["profile"].update(reference_memory_mb="x"),
+        "profile: reference_memory_mb: must be a number, got 'x'"),
+    "seed-not-an-integer": (
+        "simulate", "smobilebert_replay.json",
+        lambda d: d["simulation"].update(seed="abc"),
+        "simulation: seed: must be an integer, got 'abc'"),
+    "n-requests-not-an-integer": (
+        "cost", "million_predictions.json",
+        lambda d: d["cost"].update(n_requests="many"),
+        "cost: n_requests: must be an integer, got 'many'"),
+    "vm-price-not-a-number": (
+        "cost", "million_predictions.json",
+        lambda d: d["vm"].update(monthly_price="abc"),
+        "vm: monthly_price: must be a number, got 'abc'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCENARIO_VALUES))
+def test_bad_scenario_value_exits_2(tmp_path, capsys, case):
+    command, base, edit, message = BAD_SCENARIO_VALUES[case]
+    path = scenario_file(tmp_path, base, edit)
+    code, err = run_error(capsys, command, "--scenario", path)
+    assert code == 2
+    assert err == f"error: {path}: {message}\n"
+
+
+BAD_FIXTURE_VALUES = {
+    "pricing-rate-not-a-number": (
+        "pricing.json",
+        {"version": 1, "profiles": [
+            {"name": "aws", "per_million_requests": "abc", "per_gb_second": 0.0000166667}]},
+        ("cost", "--scenario", SCENARIOS / "million_predictions.json"),
+        "profile 'aws': per_million_requests: must be a number, got 'abc'"),
+    "runtime-size-not-a-number": (
+        "runtimes.json",
+        {"version": 1, "runtimes": [
+            {"name": "onnxruntime", "size_mb": "x", "model_formats": ["onnx"]}]},
+        ("validate", "--scenario", SCENARIOS / "tinybert_aws.json"),
+        "runtime 'onnxruntime': size_mb: must be a number, got 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FIXTURE_VALUES))
+def test_bad_fixture_value_exits_2(tmp_path, capsys, case):
+    filename, doc, argv, message = BAD_FIXTURE_VALUES[case]
+    (tmp_path / filename).write_text(json.dumps(doc))
+    code, err = run_error(capsys, *argv, "--profile-dir", tmp_path)
+    assert code == 2
+    assert err == f"error: {tmp_path / filename}: {message}\n"
+
+
+@pytest.mark.parametrize("command, base, block, typo, correct", [
+    ("simulate", "smobilebert_replay.json", "simulation", "keepalive_s", "keep_alive_s"),
+    ("simulate", "smobilebert_replay.json", "simulation", "cold_start", "cold_start_ms"),
+    ("cost", "million_predictions.json", "cost", "monthz", None),
+])
+def test_typoed_block_key_is_rejected(tmp_path, capsys, command, base, block, typo, correct):
+    def edit(doc):
+        doc[block][typo] = doc[block].pop(correct) if correct else 3
+    path = scenario_file(tmp_path, base, edit)
+    code, err = run_error(capsys, command, "--scenario", path)
+    assert code == 2
+    assert err == f"error: {path}: {block}: unknown keys [{typo!r}]\n"
+
+
+@pytest.mark.parametrize("keep_alive, cold_fraction", [
+    (None, 1.0),      # null is the 600 s default, shorter than the 1000 s gaps
+    ("absent", 1.0),
+    ("inf", 0.25),    # only the first request starts an instance
+])
+def test_keep_alive_null_means_the_default(tmp_path, capsys, keep_alive, cold_fraction):
+    simulation = {"memory_mb": 1024, "cold_start_ms": 0}
+    if keep_alive != "absent":
+        simulation["keep_alive_s"] = keep_alive
+    path = scenario_file(tmp_path, {
+        "version": 1, "pricing": "aws",
+        "profile": {"reference_memory_mb": 1024, "constant_ms": 10},
+        "traffic": {"kind": "trace", "timestamps": [0, 1e6, 2e6, 3e6]},
+        "simulation": simulation,
+    })
+    assert run_cli("simulate", "--scenario", path, "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out)["cold_fraction"] == cold_fraction
+
+
+def test_unreadable_profile_samples_exit_2(tmp_path, capsys):
+    def edit(doc):
+        doc["profile"] = {"reference_memory_mb": 1024, "samples_csv": "missing.csv"}
+    path = scenario_file(tmp_path, "smobilebert_replay.json", edit)
+    code, err = run_error(capsys, "simulate", "--scenario", path)
+    assert code == 2
+    assert err.startswith(f"error: {path}: profile: samples_csv: cannot read ")
+
+
+def test_inline_catalog_list_is_rejected(tmp_path, capsys):
+    inline = [{"name": "TinyBERT", "size_mb": 56, "format": "onnx"}]
+    path = scenario_file(tmp_path, "tinybert_aws.json", lambda d: d.update(catalog=inline))
+    code, err = run_error(capsys, "validate", "--scenario", path)
+    assert code == 2
+    assert f"{path}: catalog: must be a string" in err

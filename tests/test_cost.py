@@ -24,11 +24,13 @@ from faasplan import (
     vm_baseline_cost,
 )
 from faasplan.cost import (
+    cost_from_samples,
     cost_report_from_dict,
     cost_report_to_dict,
     parse_pricing,
     render_cost_table,
 )
+from faasplan.metrics import SampleSet
 from faasplan.simulator import InvocationRecord, SimulationResult
 
 AWS = load_pricing()["aws"]
@@ -216,6 +218,18 @@ def test_cost_from_simulation_empty_is_free():
     assert report.serverless_total == 0
     assert report.breakeven_requests_per_month is None
     assert report.assumptions.billed_ms_per_request is None
+
+
+@pytest.mark.parametrize("billed", [[100.0, 150.0, 151.0], [1.0] * 7, []])
+def test_samples_and_simulation_share_one_report(billed):
+    # The mean of 401 / 3 or 7 / 7 billed ms must not depend on which file it came from.
+    from_samples = cost_from_samples(SampleSet.from_values(billed), AWS, DEFAULT_VM_BASELINE, GB, 2)
+    assert from_samples == cost_from_simulation(synthetic_result(billed), AWS, DEFAULT_VM_BASELINE, 2)
+
+
+def test_cost_from_samples_rounds_each_duration_up():
+    report = cost_from_samples(SampleSet.from_values([0.5, 100.0, 100.25]), GCP)
+    assert report.serverless_total == serverless_cost_total(3, 100 + 100 + 200, GB, GCP)
 
 
 def test_pricing_rates_stay_decimal():

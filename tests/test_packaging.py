@@ -10,7 +10,6 @@ from faasplan import (
     ModelArtifact,
     ProviderLimits,
     RuntimeLibrary,
-    assemble_package,
     bytes_on_disk,
     default_provider_limits,
     fit_matrix,
@@ -40,7 +39,7 @@ def test_runtime_validation():
 
 
 def test_total_bytes_is_the_sum():
-    package = assemble_package(DEFAULT_CODE_BYTES, ONNX_RT, onnx_model("m", 56))
+    package = DeploymentPackage(DEFAULT_CODE_BYTES, ONNX_RT, onnx_model("m", 56))
     assert package.total_bytes == 1 * MB + 14 * MB + 56 * MB
 
 
@@ -51,17 +50,17 @@ def test_zero_code_bytes_allowed():
 
 def test_negative_code_bytes_rejected():
     with pytest.raises(DomainError):
-        assemble_package(-1, ONNX_RT, onnx_model("m", 56))
+        DeploymentPackage(-1, ONNX_RT, onnx_model("m", 56))
 
 
 def test_format_mismatch_refused_at_assembly():
     tf_model = ModelArtifact(name="m", size_bytes=400 * MB, format="savedmodel")
     with pytest.raises(IncompatibleFormatError, match="cannot execute"):
-        assemble_package(MB, ONNX_RT, tf_model)
+        DeploymentPackage(MB, ONNX_RT, tf_model)
 
 
 def test_fit_matrix_headroom():
-    package = assemble_package(MB, ONNX_RT, onnx_model("m", 56))  # 71 MB
+    package = DeploymentPackage(MB, ONNX_RT, onnx_model("m", 56))  # 71 MB
     limits = [
         ProviderLimits("tight", 64 * MB, UNLIMITED, GB, MB),
         ProviderLimits("roomy", 250 * MB, UNLIMITED, GB, MB),
@@ -76,14 +75,14 @@ def test_fit_matrix_headroom():
 
 
 def test_fit_matrix_boundary_is_inclusive():
-    package = assemble_package(0, ONNX_RT, onnx_model("m", 50))  # exactly 64 MB
+    package = DeploymentPackage(0, ONNX_RT, onnx_model("m", 50))  # exactly 64 MB
     row, = fit_matrix(package, [ProviderLimits("p", 64 * MB, UNLIMITED, GB, MB)])
     assert row.passed
     assert row.headroom_bytes == 0
 
 
 def test_fit_matrix_needs_providers():
-    package = assemble_package(MB, ONNX_RT, onnx_model("m", 56))
+    package = DeploymentPackage(MB, ONNX_RT, onnx_model("m", 56))
     with pytest.raises(DomainError):
         fit_matrix(package, [])
 
@@ -95,7 +94,7 @@ def test_bundled_models_against_bundled_limits():
     sizes = {"TinyBERT": 56, "MobileBERT": 98, "BERT_BASE_CLS": 420}
     fits = {}
     for name, mb in sizes.items():
-        package = assemble_package(DEFAULT_CODE_BYTES, ONNX_RT, onnx_model(name, mb))
+        package = DeploymentPackage(DEFAULT_CODE_BYTES, ONNX_RT, onnx_model(name, mb))
         rows = {r.provider: r.passed for r in fit_matrix(package, [aws, gcp])}
         fits[name] = (rows["aws"], rows["gcp"])
     assert fits["TinyBERT"] == (True, True)
