@@ -434,7 +434,7 @@ def cmd_simulate(args, store: ProfileStore) -> int:
 
     sweep_mb = None
     if args.memory_sweep:
-        sweep_mb = [int(part) for part in args.memory_sweep.split(",") if part.strip()]
+        sweep_mb = args.memory_sweep
     elif scenario.memory_sweep_mb:
         sweep_mb = scenario.memory_sweep_mb
 
@@ -526,8 +526,11 @@ def cmd_cost(args, store: ProfileStore) -> int:
             report = cost_mod.cost_from_simulation(result, pricing, baseline, months)
         else:
             memory_bytes = (args.memory_mb or 1024) * MB
-            report = cost_mod.cost_from_samples(read_samples_csv(result_path), pricing, baseline,
-                                                memory_bytes, months)
+            try:
+                samples = read_samples_csv(result_path)
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ScenarioError(f"cannot read result {result_path}: {exc}") from exc
+            report = cost_mod.cost_from_samples(samples, pricing, baseline, memory_bytes, months)
 
     if args.format == "json":
         _emit(cost_mod.cost_report_to_dict(report))
@@ -621,6 +624,15 @@ def cmd_bench(args, store: ProfileStore) -> int:
     return 0
 
 
+def _mb_list(text: str) -> list[int]:
+    """``--memory-sweep`` value: comma-separated integer MB sizes."""
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integer MB sizes, got {text!r}") from None
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("table", "json"), default="table",
                         help="output format (default: table)")
@@ -659,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a seeded deployment simulation")
     _add_common(p)
     p.add_argument("--scenario", required=True, help="scenario JSON with profile/traffic/simulation")
-    p.add_argument("--memory-sweep", default=None,
+    p.add_argument("--memory-sweep", type=_mb_list, default=None,
                    help="comma-separated memory sizes in MB, one run per size")
     p.add_argument("--out", default=None,
                    help="output prefix; writes <out>.csv and <out>.json (or <out>_sweep.csv)")

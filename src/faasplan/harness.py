@@ -2,25 +2,24 @@
 
 Requests leave on the traffic pattern's schedule regardless of how slowly
 responses come back, so queueing delay shows up in the measurements
-instead of silently throttling the generator. A built-in stub responder
-makes fully offline runs possible.
+instead of silently throttling the generator. One asyncio event loop
+paces the sends and runs every request as a task on a fresh connection,
+so a run holds no thread per request however many are in flight. A
+built-in stub responder makes fully offline runs possible.
 """
 
 from __future__ import annotations
 
-import gc
 import random
-import socket
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections import Counter
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Mapping
+from urllib.parse import urlsplit
 
 from .errors import DomainError, FaasPlanError, PreflightError
 from .metrics import (
@@ -36,11 +35,12 @@ from .simulator import TrafficPattern, generate_arrivals
 EXEC_TIME_HEADER = "X-Exec-Time-Ms"
 
 # Scheduler lead time before the first request, so request zero is not
-# already behind schedule while threads warm up.
+# already behind schedule while the event loop starts.
 _START_LEAD_S = 0.05
-# Workers are spawned this far ahead of their send slot; thread start-up
-# cost then lands inside the wait instead of delaying the send.
-_SPAWN_LEAD_S = 0.02
+# A sleeping event loop can wake several ms late on a busy host (and
+# epoll rounds its timeout up to whole ms), so the pacer sleeps to this
+# far before each send and covers the rest in short naps.
+_NAP_S = 0.015
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ class BenchTarget:
     timeout_ms: float = 10_000.0
 
     def __post_init__(self):
-        if not self.url:
-            raise DomainError("target url must be non-empty")
+        _split_url(self.url)
         if not isinstance(self.payload, (bytes, bytearray)):
             raise DomainError("payload must be bytes")
         object.__setattr__(self, "payload", bytes(self.payload))
@@ -66,6 +65,21 @@ class BenchTarget:
     @property
     def payload_bytes(self) -> int:
         return len(self.payload)
+
+
+def _split_url(url: str) -> tuple[str, int, bool, str, str]:
+    """``(host, port, https, authority, path)`` of an http:// or https:// URL."""
+    try:  # ValueError on a bad [v6] literal, or a port outside 0-65535
+        parts = urlsplit(url)
+        port = parts.port
+        valid = parts.scheme in ("http", "https") and parts.hostname and "@" not in parts.netloc
+    except ValueError:
+        valid = False
+    if not valid:
+        raise DomainError(f"target url must be an http:// or https:// URL, got {url!r}")
+    https = parts.scheme == "https"
+    path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    return parts.hostname, (443 if https else 80) if port is None else port, https, parts.netloc, path
 
 
 def preflight(target: BenchTarget, limits: ProviderLimits) -> ValidationReport:
@@ -134,35 +148,17 @@ class BenchResult:
         return max(s - p for p, s in zip(self.scheduled_ms, self.sent_ms))
 
 
-def _sleep_until(deadline: float) -> None:
-    while True:
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
-            return
-        time.sleep(remaining)
-
-
-def _wait_until(deadline: float) -> None:
-    # sleep() coarsely, then yield-spin the tail so a late OS wake-up
-    # still leaves time to hit the deadline.
-    while True:
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
-            return
-        if remaining > 0.015:
-            time.sleep(remaining - 0.015)
-        else:
-            time.sleep(0)
+class _StatusError(Exception):
+    """The endpoint answered with a status outside 2xx."""
 
 
 def _classify(exc: BaseException) -> str:
-    if isinstance(exc, urllib.error.HTTPError):
+    import asyncio  # loaded by run_bench already
+
+    if isinstance(exc, _StatusError):
         return "http"
-    if isinstance(exc, (TimeoutError, socket.timeout)):
-        return "timeout"
-    if isinstance(exc, urllib.error.URLError) and isinstance(
-        exc.reason, (TimeoutError, socket.timeout)
-    ):
+    # asyncio.TimeoutError is a class of its own before Python 3.11.
+    if isinstance(exc, (TimeoutError, asyncio.TimeoutError)):
         return "timeout"
     return "transport"
 
@@ -170,10 +166,14 @@ def _classify(exc: BaseException) -> str:
 def run_bench(run: BenchRun) -> BenchResult:
     """Fire the pattern at the target, open loop, and collect samples.
 
-    Each request runs on its own thread so a slow response never delays
-    the next send. Successful responses are timed from just before the
-    send to the end of the body; the first ``n_warmup`` successes are
-    excluded from the returned samples but still counted.
+    One asyncio event loop sends each request at its scheduled time as a
+    task of its own, so a slow response never delays the next send. Each
+    task opens a fresh connection, sends ``Connection: close`` and gives
+    up after ``timeout_ms``; the run ends when every task is back, so
+    every attempt lands in exactly one accounting bucket. Successful
+    responses are timed from the send to the end of the body; the first
+    ``n_warmup`` successes are excluded from the returned samples but
+    still counted. Must not be called from inside a running event loop.
 
     Raises:
         PreflightError: if ``run.provider_limits`` is set and the payload
@@ -186,73 +186,82 @@ def run_bench(run: BenchRun) -> BenchResult:
                 f"payload of {run.target.payload_bytes} B exceeds "
                 f"{run.provider_limits.name}'s request cap", report,
             )
+    import asyncio  # here, not at the top: only bench should pay for importing it
+    import ssl
+
+    target = run.target
+    host, port, https, authority, path = _split_url(target.url)
+    ssl_context = ssl.create_default_context() if https else None
+    # urllib's default headers, so endpoints see the same request; the target's own replace them.
+    fields = {"host": ("Host", authority), "connection": ("Connection", "close"),
+              "user-agent": ("User-Agent", "Python-urllib/%d.%d" % sys.version_info[:2]),
+              "accept-encoding": ("Accept-Encoding", "identity")}
+    if target.payload:
+        fields["content-type"] = ("Content-Type", "application/x-www-form-urlencoded")
+    if target.payload or target.method.upper() in ("POST", "PUT", "PATCH"):
+        fields["content-length"] = ("Content-Length", str(target.payload_bytes))
+    fields.update((name.lower(), (name, value)) for name, value in target.headers.items())
+    head = "".join(f"{name}: {value}\r\n" for name, value in fields.values())
+    request = f"{target.method} {path} HTTP/1.1\r\n{head}\r\n".encode("latin-1") + target.payload
+    exec_header = (run.exec_time_header or "").lower()
     offsets_ms = generate_arrivals(run.pattern, run.seed)
     n = len(offsets_ms)
     recorder = SampleRecorder()
     exec_recorder = SampleRecorder()
     errors: Counter = Counter()
-    errors_lock = threading.Lock()
     sent_ms = [0.0] * n
-    data = run.target.payload or None
-    # Built ahead of the schedule so the first send does not pay for it.
-    opener = urllib.request.build_opener()
 
-    # One sweep now; a cycle collection during the run stalls every
-    # thread past its send slot on a loaded heap. Refcounting alone
-    # frees each request and response as it drops.
-    gc.collect()
-
-    start = time.perf_counter() + _START_LEAD_S
-
-    def fire(index: int, deadline: float) -> None:
-        _wait_until(deadline)
-        send = time.perf_counter()
-        sent_ms[index] = (send - start) * 1000.0
-        request = urllib.request.Request(
-            run.target.url,
-            data=data,
-            method=run.target.method,
-            headers=dict(run.target.headers),
-        )
+    async def exchange() -> tuple[float, str | None]:
+        reader, writer = await asyncio.open_connection(host, port, ssl=ssl_context)
         try:
-            with opener.open(request, timeout=run.target.timeout_ms / 1000.0) as resp:
-                exec_header = (
-                    resp.headers.get(run.exec_time_header) if run.exec_time_header else None
-                )
-                resp.read()
-            duration = (time.perf_counter() - send) * 1000.0
+            writer.write(request)
+            status_line, *lines = (await reader.readuntil(b"\r\n\r\n")).decode("latin-1").split("\r\n")
+            status = int(status_line.split(" ", 2)[1])
+            headers = {name.strip().lower(): value.strip()
+                       for name, _, value in (line.partition(":") for line in lines if line)}
+            if "content-length" in headers and target.method.upper() != "HEAD":
+                await reader.readexactly(int(headers["content-length"]))
+            else:
+                await reader.read()
+            end = time.perf_counter()
+        finally:
+            writer.close()
+        if not 200 <= status < 300:
+            raise _StatusError(status)
+        return end, headers.get(exec_header) if exec_header else None
+
+    async def fire(index: int, send: float) -> None:
+        try:
+            end, exec_value = await asyncio.wait_for(exchange(), target.timeout_ms / 1000.0)
         except Exception as exc:  # noqa: BLE001 - every failure is tallied, not raised
-            with errors_lock:
-                errors[_classify(exc)] += 1
+            errors[_classify(exc)] += 1
             return
-        recorder.record(duration, timestamp_ms=sent_ms[index])
-        if exec_header is not None:
+        recorder.record((end - send) * 1000.0, timestamp_ms=sent_ms[index])
+        if exec_value is not None:
             try:
-                exec_recorder.record(float(exec_header), timestamp_ms=sent_ms[index])
+                exec_recorder.record(float(exec_value), timestamp_ms=sent_ms[index])
             except (ValueError, DomainError):
                 pass
 
-    threads = []
-    # A shorter GIL slice keeps bytecode-heavy workers from sitting on
-    # the interpreter while another worker's send slot comes up.
-    switch_interval = sys.getswitchinterval()
-    sys.setswitchinterval(0.001)
-    gc_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for i, offset in enumerate(offsets_ms):
+    async def pace() -> None:
+        tasks = []
+        for index, offset in enumerate(offsets_ms):
             deadline = start + offset / 1000.0
-            _sleep_until(deadline - _SPAWN_LEAD_S)
-            worker = threading.Thread(target=fire, args=(i, deadline), daemon=True)
-            worker.start()
-            threads.append(worker)
-        join_deadline = time.perf_counter() + run.target.timeout_ms / 1000.0 + 5.0
-        for worker in threads:
-            worker.join(timeout=max(0.0, join_deadline - time.perf_counter()))
-    finally:
-        sys.setswitchinterval(switch_interval)
-        if gc_enabled:
-            gc.enable()
+            while (remaining := deadline - time.perf_counter()) > 0:
+                if remaining > _NAP_S:
+                    await asyncio.sleep(remaining - _NAP_S)
+                else:
+                    # A ~50 us nap (one timer slack) with the CPU idle kept sends
+                    # on time more often on a shared host than spinning on sleep(0).
+                    time.sleep(0)
+                    await asyncio.sleep(0)
+            send = time.perf_counter()
+            sent_ms[index] = (send - start) * 1000.0
+            tasks.append(asyncio.create_task(fire(index, send)))
+        await asyncio.gather(*tasks)
+
+    start = time.perf_counter() + _START_LEAD_S
+    asyncio.run(pace())
 
     raw = recorder.snapshot()
     samples = warmup_filter(raw, run.n_warmup)

@@ -268,27 +268,6 @@ def read_samples_csv(path: str | Path) -> SampleSet:
     )
 
 
-def samples_to_json(samples: SampleSet) -> dict:
-    """JSON-ready dict mirroring the CSV columns."""
-    out: dict = {"values": list(samples.values)}
-    if samples.timestamps is not None:
-        out["timestamps"] = list(samples.timestamps)
-    if samples.cold is not None:
-        out["cold"] = list(samples.cold)
-    if samples.instances is not None:
-        out["instances"] = list(samples.instances)
-    return out
-
-
-def samples_from_json(payload: Mapping) -> SampleSet:
-    return SampleSet(
-        values=tuple(payload["values"]),
-        timestamps=tuple(payload["timestamps"]) if "timestamps" in payload else None,
-        cold=tuple(payload["cold"]) if "cold" in payload else None,
-        instances=tuple(payload["instances"]) if "instances" in payload else None,
-    )
-
-
 def summary_to_dict(summary: Summary) -> dict:
     return {
         "count": summary.count,

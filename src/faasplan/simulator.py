@@ -21,6 +21,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
+from . import _schema
 from .cost import PricingModel, round_up
 from .errors import DomainError
 from .metrics import (
@@ -489,4 +490,10 @@ def save_result_json(result: SimulationResult, path: str | Path) -> None:
 
 
 def load_result_json(path: str | Path) -> SimulationResult:
-    return result_from_dict(json.loads(Path(path).read_text("utf-8")))
+    """Inverse of :func:`save_result_json`; only the top-level keys are checked."""
+    payload, label = _schema.load(path, "result")
+    top = _schema.Block(payload, label)
+    top.get("records", list)
+    for key in ("cold_fraction", "latency_summary", "total_billed_gb_s", "memory_bytes"):
+        top.get(key)
+    return result_from_dict(payload)

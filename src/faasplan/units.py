@@ -40,13 +40,3 @@ UNLIMITED = Unlimited()
 
 # A byte or millisecond budget that a platform may simply not restrict.
 Limit = Union[int, Unlimited]
-
-
-def mb(n: float) -> int:
-    """Megabytes to bytes (1 MB = 2**20 bytes)."""
-    return round(n * MB)
-
-
-def gb(n: float) -> int:
-    """Gigabytes to bytes (1 GB = 2**30 bytes)."""
-    return round(n * GB)

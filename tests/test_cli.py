@@ -428,3 +428,27 @@ def test_inline_catalog_list_is_rejected(tmp_path, capsys):
     code, err = run_error(capsys, "validate", "--scenario", path)
     assert code == 2
     assert f"{path}: catalog: must be a string" in err
+
+
+@pytest.mark.parametrize("name", ["missing.json", "missing.csv"])
+def test_cost_missing_result_exits_2(tmp_path, capsys, name):
+    path = tmp_path / name
+    code, err = run_error(capsys, "cost", "--result", path)
+    assert code == 2
+    assert err.startswith(f"error: cannot read result {path}: ")
+
+
+def test_cost_result_without_records_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text('{"a": 1}')
+    code, err = run_error(capsys, "cost", "--result", path)
+    assert code == 2
+    assert err == f"error: {path}: records: missing required key\n"
+
+
+def test_bad_memory_sweep_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("simulate", "--scenario", SCENARIOS / "memory_sweep.json", "--memory-sweep", "abc")
+    assert exc_info.value.code == 2
+    assert "argument --memory-sweep: expected comma-separated integer MB sizes" in (
+        capsys.readouterr().err)

@@ -1,6 +1,14 @@
+import asyncio
+import contextlib
+import shutil
 import socket
+import ssl
+import subprocess
+import threading
+import time
 import urllib.error
 import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -22,7 +30,13 @@ from faasplan import (
     preflight,
     run_bench,
 )
-from faasplan.harness import EXEC_TIME_HEADER, _classify
+from faasplan.harness import (
+    _START_LEAD_S,
+    EXEC_TIME_HEADER,
+    _classify,
+    _split_url,
+    _StatusError,
+)
 
 LIMITS = ProviderLimits("aws", 250 * MB, 900_000, 10 * GB, 6 * MB)
 
@@ -165,12 +179,170 @@ def test_run_bench_send_schedule_is_monotone():
 
 
 def test_classify_buckets():
-    assert _classify(urllib.error.HTTPError("u", 500, "boom", {}, None)) == "http"
+    # any non-2xx status is "http", either timeout type is "timeout",
+    # everything else (refused, reset, malformed response) is "transport"
+    assert _classify(_StatusError(500)) == "http"
+    assert _classify(_StatusError(302)) == "http"
     assert _classify(TimeoutError()) == "timeout"
-    assert _classify(socket.timeout()) == "timeout"
-    assert _classify(urllib.error.URLError(TimeoutError())) == "timeout"
-    assert _classify(urllib.error.URLError(ConnectionRefusedError())) == "transport"
+    assert _classify(asyncio.TimeoutError()) == "timeout"
+    assert _classify(ConnectionRefusedError()) == "transport"
+    assert _classify(asyncio.IncompleteReadError(b"", 10)) == "transport"
     assert _classify(ValueError("x")) == "transport"
+
+
+def test_run_bench_starts_no_thread_per_request():
+    # A socket that listens and never accepts: every request hangs to its timeout.
+    sink = socket.socket()
+    sink.bind(("127.0.0.1", 0))
+    sink.listen()
+    run = BenchRun(
+        target=BenchTarget(url=f"http://127.0.0.1:{sink.getsockname()[1]}/", timeout_ms=500.0),
+        pattern=TrafficPattern.steady(100, 1),
+        n_warmup=0,
+    )
+    baseline = threading.active_count()
+    peak = baseline
+    done = threading.Event()
+
+    def sample():
+        nonlocal peak
+        while not done.wait(0.005):
+            peak = max(peak, threading.active_count())
+
+    sampler = threading.Thread(target=sample)
+    sampler.start()
+    try:
+        t0 = time.perf_counter()
+        result = run_bench(run)
+        elapsed = time.perf_counter() - t0
+    finally:
+        done.set()
+        sampler.join()
+        sink.close()
+    assert result.errors == {"timeout": 100}
+    assert len(result.samples) + result.warmup_excluded + result.error_total == result.attempts
+    assert elapsed <= _START_LEAD_S + max(result.sent_ms) / 1000.0 + 0.5 + 1.0
+    assert peak <= baseline + 1  # the sampler itself
+
+
+class _FramingHandler(BaseHTTPRequestHandler):
+    """HTTP/1.0 answers: a body framed by connection close, or a redirect.
+
+    POSTs are answered empty, and their headers kept in ``seen``.
+    """
+
+    seen: list = []
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.seen.append(self.headers)
+        self.send_response(200)
+        self.end_headers()
+
+    def do_GET(self):
+        if self.path == "/redirect":
+            self.send_response(302)
+            self.send_header("Location", "/eof")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        self.send_response(200)
+        self.send_header(EXEC_TIME_HEADER, "2.5")
+        self.end_headers()
+        self.wfile.write(b"x" * 70_000)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def _serving(tls: ssl.SSLContext | None = None):
+    """Run a ``_FramingHandler`` server; yields its base URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _FramingHandler)
+    server.daemon_threads = True
+    if tls is not None:
+        server.socket = tls.wrap_socket(server.socket, server_side=True)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield f"{'https' if tls else 'http'}://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def _get(url: str, n: int = 5) -> BenchResult:
+    return run_bench(BenchRun(
+        target=BenchTarget(url=url, method="GET", timeout_ms=2000.0),
+        pattern=TrafficPattern.steady(n * 10, 0.1),
+        n_warmup=0,
+    ))
+
+
+def test_run_bench_reads_body_to_eof_without_content_length():
+    with _serving() as base:
+        result = _get(f"{base}/eof?q=1")
+    assert result.errors == {}
+    assert len(result.samples) == 5
+    assert set(result.server_exec.values) == {2.5}
+
+
+def test_run_bench_counts_redirect_as_http_error():
+    with _serving() as base:
+        result = _get(f"{base}/redirect")
+    assert result.errors == {"http": 5}
+
+
+def test_run_bench_sends_urllib_default_headers():
+    def post(headers):
+        _FramingHandler.seen.clear()
+        with _serving() as base:
+            result = run_bench(BenchRun(
+                target=BenchTarget(url=f"{base}/", payload=b'{"a": 1}', headers=headers),
+                pattern=TrafficPattern.steady(10, 0.1),
+                n_warmup=0,
+            ))
+        assert result.errors == {}
+        return _FramingHandler.seen[0]
+
+    sent = post({})
+    assert sent["User-Agent"].startswith("Python-urllib/")
+    assert sent["Content-Type"] == "application/x-www-form-urlencoded"
+    assert sent["Content-Length"] == "8"
+    assert sent["Connection"] == "close"
+    sent = post({"content-type": "application/json", "User-Agent": "probe"})
+    assert sent.get_all("Content-Type") == ["application/json"]
+    assert sent.get_all("User-Agent") == ["probe"]
+
+
+def test_run_bench_over_https(tmp_path, monkeypatch):
+    openssl = shutil.which("openssl")
+    if openssl is None:
+        pytest.skip("openssl CLI not available")
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(
+        [openssl, "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "1",
+         "-keyout", str(key), "-out", str(cert), "-subj", "/CN=127.0.0.1",
+         "-addext", "subjectAltName=IP:127.0.0.1"],
+        check=True, capture_output=True,
+    )
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+    tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    tls.load_cert_chain(cert, key)
+    with _serving(tls) as base:
+        result = _get(f"{base}/eof")
+    assert result.errors == {}
+    assert len(result.samples) == result.attempts == 5
+
+
+def test_bench_target_rejects_non_http_urls():
+    for url in ("", "ftp://x/", "127.0.0.1:80/", "http://", "http://[::1/", "http://u:p@x/",
+                "http://user@host/", "http://x:99999/", "http://x:port/"):
+        with pytest.raises(DomainError):
+            BenchTarget(url=url)
+    assert _split_url("https://[::1]:8443?q=1#f") == (
+        "::1", 8443, True, "[::1]:8443", "/?q=1"
+    )
+    assert _split_url("http://example.com") == ("example.com", 80, False, "example.com", "/")
 
 
 def test_bench_target_validation():

@@ -21,8 +21,6 @@ from faasplan import (
 )
 from faasplan.metrics import (
     nearest_rank_index,
-    samples_from_json,
-    samples_to_json,
     summary_from_dict,
     summary_to_dict,
 )
@@ -265,11 +263,6 @@ def test_csv_floats_survive_exactly(tmp_path_factory, values):
     samples = SampleSet.from_values(values)
     write_samples_csv(samples, path)
     assert read_samples_csv(path).values == samples.values
-
-
-def test_json_round_trip():
-    samples = SampleSet(values=(5.0, 6.5), cold=(False, True), instances=("a", "b"))
-    assert samples_from_json(samples_to_json(samples)) == samples
 
 
 def test_summary_dict_round_trip():
