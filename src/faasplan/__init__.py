@@ -49,7 +49,6 @@ from .harness import (
     run_bench,
 )
 from .metrics import (
-    SampleRecorder,
     SampleSet,
     Summary,
     format_summary_table,
@@ -98,7 +97,7 @@ __all__ = [
     "DeploymentPackage", "DeploymentPlan", "DomainError", "FaasPlanError", "FitRow",
     "GB", "IncompatibleFormatError", "InvocationRecord", "LatencyProfile", "MB",
     "ModelArtifact", "NoFeasibleModelError", "PreflightError", "PricingModel",
-    "ProviderLimits", "RuntimeLibrary", "SampleRecorder", "SampleSet",
+    "ProviderLimits", "RuntimeLibrary", "SampleSet",
     "ScenarioError", "SelectionConstraints", "SimulationConfig", "SimulationResult",
     "StubServer", "Summary", "TrafficPattern", "UNLIMITED", "Unlimited",
     "ValidationReport", "Violation", "VmBaseline", "billed_duration",

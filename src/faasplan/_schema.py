@@ -10,6 +10,7 @@ for a key's default.
 from __future__ import annotations
 
 import json
+import reprlib
 from decimal import Decimal
 from importlib import resources
 from pathlib import Path
@@ -53,7 +54,7 @@ def _check(value, kind: type, where: str, error: type[Exception]):
     else:
         ok = isinstance(value, kind)
     if not ok or (isinstance(value, bool) and kind is not object):
-        raise error(f"{where}: must be {_KIND_NAMES[kind]}, got {value!r}")
+        raise error(f"{where}: must be {_KIND_NAMES[kind]}, got {reprlib.repr(value)}")
     if kind is float:
         return float(value)
     if kind is Decimal:
@@ -70,10 +71,10 @@ class Block:
 
     def __init__(self, raw, context: str, keys=None, error: type[Exception] = ScenarioError):
         if not isinstance(raw, Mapping):
-            raise error(f"{context}: must be an object, got {raw!r}")
+            raise error(f"{context}: must be an object, got {reprlib.repr(raw)}")
         unknown = set(raw) - set(keys) if keys is not None else ()
         if unknown:
-            raise error(f"{context}: unknown keys {sorted(unknown)}")
+            raise error(f"{context}: unknown keys {reprlib.repr(sorted(unknown))}")
         self.raw, self.context, self.error = raw, context, error
 
     def get(self, key: str, kind: type = object, default=REQUIRED):
@@ -123,7 +124,8 @@ def entries(payload, list_key: str, version: int, source: str, keys,
     if not isinstance(payload, Mapping) or set(payload) != expected:
         raise error(f"{source}: top-level keys must be exactly {sorted(expected)}")
     if payload["version"] != version:
-        raise error(f"{source}: unsupported schema version {payload['version']!r} (expected {version})")
+        raise error(f"{source}: unsupported schema version {reprlib.repr(payload['version'])} "
+                    f"(expected {version})")
     if not isinstance(payload[list_key], list):
         raise error(f"{source}: {list_key!r} must be a list")
     noun = list_key[:-1]

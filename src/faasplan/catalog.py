@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 from . import _schema
 from .errors import CatalogError, DomainError, NoFeasibleModelError
 from .packaging import DeploymentPackage, RuntimeLibrary
-from .units import MB
+from .units import mb_text
 
 CATALOG_SCHEMA_VERSION = 1
 
@@ -111,11 +111,6 @@ class CandidateEvaluation:
     reason: str | None
 
 
-def _mb_str(n: int) -> str:
-    value = n / MB
-    return f"{value:g} MB"
-
-
 def evaluate_candidates(
     models: Iterable[ModelArtifact], constraints: SelectionConstraints
 ) -> list[CandidateEvaluation]:
@@ -133,7 +128,7 @@ def evaluate_candidates(
         if total > constraints.max_package_bytes:
             out.append(CandidateEvaluation(
                 model, total, None, False,
-                f"package {_mb_str(total)} exceeds {_mb_str(constraints.max_package_bytes)} budget",
+                f"package {mb_text(total)} exceeds {mb_text(constraints.max_package_bytes)} budget",
             ))
             continue
         score = model.score(constraints.objective_metric)
@@ -172,7 +167,7 @@ def select_model(models: Iterable[ModelArtifact], constraints: SelectionConstrai
         rejections = {ev.model.name: ev.reason for ev in evaluations}
         raise NoFeasibleModelError(
             f"no model satisfies {constraints.objective_metric} selection within "
-            f"{_mb_str(constraints.max_package_bytes)}",
+            f"{mb_text(constraints.max_package_bytes)}",
             rejections,
         )
     best = min(feasible, key=lambda ev: (-ev.score, ev.model.size_bytes, ev.model.name))

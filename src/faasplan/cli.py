@@ -20,14 +20,7 @@ from . import _schema
 from . import catalog as catalog_mod
 from . import cost as cost_mod
 from ._schema import Block
-from .errors import (
-    CatalogError,
-    DomainError,
-    FaasPlanError,
-    NoFeasibleModelError,
-    PreflightError,
-    ScenarioError,
-)
+from .errors import FaasPlanError, PreflightError, ScenarioError
 from .harness import BenchRun, BenchTarget, StubServer, export_run, run_bench
 from .metrics import (
     format_summary_table,
@@ -45,6 +38,7 @@ from .packaging import (
 from .providers import (
     CpuScaling,
     ProviderLimits,
+    Violation,
     load_provider_limits,
     validate_plan,
     validation_report_to_dict,
@@ -61,7 +55,7 @@ from .simulator import (
     save_result_json,
     simulate,
 )
-from .units import MB, UNLIMITED, Unlimited
+from .units import MB, UNLIMITED, Unlimited, mb_text
 
 SCENARIO_SCHEMA_VERSION = 1
 
@@ -303,8 +297,8 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _mb_text(n_bytes: int) -> str:
-    return f"{n_bytes / MB:g} MB"
+def _violation_line(v: Violation) -> str:
+    return f"  {v.limit_name}: {v.actual_value} B > {v.limit_value} B limit"
 
 
 def _model_dict(model: catalog_mod.ModelArtifact) -> dict:
@@ -342,14 +336,14 @@ def cmd_validate(args, store: ProfileStore) -> int:
         _emit(payload)
     else:
         print(f"provider  {provider.name}")
-        print(f"package   {plan.package.total_bytes} B ({_mb_text(plan.package.total_bytes)})")
-        print(f"memory    {plan.memory_bytes} B ({_mb_text(plan.memory_bytes)})")
+        print(f"package   {plan.package.total_bytes} B ({mb_text(plan.package.total_bytes)})")
+        print(f"memory    {plan.memory_bytes} B ({mb_text(plan.memory_bytes)})")
         if report.passed:
             print("PASS")
         else:
             print("FAIL")
             for v in report.violations:
-                print(f"  {v.limit_name}: {v.actual_value} B > {v.limit_value} B limit")
+                print(_violation_line(v))
     return 0 if report.passed else 1
 
 
@@ -401,15 +395,15 @@ def cmd_select(args, store: ProfileStore) -> int:
             score = selected.score(args.metric)
             print(
                 f"selected  {selected.name}  {args.metric}={score:g}  "
-                f"package {_mb_text(constraints.code_bytes + runtime.size_bytes + selected.size_bytes)}"
+                f"package {mb_text(constraints.code_bytes + runtime.size_bytes + selected.size_bytes)}"
             )
         else:
-            print(f"no feasible model for {args.metric} within {_mb_text(budget)}")
+            print(f"no feasible model for {args.metric} within {mb_text(budget)}")
         print()
         name_w = max(len(ev.model.name) for ev in evaluations) if evaluations else 4
         for ev in evaluations:
             outcome = "feasible" if ev.feasible else ev.reason
-            pkg = _mb_text(ev.package_bytes) if ev.package_bytes is not None else "-"
+            pkg = mb_text(ev.package_bytes) if ev.package_bytes is not None else "-"
             score = f"{ev.score:g}" if ev.score is not None else "-"
             print(f"{ev.model.name.ljust(name_w)}  {pkg:>9}  {score:>7}  {outcome}")
     return 0 if selected is not None else 1
@@ -576,7 +570,7 @@ def cmd_bench(args, store: ProfileStore) -> int:
             pattern=pattern,
             n_warmup=args.warmup,
             provider_limits=limits,
-            seed=args.seed if args.seed is not None else 0,
+            seed=args.seed,
         )
         result = run_bench(run)
     finally:
@@ -638,8 +632,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="output format (default: table)")
     parser.add_argument("--profile-dir", type=Path, default=None,
                         help="directory with providers.json / pricing.json / runtimes.json overrides")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the scenario seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -671,6 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a seeded deployment simulation")
     _add_common(p)
     p.add_argument("--scenario", required=True, help="scenario JSON with profile/traffic/simulation")
+    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--memory-sweep", type=_mb_list, default=None,
                    help="comma-separated memory sizes in MB, one run per size")
     p.add_argument("--out", default=None,
@@ -698,6 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=10.0, help="run length in seconds (default: 10)")
     p.add_argument("--pattern", choices=("steady", "poisson"), default="steady",
                    help="send schedule (default: steady)")
+    p.add_argument("--seed", type=int, default=0, help="seed of the poisson schedule (default: 0)")
     p.add_argument("--warmup", type=int, default=10,
                    help="successful responses to exclude up front (default: 10)")
     p.add_argument("--timeout-ms", type=float, default=10_000.0,
@@ -731,19 +725,11 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except NoFeasibleModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for name, reason in exc.rejections.items():
-            print(f"  {name}: {reason}", file=sys.stderr)
-        return 1
     except PreflightError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for v in exc.report.violations:
-            print(f"  {v.limit_name}: {v.actual_value} B > {v.limit_value} B limit", file=sys.stderr)
+            print(_violation_line(v), file=sys.stderr)
         return 1
-    except (ScenarioError, CatalogError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FaasPlanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

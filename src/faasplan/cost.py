@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping, Union
 
 from . import _schema
 from .errors import DomainError, ScenarioError
-from .units import GB
+from .units import GB, mb_text
 
 if TYPE_CHECKING:  # pragma: no cover
     from .metrics import SampleSet
@@ -215,47 +215,45 @@ def build_cost_report(
     months: Money = 1,
 ) -> CostReport:
     """Closed-form report for a uniform per-request billed duration."""
-    return CostReport(
-        serverless_total=serverless_cost(n_requests, billed_ms_per_request, memory_bytes, pricing),
-        vm_total=vm_baseline_cost(baseline, months),
-        breakeven_requests_per_month=breakeven(pricing, baseline, billed_ms_per_request, memory_bytes),
-        assumptions=CostAssumptions(
-            n_requests=n_requests,
-            billed_ms_per_request=_dec(billed_ms_per_request),
-            memory_bytes=memory_bytes,
-            months=_dec(months),
-        ),
-        currency=pricing.currency,
-    )
+    billed = _dec(billed_ms_per_request)
+    if billed < 0:
+        raise DomainError("billed_ms_per_request must be non-negative")
+    with localcontext() as ctx:
+        ctx.prec = _PRECISION
+        billed_total_ms = n_requests * billed
+    return _report_from_billed(n_requests, billed_total_ms, memory_bytes, pricing, baseline,
+                               months, billed)
 
 
 def _report_from_billed(
     n: int,
-    billed_total_ms: int,
+    billed_total_ms: Money,
     memory_bytes: int,
     pricing: PricingModel,
     baseline: VmBaseline,
     months: Money,
+    billed_ms_per_request: Decimal | None = None,
 ) -> CostReport:
     """Report for ``n`` requests whose billed durations sum to ``billed_total_ms``.
 
-    The break-even column uses the mean billed duration, which matches the
-    exact answer whenever every request bills the same. No requests cost
-    exactly zero.
+    The break-even column uses ``billed_ms_per_request``, by default the
+    mean billed duration, which matches the exact answer whenever every
+    request bills the same. No requests cost exactly zero.
     """
-    with localcontext() as ctx:
-        ctx.prec = _PRECISION
-        mean_billed = Decimal(billed_total_ms) / n if n else None
+    if billed_ms_per_request is None and n:
+        with localcontext() as ctx:
+            ctx.prec = _PRECISION
+            billed_ms_per_request = Decimal(billed_total_ms) / n
     return CostReport(
         serverless_total=serverless_cost_total(n, billed_total_ms, memory_bytes, pricing),
         vm_total=vm_baseline_cost(baseline, months),
         breakeven_requests_per_month=(
-            None if mean_billed is None
-            else breakeven(pricing, baseline, mean_billed, memory_bytes)
+            None if billed_ms_per_request is None
+            else breakeven(pricing, baseline, billed_ms_per_request, memory_bytes)
         ),
         assumptions=CostAssumptions(
             n_requests=n,
-            billed_ms_per_request=mean_billed,
+            billed_ms_per_request=billed_ms_per_request,
             memory_bytes=memory_bytes,
             months=_dec(months),
         ),
@@ -317,36 +315,12 @@ def cost_report_to_dict(report: CostReport) -> dict:
     }
 
 
-def cost_report_from_dict(payload: Mapping) -> CostReport:
-    """Inverse of :func:`cost_report_to_dict`."""
-    raw = payload["assumptions"]
-    return CostReport(
-        serverless_total=Decimal(payload["serverless_total"]),
-        vm_total=Decimal(payload["vm_total"]),
-        breakeven_requests_per_month=payload["breakeven_requests_per_month"],
-        assumptions=CostAssumptions(
-            n_requests=raw["n_requests"],
-            billed_ms_per_request=(
-                None if raw["billed_ms_per_request"] is None
-                else Decimal(raw["billed_ms_per_request"])
-            ),
-            memory_bytes=raw["memory_bytes"],
-            months=Decimal(raw["months"]),
-        ),
-        currency=payload["currency"],
-    )
-
-
 def _money(value: Decimal) -> str:
     # Four decimals, trimmed back to two when the tail is zero.
     text = f"{value.quantize(Decimal('0.0001')):f}"
     if text.endswith("00"):
         text = text[:-2]
     return text
-
-
-def _plain(value: Decimal) -> str:
-    return f"{value.normalize():f}"
 
 
 def render_cost_table(report: CostReport) -> str:
@@ -363,14 +337,14 @@ def render_cost_table(report: CostReport) -> str:
     if assumptions.months == 1:
         vm_label = f"vm baseline ({report.currency}/month)"
     else:
-        vm_label = f"vm baseline ({report.currency}, {_plain(assumptions.months)} months)"
+        vm_label = f"vm baseline ({report.currency}, {_dec_str(assumptions.months)} months)"
     rows = [
         ("requests", f"{assumptions.n_requests}"),
         ("billed ms/request", (
             "n/a" if assumptions.billed_ms_per_request is None
-            else _plain(assumptions.billed_ms_per_request)
+            else _dec_str(assumptions.billed_ms_per_request)
         )),
-        ("memory", f"{assumptions.memory_bytes / (1 << 20):g} MB"),
+        ("memory", mb_text(assumptions.memory_bytes)),
         (f"serverless total ({report.currency})", _money(report.serverless_total)),
         (vm_label, _money(report.vm_total)),
         ("break-even", be_text),

@@ -22,13 +22,7 @@ from typing import Mapping
 from urllib.parse import urlsplit
 
 from .errors import DomainError, FaasPlanError, PreflightError
-from .metrics import (
-    DEFAULT_WARMUP,
-    SampleRecorder,
-    SampleSet,
-    warmup_filter,
-    write_samples_csv,
-)
+from .metrics import DEFAULT_WARMUP, SampleSet, warmup_filter, write_samples_csv
 from .providers import ProviderLimits, ValidationReport, Violation
 from .simulator import TrafficPattern, generate_arrivals
 
@@ -105,7 +99,6 @@ class BenchRun:
     n_warmup: int = DEFAULT_WARMUP
     provider_limits: ProviderLimits | None = None
     seed: int = 0
-    exec_time_header: str | None = EXEC_TIME_HEADER
 
     def __post_init__(self):
         if self.n_warmup < 0:
@@ -163,6 +156,21 @@ def _classify(exc: BaseException) -> str:
     return "transport"
 
 
+def _server_ms(text: str | None) -> float | None:
+    """The server's own time from its header; None if absent or not a finite, non-negative number."""
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        return None
+    return value if 0 <= value < float("inf") else None
+
+
+def _by_send_time(pairs: list[tuple[float, float]]) -> SampleSet:
+    """Samples from ``(sent_ms, value)`` pairs, by send time; completion order breaks ties."""
+    pairs = sorted(pairs, key=lambda pair: pair[0])
+    return SampleSet(values=[v for _, v in pairs], timestamps=[t for t, _ in pairs] if pairs else None)
+
+
 def run_bench(run: BenchRun) -> BenchResult:
     """Fire the pattern at the target, open loop, and collect samples.
 
@@ -203,15 +211,15 @@ def run_bench(run: BenchRun) -> BenchResult:
     fields.update((name.lower(), (name, value)) for name, value in target.headers.items())
     head = "".join(f"{name}: {value}\r\n" for name, value in fields.values())
     request = f"{target.method} {path} HTTP/1.1\r\n{head}\r\n".encode("latin-1") + target.payload
-    exec_header = (run.exec_time_header or "").lower()
     offsets_ms = generate_arrivals(run.pattern, run.seed)
     n = len(offsets_ms)
-    recorder = SampleRecorder()
-    exec_recorder = SampleRecorder()
+    # (sent_ms, ms) of each success, and of each server time, in completion order.
+    latencies: list[tuple[float, float]] = []
+    server_times: list[tuple[float, float]] = []
     errors: Counter = Counter()
     sent_ms = [0.0] * n
 
-    async def exchange() -> tuple[float, str | None]:
+    async def exchange() -> tuple[float, float | None]:
         reader, writer = await asyncio.open_connection(host, port, ssl=ssl_context)
         try:
             writer.write(request)
@@ -228,20 +236,17 @@ def run_bench(run: BenchRun) -> BenchResult:
             writer.close()
         if not 200 <= status < 300:
             raise _StatusError(status)
-        return end, headers.get(exec_header) if exec_header else None
+        return end, _server_ms(headers.get(EXEC_TIME_HEADER.lower()))
 
     async def fire(index: int, send: float) -> None:
         try:
-            end, exec_value = await asyncio.wait_for(exchange(), target.timeout_ms / 1000.0)
+            end, server_ms = await asyncio.wait_for(exchange(), target.timeout_ms / 1000.0)
         except Exception as exc:  # noqa: BLE001 - every failure is tallied, not raised
             errors[_classify(exc)] += 1
             return
-        recorder.record((end - send) * 1000.0, timestamp_ms=sent_ms[index])
-        if exec_value is not None:
-            try:
-                exec_recorder.record(float(exec_value), timestamp_ms=sent_ms[index])
-            except (ValueError, DomainError):
-                pass
+        latencies.append((sent_ms[index], (end - send) * 1000.0))
+        if server_ms is not None:
+            server_times.append((sent_ms[index], server_ms))
 
     async def pace() -> None:
         tasks = []
@@ -263,9 +268,8 @@ def run_bench(run: BenchRun) -> BenchResult:
     start = time.perf_counter() + _START_LEAD_S
     asyncio.run(pace())
 
-    raw = recorder.snapshot()
+    raw = _by_send_time(latencies)
     samples = warmup_filter(raw, run.n_warmup)
-    exec_samples = exec_recorder.snapshot()
     return BenchResult(
         attempts=n,
         samples=samples,
@@ -273,7 +277,7 @@ def run_bench(run: BenchRun) -> BenchResult:
         errors=dict(errors),
         scheduled_ms=tuple(offsets_ms),
         sent_ms=tuple(sent_ms),
-        server_exec=exec_samples if len(exec_samples) else None,
+        server_exec=_by_send_time(server_times) if server_times else None,
     )
 
 
@@ -349,14 +353,13 @@ class StubServer:
         jitter_ms: float = 0.0,
         fail_every: int | None = None,
         seed: int = 0,
-        port: int = 0,
     ):
         if delay_ms < 0 or jitter_ms < 0:
             raise DomainError("delay_ms and jitter_ms must be non-negative")
         if fail_every is not None and fail_every < 1:
             raise DomainError("fail_every must be at least 1")
         self._server = _StubHTTPServer(
-            ("127.0.0.1", port), _StubHandler, delay_ms, jitter_ms, fail_every, seed
+            ("127.0.0.1", 0), _StubHandler, delay_ms, jitter_ms, fail_every, seed
         )
         self._thread: threading.Thread | None = None
 

@@ -3,14 +3,13 @@
 Quantiles here are always observed values (nearest-rank, no
 interpolation): a reported q99 is a latency that actually happened.
 Sample sets carry optional per-sample tags (timestamp, cold flag,
-instance label) and round-trip losslessly through CSV and JSON.
+instance label) and round-trip losslessly through CSV.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -168,49 +167,6 @@ def warmup_filter(samples: SampleSet, n_warmup: int = DEFAULT_WARMUP) -> SampleS
             if seen[instance] > n_warmup:
                 keep.append(i)
     return _take(samples, keep)
-
-
-class SampleRecorder:
-    """Collects samples from concurrent producers.
-
-    Appends are lock-protected. ``snapshot`` returns an immutable
-    SampleSet ordered by timestamp (record order breaks ties and covers
-    untimestamped rows), so summaries always run over a stable view.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._rows: list[tuple[float | None, int, float, bool | None, str | None]] = []
-
-    def record(
-        self,
-        duration_ms: float,
-        timestamp_ms: float | None = None,
-        cold: bool | None = None,
-        instance: str | None = None,
-    ) -> None:
-        with self._lock:
-            self._rows.append((timestamp_ms, len(self._rows), float(duration_ms), cold, instance))
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._rows)
-
-    def snapshot(self) -> SampleSet:
-        with self._lock:
-            rows = list(self._rows)
-        rows.sort(key=lambda r: (r[0] if r[0] is not None else float("-inf"), r[1]))
-        if not rows:
-            return SampleSet(values=())
-        timestamps = tuple(r[0] for r in rows)
-        cold = tuple(r[3] for r in rows)
-        instances = tuple(r[4] for r in rows)
-        return SampleSet(
-            values=tuple(r[2] for r in rows),
-            timestamps=None if all(t is None for t in timestamps) else timestamps,
-            cold=None if all(c is None for c in cold) else cold,
-            instances=None if all(i is None for i in instances) else instances,
-        )
 
 
 def _float_cell(value: float | None) -> str:

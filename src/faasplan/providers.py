@@ -9,10 +9,9 @@ helping a single-request inference workload.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from . import _schema
 from .errors import DomainError, ScenarioError
@@ -25,7 +24,6 @@ PROVIDERS_SCHEMA_VERSION = 1
 
 _LIMIT_FIELDS = (
     "max_package_bytes",
-    "max_execution_ms",
     "max_memory_bytes",
     "max_request_bytes",
 )
@@ -36,14 +34,12 @@ _FINITE_FIELDS = ("max_memory_bytes", "max_request_bytes")
 class ProviderLimits:
     """Hard limits of one serverless platform.
 
-    ``max_package_bytes`` and ``max_execution_ms`` may be UNLIMITED on
-    platforms that do not restrict them; memory and request size are
-    always finite byte counts.
+    ``max_package_bytes`` may be UNLIMITED on platforms that do not
+    restrict it; memory and request size are always finite byte counts.
     """
 
     name: str
     max_package_bytes: Limit
-    max_execution_ms: Limit
     max_memory_bytes: int
     max_request_bytes: int
 
@@ -143,7 +139,7 @@ def validate_plan(plan: "DeploymentPlan", limits: ProviderLimits) -> ValidationR
 
 
 def validation_report_to_dict(report: ValidationReport) -> dict:
-    """JSON-ready dict; inverse of :func:`validation_report_from_dict`."""
+    """JSON-ready dict of the report."""
     return {
         "passed": report.passed,
         "violations": [
@@ -155,13 +151,6 @@ def validation_report_to_dict(report: ValidationReport) -> dict:
             for v in report.violations
         ],
     }
-
-
-def validation_report_from_dict(payload: Mapping) -> ValidationReport:
-    return ValidationReport(tuple(
-        Violation(v["limit_name"], v["limit_value"], v["actual_value"])
-        for v in payload["violations"]
-    ))
 
 
 def parse_provider_limits(payload: Mapping, source: str = "<providers>") -> dict[str, ProviderLimits]:
@@ -191,29 +180,3 @@ def default_provider_limits() -> dict[str, ProviderLimits]:
     """The bundled platform profiles (aws, aws-container, azure, gcp)."""
     return load_provider_limits(None)
 
-
-def dumps_provider_limits(limits: Iterable[ProviderLimits]) -> str:
-    """Serialize limits to the canonical fixture text (round-trips byte for byte)."""
-
-    def limit_json(value: Limit):
-        return None if isinstance(value, Unlimited) else value
-
-    payload = {
-        "version": PROVIDERS_SCHEMA_VERSION,
-        "providers": [
-            {
-                "name": lim.name,
-                "max_package_bytes": limit_json(lim.max_package_bytes),
-                "max_execution_ms": limit_json(lim.max_execution_ms),
-                "max_memory_bytes": lim.max_memory_bytes,
-                "max_request_bytes": lim.max_request_bytes,
-            }
-            for lim in limits
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def save_provider_limits(limits: Iterable[ProviderLimits], path: str | Path) -> None:
-    """Write limits to ``path`` in the canonical fixture format."""
-    Path(path).write_text(dumps_provider_limits(limits), "utf-8")

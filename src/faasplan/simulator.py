@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import _schema
 from .cost import PricingModel, round_up
-from .errors import DomainError
+from .errors import DomainError, ScenarioError
 from .metrics import (
     SampleSet,
     Summary,
@@ -42,6 +44,11 @@ DEFAULT_KEEP_ALIVE_S = 600.0
 # Placeholder penalty: warm-profile measurements say nothing about cold
 # behaviour, so runs that care should set this from their own data.
 DEFAULT_COLD_START_MS = 1500.0
+# Synthesized profiles ramp from this times the first anchor up to it, and
+# from the last anchor up to this times it. Exact binary values of the
+# floats 0.8 and 1.05, which the seeded records depend on.
+_HEAD_FACTOR = Fraction(0.8)
+_TAIL_FACTOR = Fraction(1.05)
 
 
 @dataclass(frozen=True)
@@ -68,16 +75,14 @@ class LatencyProfile:
         anchors: Mapping[Union[float, str], float],
         n_samples: int,
         reference_memory_bytes: int,
-        head_factor: float = 0.8,
-        tail_factor: float = 1.05,
     ) -> "LatencyProfile":
         """Synthesize a sample set whose nearest-rank quantiles hit ``anchors``.
 
         Values ramp linearly in rank space between anchor ranks; below the
-        first anchor they ramp up from ``head_factor`` times its value,
-        above the last they ramp to ``tail_factor`` times its value. The
-        anchor ranks themselves reproduce the anchor values exactly, so
-        summarizing the profile returns the anchors verbatim.
+        first anchor they ramp up from 0.8 times its value, above the last
+        they ramp to 1.05 times its value. The anchor ranks themselves
+        reproduce the anchor values exactly, so summarizing the profile
+        returns the anchors verbatim.
 
         Args:
             anchors: map of quantile (in (0, 1]) to duration in ms.
@@ -92,10 +97,6 @@ class LatencyProfile:
             raise DomainError("anchors must not be empty")
         if n_samples <= 0:
             raise DomainError("n_samples must be positive")
-        if not 0 < head_factor <= 1:
-            raise DomainError(f"head_factor must lie in (0, 1], got {head_factor}")
-        if tail_factor < 1:
-            raise DomainError(f"tail_factor must be at least 1, got {tail_factor}")
         parsed = sorted((float(q), float(v)) for q, v in anchors.items())
         for q, v in parsed:
             if not 0 < q <= 1:
@@ -114,10 +115,10 @@ class LatencyProfile:
         control: list[tuple[int, Fraction]] = []
         first_value, last_value = parsed[0][1], parsed[-1][1]
         if ranks[0] > 1:
-            control.append((1, Fraction(head_factor) * Fraction(first_value)))
+            control.append((1, _HEAD_FACTOR * Fraction(first_value)))
         control.extend((r, Fraction(v)) for r, (_, v) in zip(ranks, parsed))
         if ranks[-1] < n_samples:
-            control.append((n_samples, Fraction(tail_factor) * Fraction(last_value)))
+            control.append((n_samples, _TAIL_FACTOR * Fraction(last_value)))
         values = [0.0] * n_samples
         # Interpolate in exact rationals, then round once per rank: floats
         # of a non-decreasing rational sequence stay non-decreasing.
@@ -436,6 +437,14 @@ def export_result_csv(result: SimulationResult, path: str | Path) -> None:
     write_samples_csv(samples, path)
 
 
+_NUMBER = (int, float)
+# The fields of a saved record, in InvocationRecord's order, and the types each may load as.
+_RECORD_KINDS = {"arrival_ms": _NUMBER, "start_ms": _NUMBER, "end_ms": _NUMBER, "cold": (bool,),
+                 "instance_id": (int,), "exec_ms": _NUMBER, "billed_ms": _NUMBER}
+_RECORD_ROW = operator.itemgetter(*_RECORD_KINDS)
+_KIND_TEXT = {_NUMBER: "a finite non-negative number", (bool,): "true or false", (int,): "an integer"}
+
+
 def result_to_dict(result: SimulationResult) -> dict:
     """JSON-ready dict carrying the full result, including billing detail."""
     return {
@@ -463,18 +472,7 @@ def result_to_dict(result: SimulationResult) -> dict:
 def result_from_dict(payload: Mapping) -> SimulationResult:
     """Inverse of :func:`result_to_dict`."""
     return SimulationResult(
-        records=tuple(
-            InvocationRecord(
-                arrival_ms=r["arrival_ms"],
-                start_ms=r["start_ms"],
-                end_ms=r["end_ms"],
-                cold=r["cold"],
-                instance_id=r["instance_id"],
-                exec_ms=r["exec_ms"],
-                billed_ms=r["billed_ms"],
-            )
-            for r in payload["records"]
-        ),
+        records=tuple(InvocationRecord(*_RECORD_ROW(r)) for r in payload["records"]),
         cold_fraction=payload["cold_fraction"],
         latency_summary=(
             None if payload["latency_summary"] is None
@@ -489,11 +487,52 @@ def save_result_json(result: SimulationResult, path: str | Path) -> None:
     Path(path).write_text(json.dumps(result_to_dict(result), indent=2) + "\n", "utf-8")
 
 
+def _check_records(records: list, label: str) -> None:
+    """Raise naming a saved record that lacks a field or holds a bad value.
+
+    Numbers must be finite and non-negative. Each field is checked over all
+    records at once, in passes that run in C: a Python-level check per
+    record added a few percent to ``cost --result`` on a 5k-record result.
+    """
+    try:
+        columns = list(zip(*map(_RECORD_ROW, records)))
+    except (KeyError, TypeError):  # a record that is not an object, or lacks a field
+        for i, record in enumerate(records):
+            if type(record) is not dict:
+                raise ScenarioError(
+                    f"{label}: records[{i}]: must be an object, got {reprlib.repr(record)}") from None
+            if not record.keys() >= _RECORD_KINDS.keys():
+                missing = sorted(_RECORD_KINDS.keys() - record.keys())
+                raise ScenarioError(f"{label}: records[{i}]: missing keys {missing}") from None
+        raise
+    for (key, types), column in zip(_RECORD_KINDS.items(), columns):
+        sound = set(map(type, column)) <= set(types)
+        if sound and types is _NUMBER:  # with no NaN, min and max compare every value
+            sound = not any(map(math.isnan, column)) and 0 <= min(column) and max(column) < math.inf
+        if not sound:
+            i, value = next((i, v) for i, v in enumerate(column) if type(v) not in types
+                            or (types is _NUMBER and not 0 <= v < math.inf))
+            raise ScenarioError(
+                f"{label}: records[{i}]: {key}: must be {_KIND_TEXT[types]}, got {reprlib.repr(value)}")
+
+
 def load_result_json(path: str | Path) -> SimulationResult:
-    """Inverse of :func:`save_result_json`; only the top-level keys are checked."""
+    """Inverse of :func:`save_result_json`.
+
+    Raises:
+        ScenarioError: naming the file, when it is unreadable or any key
+            :func:`result_from_dict` reads is missing or of the wrong type.
+    """
     payload, label = _schema.load(path, "result")
     top = _schema.Block(payload, label)
-    top.get("records", list)
-    for key in ("cold_fraction", "latency_summary", "total_billed_gb_s", "memory_bytes"):
-        top.get(key)
+    _check_records(top.get("records", list), label)
+    top.get("cold_fraction", float)
+    top.get("total_billed_gb_s", float)
+    if top.get("memory_bytes", int) <= 0:
+        raise ScenarioError(f"{label}: memory_bytes: must be positive")
+    if top.get("latency_summary") is not None:
+        summary = top.block("latency_summary")
+        summary.get("count", int)
+        for key in ("mean_ms", "q50_ms", "q95_ms", "q99_ms"):
+            summary.get(key, float)
     return result_from_dict(payload)

@@ -8,6 +8,11 @@ MB = 2**20
 GB = 2**30
 
 
+def mb_text(n_bytes: int) -> str:
+    """``n_bytes`` as MB for display, e.g. ``250 MB`` or ``0.5 MB``."""
+    return f"{n_bytes / MB:g} MB"
+
+
 class Unlimited:
     """Singleton standing in for an absent platform limit.
 
@@ -38,5 +43,5 @@ class Unlimited:
 
 UNLIMITED = Unlimited()
 
-# A byte or millisecond budget that a platform may simply not restrict.
+# A byte budget that a platform may simply not restrict.
 Limit = Union[int, Unlimited]

@@ -368,6 +368,13 @@ BAD_FIXTURE_VALUES = {
             {"name": "onnxruntime", "size_mb": "x", "model_formats": ["onnx"]}]},
         ("validate", "--scenario", SCENARIOS / "tinybert_aws.json"),
         "runtime 'onnxruntime': size_mb: must be a number, got 'x'"),
+    "provider-with-execution-limit": (
+        "providers.json",
+        {"version": 1, "providers": [
+            {"name": "aws", "max_package_bytes": 262144000, "max_execution_ms": 900000,
+             "max_memory_bytes": 10737418240, "max_request_bytes": 6291456}]},
+        ("validate", "--scenario", SCENARIOS / "tinybert_aws.json"),
+        "provider entry: unknown keys ['max_execution_ms']"),
 }
 
 
@@ -444,6 +451,48 @@ def test_cost_result_without_records_exits_2(tmp_path, capsys):
     code, err = run_error(capsys, "cost", "--result", path)
     assert code == 2
     assert err == f"error: {path}: records: missing required key\n"
+
+
+SAVED_RESULT = {"records": [{}], "cold_fraction": 0, "latency_summary": None,
+                "total_billed_gb_s": 0, "memory_bytes": 1}
+RECORD = {"arrival_ms": 0.0, "start_ms": 0.0, "end_ms": 12.0, "cold": False, "instance_id": 0,
+          "exec_ms": 12.0, "billed_ms": 12.0}
+
+
+# The first three once ended in a traceback instead of exit 2.
+@pytest.mark.parametrize("edit, message", [
+    ({}, "records[0]: missing keys ['arrival_ms', 'billed_ms', 'cold', 'end_ms', 'exec_ms', "
+         "'instance_id', 'start_ms']"),
+    ({"records": [], "latency_summary": {"count": 1}}, "latency_summary: mean_ms: missing required key"),
+    ({"records": [], "memory_bytes": "x"}, "memory_bytes: must be an integer, got 'x'"),
+    ({"records": [], "memory_bytes": 0}, "memory_bytes: must be positive"),
+    ({"records": [dict(RECORD, billed_ms=float("nan"))]},
+     "records[0]: billed_ms: must be a finite non-negative number, got nan"),
+    ({"records": [RECORD, dict(RECORD, cold=1)]}, "records[1]: cold: must be true or false, got 1"),
+    ({"records": [RECORD, dict(RECORD, instance_id=True)]},
+     "records[1]: instance_id: must be an integer, got True"),
+    ({"records": [RECORD, dict(RECORD, start_ms=-1)]},
+     "records[1]: start_ms: must be a finite non-negative number, got -1"),
+    ({"records": [RECORD, 5]}, "records[1]: must be an object, got 5"),
+])
+def test_cost_malformed_result_exits_2(tmp_path, capsys, edit, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**SAVED_RESULT, **edit}))
+    code, err = run_error(capsys, "cost", "--result", path)
+    assert code == 2
+    assert err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "--scenario", SCENARIOS / "tinybert_aws.json"),
+    ("select", "--catalog", "sentiment", "--provider", "aws", "--metric", "f1_macro"),
+    ("cost", "--scenario", SCENARIOS / "million_predictions.json"),
+])
+def test_seed_is_only_an_option_where_it_is_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(*argv, "--seed", "1")
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_bad_memory_sweep_is_a_usage_error(capsys):

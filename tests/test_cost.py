@@ -5,6 +5,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from faasplan import (
     DEFAULT_VM_BASELINE,
@@ -25,8 +27,6 @@ from faasplan import (
 )
 from faasplan.cost import (
     cost_from_samples,
-    cost_report_from_dict,
-    cost_report_to_dict,
     parse_pricing,
     render_cost_table,
 )
@@ -166,14 +166,6 @@ def test_build_cost_report_fields():
     assert report.currency == "USD"
 
 
-def test_cost_report_dict_round_trip():
-    report = build_cost_report(1_000_000, 100, GB, AWS, months=Decimal("1.5"))
-    payload = cost_report_to_dict(report)
-    assert payload["serverless_total"] == "1.86667"
-    json.dumps(payload)
-    assert cost_report_from_dict(payload) == report
-
-
 def test_render_cost_table():
     table = render_cost_table(build_cost_report(1_000_000, 100, GB, AWS))
     assert "1.8667" in table
@@ -225,6 +217,16 @@ def test_samples_and_simulation_share_one_report(billed):
     # The mean of 401 / 3 or 7 / 7 billed ms must not depend on which file it came from.
     from_samples = cost_from_samples(SampleSet.from_values(billed), AWS, DEFAULT_VM_BASELINE, GB, 2)
     assert from_samples == cost_from_simulation(synthetic_result(billed), AWS, DEFAULT_VM_BASELINE, 2)
+
+
+@given(n=st.integers(1, 300), billed=st.integers(0, 10**6), memory_bytes=st.integers(1, 10 * GB),
+       months=st.decimals("0", "36", places=2))
+def test_uniform_report_equals_billing_each_request(n, billed, memory_bytes, months):
+    # At 1 ms granularity an integer duration bills as itself, so pricing n copies
+    # of it one by one must give the closed-form report, field for field.
+    samples = SampleSet.from_values([billed] * n)
+    assert build_cost_report(n, billed, memory_bytes, AWS, months=months) == cost_from_samples(
+        samples, AWS, DEFAULT_VM_BASELINE, memory_bytes, months)
 
 
 def test_cost_from_samples_rounds_each_duration_up():

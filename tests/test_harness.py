@@ -38,7 +38,7 @@ from faasplan.harness import (
     _StatusError,
 )
 
-LIMITS = ProviderLimits("aws", 250 * MB, 900_000, 10 * GB, 6 * MB)
+LIMITS = ProviderLimits("aws", 250 * MB, 10 * GB, 6 * MB)
 
 
 def test_stub_echoes_delay_and_index():
@@ -133,6 +133,9 @@ def test_run_bench_jittered_exec_stays_in_band():
         result = run_bench(run)
     assert all(5.0 <= v <= 8.0 for v in result.server_exec.values)
     assert len(set(result.server_exec.values)) > 1
+    # Both sample sets are ordered by send time.
+    for samples in (result.samples, result.server_exec):
+        assert samples.timestamps == tuple(sorted(samples.timestamps))
 
 
 def test_run_bench_preflight_refuses_oversized_payload():
@@ -226,7 +229,7 @@ def test_run_bench_starts_no_thread_per_request():
 
 
 class _FramingHandler(BaseHTTPRequestHandler):
-    """HTTP/1.0 answers: a body framed by connection close, or a redirect.
+    """HTTP/1.0 answers: a body framed by connection close, a redirect, or a given server time.
 
     POSTs are answered empty, and their headers kept in ``seen``.
     """
@@ -240,6 +243,12 @@ class _FramingHandler(BaseHTTPRequestHandler):
         self.end_headers()
 
     def do_GET(self):
+        if self.path.startswith("/exec/"):  # a server time header of the given text
+            self.send_response(200)
+            self.send_header(EXEC_TIME_HEADER, self.path[len("/exec/"):])
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
         if self.path == "/redirect":
             self.send_response(302)
             self.send_header("Location", "/eof")
@@ -284,6 +293,15 @@ def test_run_bench_reads_body_to_eof_without_content_length():
     assert result.errors == {}
     assert len(result.samples) == 5
     assert set(result.server_exec.values) == {2.5}
+
+
+@pytest.mark.parametrize("header", ["nan", "inf", "-1", "abc"])
+def test_run_bench_ignores_a_bad_server_time(header):
+    with _serving() as base:
+        result = _get(f"{base}/exec/{header}")
+    assert result.errors == {}
+    assert len(result.samples) == 5
+    assert result.server_exec is None
 
 
 def test_run_bench_counts_redirect_as_http_error():

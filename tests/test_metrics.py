@@ -1,6 +1,5 @@
 import math
 import random
-import threading
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 
 from faasplan import (
     DomainError,
-    SampleRecorder,
     SampleSet,
     Summary,
     format_summary_table,
@@ -178,40 +176,6 @@ def test_warmup_filter_keeps_columns_aligned():
     assert kept.values == (2.0, 3.0)
     assert kept.timestamps == (10.0, 20.0)
     assert kept.cold == (False, None)
-
-
-def test_recorder_snapshot_sorts_by_timestamp():
-    rec = SampleRecorder()
-    rec.record(5.0, timestamp_ms=300.0)
-    rec.record(7.0, timestamp_ms=100.0)
-    rec.record(9.0, timestamp_ms=200.0)
-    snap = rec.snapshot()
-    assert snap.values == (7.0, 9.0, 5.0)
-    assert snap.timestamps == (100.0, 200.0, 300.0)
-
-
-def test_recorder_is_thread_safe():
-    rec = SampleRecorder()
-
-    def put(base):
-        for i in range(200):
-            rec.record(float(base + i), timestamp_ms=float(i))
-
-    threads = [threading.Thread(target=put, args=(1000 * k,)) for k in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(rec) == 800
-    snap = rec.snapshot()
-    assert sorted(snap.values) == sorted(float(1000 * k + i) for k in range(4) for i in range(200))
-    assert snap.timestamps == tuple(sorted(snap.timestamps))
-
-
-def test_recorder_empty_snapshot():
-    snap = SampleRecorder().snapshot()
-    assert len(snap) == 0
-    assert snap.timestamps is None
 
 
 def test_csv_round_trip(tmp_path):

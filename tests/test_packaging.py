@@ -62,9 +62,9 @@ def test_format_mismatch_refused_at_assembly():
 def test_fit_matrix_headroom():
     package = DeploymentPackage(MB, ONNX_RT, onnx_model("m", 56))  # 71 MB
     limits = [
-        ProviderLimits("tight", 64 * MB, UNLIMITED, GB, MB),
-        ProviderLimits("roomy", 250 * MB, UNLIMITED, GB, MB),
-        ProviderLimits("open", UNLIMITED, UNLIMITED, GB, MB),
+        ProviderLimits("tight", 64 * MB, GB, MB),
+        ProviderLimits("roomy", 250 * MB, GB, MB),
+        ProviderLimits("open", UNLIMITED, GB, MB),
     ]
     rows = fit_matrix(package, limits)
     assert [r.provider for r in rows] == ["tight", "roomy", "open"]
@@ -76,7 +76,7 @@ def test_fit_matrix_headroom():
 
 def test_fit_matrix_boundary_is_inclusive():
     package = DeploymentPackage(0, ONNX_RT, onnx_model("m", 50))  # exactly 64 MB
-    row, = fit_matrix(package, [ProviderLimits("p", 64 * MB, UNLIMITED, GB, MB)])
+    row, = fit_matrix(package, [ProviderLimits("p", 64 * MB, GB, MB)])
     assert row.passed
     assert row.headroom_bytes == 0
 

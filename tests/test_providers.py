@@ -23,10 +23,7 @@ from faasplan import (
 )
 from faasplan.packaging import DeploymentPlan
 from faasplan.providers import (
-    dumps_provider_limits,
     parse_provider_limits,
-    save_provider_limits,
-    validation_report_from_dict,
     validation_report_to_dict,
 )
 
@@ -53,11 +50,10 @@ class TestUnlimited:
         assert not isinstance(UNLIMITED, int)
 
 
-def test_limits_accept_unlimited_package_and_execution():
+def test_limits_accept_unlimited_package():
     lim = ProviderLimits(
         name="x",
         max_package_bytes=UNLIMITED,
-        max_execution_ms=UNLIMITED,
         max_memory_bytes=GB,
         max_request_bytes=MB,
     )
@@ -67,13 +63,12 @@ def test_limits_accept_unlimited_package_and_execution():
 def test_limits_reject_zero():
     # 0 would be ambiguous with "no limit"; the absent value is UNLIMITED.
     with pytest.raises(DomainError, match="never 0"):
-        ProviderLimits("x", 0, 1000, GB, MB)
+        ProviderLimits("x", 0, GB, MB)
 
 
 @pytest.mark.parametrize("field", ["max_memory_bytes", "max_request_bytes"])
 def test_limits_require_finite_memory_and_request(field):
-    kwargs = dict(max_package_bytes=UNLIMITED, max_execution_ms=UNLIMITED,
-                  max_memory_bytes=GB, max_request_bytes=MB)
+    kwargs = dict(max_package_bytes=UNLIMITED, max_memory_bytes=GB, max_request_bytes=MB)
     kwargs[field] = UNLIMITED
     with pytest.raises(DomainError):
         ProviderLimits(name="x", **kwargs)
@@ -81,9 +76,9 @@ def test_limits_require_finite_memory_and_request(field):
 
 def test_limits_reject_negative_and_bool():
     with pytest.raises(DomainError):
-        ProviderLimits("x", -5, 1000, GB, MB)
+        ProviderLimits("x", -5, GB, MB)
     with pytest.raises(DomainError):
-        ProviderLimits("x", True, 1000, GB, MB)
+        ProviderLimits("x", True, GB, MB)
 
 
 def test_effective_cpu_proportional_then_saturated():
@@ -115,14 +110,14 @@ def test_cpu_scaling_validation():
 
 
 def test_validate_plan_passes_within_limits():
-    limits = ProviderLimits("p", 250 * MB, UNLIMITED, 10 * GB, 6 * MB)
+    limits = ProviderLimits("p", 250 * MB, 10 * GB, 6 * MB)
     report = validate_plan(plan(model_mb=56, memory_mb=1024), limits)
     assert report.passed
     assert report.violations == ()
 
 
 def test_validate_plan_flags_oversized_package():
-    limits = ProviderLimits("p", 250 * MB, UNLIMITED, 10 * GB, 6 * MB)
+    limits = ProviderLimits("p", 250 * MB, 10 * GB, 6 * MB)
     report = validate_plan(plan(model_mb=400, memory_mb=1024), limits)
     assert not report.passed
     assert [v.limit_name for v in report.violations] == ["package_size"]
@@ -132,28 +127,27 @@ def test_validate_plan_flags_oversized_package():
 
 
 def test_validate_plan_flags_memory():
-    limits = ProviderLimits("p", UNLIMITED, UNLIMITED, 2 * GB, 6 * MB)
+    limits = ProviderLimits("p", UNLIMITED, 2 * GB, 6 * MB)
     report = validate_plan(plan(model_mb=56, memory_mb=4096), limits)
     assert [v.limit_name for v in report.violations] == ["memory"]
 
 
 def test_validate_plan_collects_every_violation():
-    limits = ProviderLimits("p", 50 * MB, UNLIMITED, GB, 6 * MB)
+    limits = ProviderLimits("p", 50 * MB, GB, 6 * MB)
     report = validate_plan(plan(model_mb=400, memory_mb=4096), limits)
     assert {v.limit_name for v in report.violations} == {"package_size", "memory"}
 
 
 def test_unlimited_package_never_violated():
-    limits = ProviderLimits("p", UNLIMITED, UNLIMITED, 100 * GB, 6 * MB)
+    limits = ProviderLimits("p", UNLIMITED, 100 * GB, 6 * MB)
     assert validate_plan(plan(model_mb=5000, memory_mb=1024), limits).passed
 
 
 def test_report_dict_round_trip():
     report = validate_plan(plan(model_mb=400, memory_mb=1024),
-                           ProviderLimits("p", 250 * MB, UNLIMITED, 10 * GB, 6 * MB))
+                           ProviderLimits("p", 250 * MB, 10 * GB, 6 * MB))
     payload = validation_report_to_dict(report)
     assert payload["passed"] is False
-    assert validation_report_from_dict(payload) == report
     json.dumps(payload)  # stays JSON-serializable
 
 
@@ -163,17 +157,7 @@ def test_bundled_limits_load():
     assert limits["aws"].max_package_bytes == 250 * MB
     assert limits["aws"].max_memory_bytes == 10 * GB
     assert limits["azure"].max_package_bytes is UNLIMITED
-    assert limits["azure"].max_execution_ms is UNLIMITED
     assert limits["gcp"].max_package_bytes == 500 * MB
-
-
-def test_fixture_round_trips_byte_for_byte(tmp_path):
-    limits = default_provider_limits()
-    path = tmp_path / "providers.json"
-    save_provider_limits(limits.values(), path)
-    reloaded = load_provider_limits(path)
-    assert reloaded == limits
-    assert dumps_provider_limits(reloaded.values()) == path.read_text()
 
 
 def test_parse_rejects_unknown_top_level_key():
@@ -182,22 +166,20 @@ def test_parse_rejects_unknown_top_level_key():
 
 
 def test_parse_rejects_unknown_entry_key():
-    entry = {"name": "p", "max_package_bytes": 1, "max_execution_ms": 1,
-             "max_memory_bytes": 1, "max_request_bytes": 1, "color": "red"}
+    entry = {"name": "p", "max_package_bytes": 1, "max_memory_bytes": 1, "max_request_bytes": 1,
+             "color": "red"}
     with pytest.raises(ScenarioError, match="unknown keys"):
         parse_provider_limits({"version": 1, "providers": [entry]})
 
 
 def test_parse_rejects_duplicates():
-    entry = {"name": "p", "max_package_bytes": None, "max_execution_ms": None,
-             "max_memory_bytes": GB, "max_request_bytes": MB}
+    entry = {"name": "p", "max_package_bytes": None, "max_memory_bytes": GB, "max_request_bytes": MB}
     with pytest.raises(ScenarioError, match="duplicate"):
         parse_provider_limits({"version": 1, "providers": [entry, dict(entry)]})
 
 
 def test_parse_null_means_unlimited():
-    entry = {"name": "p", "max_package_bytes": None, "max_execution_ms": None,
-             "max_memory_bytes": GB, "max_request_bytes": MB}
+    entry = {"name": "p", "max_package_bytes": None, "max_memory_bytes": GB, "max_request_bytes": MB}
     parsed = parse_provider_limits({"version": 1, "providers": [entry]})
     assert parsed["p"].max_package_bytes is UNLIMITED
 

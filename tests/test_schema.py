@@ -38,3 +38,18 @@ def test_every_fixture_rejects_other_versions_and_top_level_keys(list_key):
         parse({"version": 1, list_key: [], "extra": 1})
     with pytest.raises(error, match="top-level keys"):
         parse([])
+
+
+@pytest.mark.parametrize("list_key", sorted(PARSERS))
+@pytest.mark.parametrize("payload", [
+    lambda key: {"version": list(range(20_000)), key: []},
+    lambda key: {"version": 1, key: ["x" * 20_000]},
+    lambda key: {"version": 1, key: [list(range(20_000))]},
+    lambda key: {"version": 1, key: [{"name": {str(i): i for i in range(20_000)}}]},
+    lambda key: {"version": 1, key: [{f"k{i}": i for i in range(20_000)}]},
+])
+def test_error_messages_stay_short_for_huge_values(list_key, payload):
+    parse, error = PARSERS[list_key]
+    with pytest.raises(error) as exc_info:
+        parse(payload(list_key), "<src>")
+    assert len(str(exc_info.value)) < 120

@@ -56,8 +56,7 @@ class TestLatencyProfile:
 
     def test_head_and_tail_ramp(self):
         p = LatencyProfile.from_quantile_anchors({0.5: 100.0}, n_samples=100,
-                                                 reference_memory_bytes=GB,
-                                                 head_factor=0.8, tail_factor=1.05)
+                                                 reference_memory_bytes=GB)
         assert p.samples.values[0] == pytest.approx(80.0)
         assert p.samples.values[49] == 100.0
         assert p.samples.values[-1] == pytest.approx(105.0)
