@@ -9,6 +9,7 @@ configuration or usage problems.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -418,6 +419,15 @@ def _sweep_rows(scenario: Scenario, pricing, sweep_mb: list[int]):
     return rows
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Report a failed write of ``path`` as ``<path>: cannot write: <reason>`` (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise FaasPlanError(f"{path}: cannot write: {exc.strerror or exc}") from exc
+
+
 def cmd_simulate(args, store: ProfileStore) -> int:
     scenario = load_scenario(args.scenario, store, seed_override=args.seed)
     for field_name in ("profile", "traffic", "sim_config"):
@@ -456,7 +466,7 @@ def cmd_simulate(args, store: ProfileStore) -> int:
             ))
         if args.out:
             out = Path(f"{args.out}_sweep.csv")
-            with open(out, "w") as fh:
+            with _writing(out), open(out, "w") as fh:
                 fh.write("memory_mb,count,mean_ms,q50_ms,q95_ms,q99_ms,cold_fraction,total_billed_gb_s\n")
                 for memory_mb, result in rows:
                     s = result.latency_summary
@@ -480,8 +490,11 @@ def cmd_simulate(args, store: ProfileStore) -> int:
         print(f"cold fraction     {result.cold_fraction:.4f}")
         print(f"billed GB-seconds {result.total_billed_gb_s:.6f}")
     if args.out:
-        export_result_csv(result, Path(f"{args.out}.csv"))
-        save_result_json(result, Path(f"{args.out}.json"))
+        csv_path, json_path = Path(f"{args.out}.csv"), Path(f"{args.out}.json")
+        with _writing(csv_path):
+            export_result_csv(result, csv_path)
+        with _writing(json_path):
+            save_result_json(result, json_path)
     return 0
 
 

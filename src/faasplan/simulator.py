@@ -18,6 +18,7 @@ import operator
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -337,12 +338,6 @@ def generate_arrivals(pattern: TrafficPattern, seed) -> list[float]:
     return out
 
 
-@dataclass(slots=True)
-class _Instance:
-    id: int
-    free_at_us: int
-
-
 def simulate(
     profile: LatencyProfile,
     pattern: TrafficPattern,
@@ -351,13 +346,21 @@ def simulate(
 ) -> SimulationResult:
     """Run one seeded deployment simulation.
 
-    Every arrival yields exactly one record. A request served by an
-    instance whose previous request ended within the keep-alive window is
-    warm; every other request initializes an instance and pays
-    ``cold_start_ms`` before executing. When ``max_instances`` binds,
-    requests wait FIFO for the earliest-free instance. Service times are
-    profile draws (seeded, with replacement) passed through
-    :func:`scale_duration` for the configured memory.
+    Every arrival yields exactly one record. Service times are profile
+    draws (seeded, with replacement) passed through :func:`scale_duration`
+    for the configured memory. Each arrival picks an instance by these
+    rules, in order:
+
+    * warm: among instances idle for at most ``keep_alive_s``, the most
+      recently freed one, lowest id on ties;
+    * otherwise a new instance, which pays ``cold_start_ms`` before
+      executing;
+    * at ``max_instances``, the earliest-free instance, lowest id on ties:
+      the request waits FIFO for it, and is cold if that instance sat idle
+      past keep-alive.
+
+    Instances live in three heaps (busy, idle, expired), so each arrival
+    costs O(log instances) amortized, however many instances exist.
     """
     seed_seq = np.random.SeedSequence(config.seed)
     arrival_seed, service_seed = seed_seq.spawn(2)
@@ -370,14 +373,17 @@ def simulate(
     )
     base_values = profile.samples.values
     rng = np.random.default_rng(service_seed)
-    draw_index = rng.integers(0, len(base_values), size=n) if n else ()
+    draw_index = rng.integers(0, len(base_values), size=n).tolist() if n else ()
 
     keep_alive_us = math.inf if math.isinf(config.keep_alive_s) else round(config.keep_alive_s * 1e6)
     cold_us = round(config.cold_start_ms * 1000)
     granularity_us = pricing.billing_granularity_ms * 1000
-    unlimited_pool = isinstance(config.max_instances, Unlimited)
+    cap = math.inf if isinstance(config.max_instances, Unlimited) else config.max_instances
 
-    instances: list[_Instance] = []
+    busy: list[tuple[int, int]] = []     # (free_at_us, id) until an arrival at or after free_at
+    idle: list[tuple[int, int]] = []     # (-free_at_us, id): newest first, lowest id on ties
+    expired: list[tuple[int, int]] = []  # (free_at_us, id), idle past keep-alive
+    n_instances = 0
     records: list[InvocationRecord] = []
     latencies: list[float] = []
     n_cold = 0
@@ -385,24 +391,29 @@ def simulate(
     for i in range(n):
         t = round(arrivals_ms[i] * 1000)
         exec_us = round(base_values[draw_index[i]] * 1000 * factor)
-        warm_pool = [
-            inst for inst in instances
-            if inst.free_at_us <= t and t - inst.free_at_us <= keep_alive_us
-        ]
-        if warm_pool:
-            # Most recently used warm instance; lowest id on ties.
-            chosen = max(warm_pool, key=lambda inst: (inst.free_at_us, -inst.id))
+        while busy and busy[0][0] <= t:
+            free_at, k = heappop(busy)
+            heappush(idle, (-free_at, k))
+        if idle and t + idle[0][0] <= keep_alive_us:
+            k = heappop(idle)[1]
             start, cold = t, False
-        elif unlimited_pool or len(instances) < config.max_instances:
-            chosen = _Instance(len(instances), 0)
-            instances.append(chosen)
-            start, cold = t, True
         else:
-            chosen = min(instances, key=lambda inst: (inst.free_at_us, inst.id))
-            start = max(t, chosen.free_at_us)
-            cold = start - chosen.free_at_us > keep_alive_us
+            # The newest idle instance sat past keep-alive, so every idle one
+            # did, and arrivals only get later: none can serve warm again.
+            for neg_free_at, k in idle:
+                heappush(expired, (-neg_free_at, k))
+            idle.clear()
+            if n_instances < cap:
+                k = n_instances
+                n_instances += 1
+                start, cold = t, True
+            else:
+                # Expired instances were freed by t, busy ones after it.
+                free_at, k = heappop(expired if expired else busy)
+                start = max(t, free_at)
+                cold = start - free_at > keep_alive_us
         end = start + exec_us + (cold_us if cold else 0)
-        chosen.free_at_us = end
+        heappush(busy, (end, k))
         billed_us = round_up(exec_us, granularity_us)
         n_cold += cold
         records.append(InvocationRecord(
@@ -410,7 +421,7 @@ def simulate(
             start_ms=start / 1000,
             end_ms=end / 1000,
             cold=cold,
-            instance_id=chosen.id,
+            instance_id=k,
             exec_ms=exec_us / 1000,
             billed_ms=billed_us / 1000,
         ))

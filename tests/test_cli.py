@@ -161,6 +161,18 @@ def test_simulate_sweep_csv(tmp_path, capsys):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("scenario, first_file", [
+    ("smobilebert_replay.json", "run.csv"),
+    ("memory_sweep.json", "run_sweep.csv"),
+])
+def test_simulate_out_into_missing_directory_exits_2(tmp_path, capsys, scenario, first_file):
+    missing = tmp_path / "nodir"
+    code = run_cli("simulate", "--scenario", SCENARIOS / scenario, "--out", missing / "run")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {missing / first_file}: cannot write: No such file or directory\n"
+
+
 def test_simulate_sweep_flag_overrides_scenario(capsys):
     code = run_cli("simulate", "--scenario", SCENARIOS / "memory_sweep.json",
                    "--memory-sweep", "512,1024", "--format", "json")
