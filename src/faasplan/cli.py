@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -22,7 +23,6 @@ from . import catalog as catalog_mod
 from . import cost as cost_mod
 from ._schema import Block
 from .errors import FaasPlanError, PreflightError, ScenarioError
-from .harness import BenchRun, BenchTarget, StubServer, export_run, run_bench
 from .metrics import (
     format_summary_table,
     read_samples_csv,
@@ -184,6 +184,8 @@ def _parse_traffic(block: Block) -> TrafficPattern:
 
 def _parse_simulation(block: Block, seed_override: int | None) -> SimulationConfig:
     seed = block.get("seed", int, 0)
+    if seed < 0:
+        raise ScenarioError(f"{block.context}: seed: must be a non-negative integer, got {seed}")
     scaling = block.block("scaling", _SCALING_KEYS, default={})
     keep_alive = block.raw.get("keep_alive_s")
     return SimulationConfig(
@@ -532,7 +534,7 @@ def cmd_cost(args, store: ProfileStore) -> int:
             result = load_result_json(result_path)
             report = cost_mod.cost_from_simulation(result, pricing, baseline, months)
         else:
-            memory_bytes = (args.memory_mb or 1024) * MB
+            memory_bytes = (1024 if args.memory_mb is None else args.memory_mb) * MB
             try:
                 samples = read_samples_csv(result_path)
             except (OSError, UnicodeDecodeError) as exc:
@@ -547,6 +549,9 @@ def cmd_cost(args, store: ProfileStore) -> int:
 
 
 def cmd_bench(args, store: ProfileStore) -> int:
+    # Only bench needs the HTTP stack; the planner commands never load it.
+    from .harness import BenchRun, BenchTarget, StubServer, export_run, run_bench
+
     if not args.url and not args.stub:
         raise ScenarioError("bench needs --url (or --stub for an offline run)")
     payload = b""
@@ -632,12 +637,43 @@ def cmd_bench(args, store: ProfileStore) -> int:
 
 
 def _mb_list(text: str) -> list[int]:
-    """``--memory-sweep`` value: comma-separated integer MB sizes."""
+    """``--memory-sweep`` value: comma-separated integer MB sizes, at least one."""
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        sizes = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
+        sizes = []
+    if not sizes:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated integer MB sizes, got {text!r}") from None
+            f"expected comma-separated integer MB sizes, got {text!r}")
+    return sizes
+
+
+def _finite(kind: type):
+    """argparse ``type=`` for a float or Decimal flag that rejects NaN and ±inf (exit 2)."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except (ValueError, ArithmeticError):  # Decimal signals InvalidOperation
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not (value.is_finite() if kind is Decimal else math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+        return value
+    return parse
+
+
+_finite_float = _finite(float)
+_finite_decimal = _finite(Decimal)
+
+
+def _seed(text: str) -> int:
+    """``--seed`` value: a non-negative integer, as numpy's seeding requires."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -665,18 +701,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--catalog", required=True, help="built-in catalog name or a JSON path")
     p.add_argument("--provider", help="take the package budget from this provider")
-    p.add_argument("--max-package-mb", type=float, default=None,
+    p.add_argument("--max-package-mb", type=_finite_float, default=None,
                    help="explicit package budget in MB")
     p.add_argument("--metric", required=True, help="objective metric name")
-    p.add_argument("--min-score", type=float, default=None, help="minimum acceptable score")
+    p.add_argument("--min-score", type=_finite_float, default=None, help="minimum acceptable score")
     p.add_argument("--runtime", default="onnxruntime", help="runtime library (default: onnxruntime)")
-    p.add_argument("--code-mb", type=float, default=1.0, help="function code size (default: 1 MB)")
+    p.add_argument("--code-mb", type=_finite_float, default=1.0,
+                   help="function code size (default: 1 MB)")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("simulate", help="run a seeded deployment simulation")
     _add_common(p)
     p.add_argument("--scenario", required=True, help="scenario JSON with profile/traffic/simulation")
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
     p.add_argument("--memory-sweep", type=_mb_list, default=None,
                    help="comma-separated memory sizes in MB, one run per size")
     p.add_argument("--out", default=None,
@@ -689,8 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--result", default=None,
                    help="price a simulation result (.json) or sample CSV instead")
     p.add_argument("--pricing", default=None, help="pricing profile name (default: aws)")
-    p.add_argument("--vm", type=Decimal, default=None, help="override the VM monthly price")
-    p.add_argument("--months", type=Decimal, default=None, help="billing horizon (default: 1)")
+    p.add_argument("--vm", type=_finite_decimal, default=None, help="override the VM monthly price")
+    p.add_argument("--months", type=_finite_decimal, default=None, help="billing horizon (default: 1)")
     p.add_argument("--memory-mb", type=int, default=None,
                    help="memory for CSV results (default: 1024)")
     p.set_defaults(func=cmd_cost)
@@ -700,25 +737,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--url", default=None, help="endpoint to hit")
     p.add_argument("--payload-file", default=None, help="request body file")
     p.add_argument("--method", default="POST", help="HTTP method (default: POST)")
-    p.add_argument("--rate", type=float, default=1.0, help="requests per second (default: 1)")
-    p.add_argument("--duration", type=float, default=10.0, help="run length in seconds (default: 10)")
+    p.add_argument("--rate", type=_finite_float, default=1.0, help="requests per second (default: 1)")
+    p.add_argument("--duration", type=_finite_float, default=10.0,
+                   help="run length in seconds (default: 10)")
     p.add_argument("--pattern", choices=("steady", "poisson"), default="steady",
                    help="send schedule (default: steady)")
-    p.add_argument("--seed", type=int, default=0, help="seed of the poisson schedule (default: 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="seed of the poisson schedule (default: 0)")
     p.add_argument("--warmup", type=int, default=10,
                    help="successful responses to exclude up front (default: 10)")
-    p.add_argument("--timeout-ms", type=float, default=10_000.0,
+    p.add_argument("--timeout-ms", type=_finite_float, default=10_000.0,
                    help="per-request timeout (default: 10000)")
     p.add_argument("--limits-profile", default=None,
                    help="provider whose request cap the payload must pass")
-    p.add_argument("--max-error-ratio", type=float, default=None,
+    p.add_argument("--max-error-ratio", type=_finite_float, default=None,
                    help="fail the run when the error ratio exceeds this")
     p.add_argument("--out", default=None, help="write post-warmup samples to this CSV")
     p.add_argument("--stub", action="store_true",
                    help="bench the built-in stub server instead of a real endpoint")
-    p.add_argument("--stub-delay-ms", type=float, default=50.0,
+    p.add_argument("--stub-delay-ms", type=_finite_float, default=50.0,
                    help="stub response delay (default: 50)")
-    p.add_argument("--stub-jitter-ms", type=float, default=0.0,
+    p.add_argument("--stub-jitter-ms", type=_finite_float, default=0.0,
                    help="uniform extra stub delay (default: 0)")
     p.add_argument("--stub-fail-every", type=int, default=None,
                    help="stub fails every k-th request with HTTP 500")

@@ -15,8 +15,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
-import numpy as np
-
 from .errors import DomainError
 
 CSV_HEADER = ("timestamp_ms", "duration_ms", "cold", "instance")
@@ -92,6 +90,10 @@ def quantile(samples: Samples, q: float) -> float:
     Raises:
         DomainError: on an empty set or q outside (0, 1].
     """
+    # numpy loads here, not at import time: reading and writing samples
+    # (the planner commands) never sorts them.
+    import numpy as np
+
     values = _as_values(samples)
     if not values:
         raise DomainError("quantile of an empty sample set")
@@ -116,6 +118,8 @@ def summarize(samples: Samples) -> Summary:
     The mean uses compensated summation, so it is invariant under
     permutation of the samples.
     """
+    import numpy as np
+
     values = _as_values(samples)
     if not values:
         raise DomainError("cannot summarize an empty sample set")

@@ -20,9 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from pathlib import Path
-from typing import Mapping, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 from . import _schema
 from .cost import PricingModel, round_up
@@ -38,6 +36,9 @@ from .metrics import (
 )
 from .providers import CpuScaling, effective_cpu
 from .units import GB, UNLIMITED, Unlimited
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 TRAFFIC_KINDS = ("poisson_constant", "on_off_burst", "trace_replay")
 
@@ -317,6 +318,8 @@ def generate_arrivals(pattern: TrafficPattern, seed) -> list[float]:
     """
     if pattern.kind == "trace_replay":
         return list(pattern.timestamps)
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     if pattern.kind == "poisson_constant":
         return _poisson_arrivals(rng, pattern.rate_rps, 0.0, pattern.duration_s * 1000.0)
@@ -362,6 +365,8 @@ def simulate(
     Instances live in three heaps (busy, idle, expired), so each arrival
     costs O(log instances) amortized, however many instances exist.
     """
+    import numpy as np
+
     seed_seq = np.random.SeedSequence(config.seed)
     arrival_seed, service_seed = seed_seq.spawn(2)
     arrivals_ms = generate_arrivals(pattern, arrival_seed)

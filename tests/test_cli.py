@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from faasplan import GB, SampleSet, load_pricing, serverless_cost_total, write_samples_csv
-from faasplan.cli import main
+from faasplan.cli import _finite_decimal, _finite_float, build_parser, main
 from faasplan.simulator import load_result_json
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -347,6 +347,10 @@ BAD_SCENARIO_VALUES = {
         "simulate", "smobilebert_replay.json",
         lambda d: d["simulation"].update(seed="abc"),
         "simulation: seed: must be an integer, got 'abc'"),
+    "seed-negative": (
+        "simulate", "smobilebert_replay.json",
+        lambda d: d["simulation"].update(seed=-1),
+        "simulation: seed: must be a non-negative integer, got -1"),
     "n-requests-not-an-integer": (
         "cost", "million_predictions.json",
         lambda d: d["cost"].update(n_requests="many"),
@@ -507,9 +511,122 @@ def test_seed_is_only_an_option_where_it_is_read(capsys, argv):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
-def test_bad_memory_sweep_is_a_usage_error(capsys):
+# An empty list once ran a plain simulation instead of a sweep.
+@pytest.mark.parametrize("value", ["abc", ""])
+def test_bad_memory_sweep_is_a_usage_error(capsys, value):
     with pytest.raises(SystemExit) as exc_info:
-        run_cli("simulate", "--scenario", SCENARIOS / "memory_sweep.json", "--memory-sweep", "abc")
+        run_cli("simulate", "--scenario", SCENARIOS / "memory_sweep.json", "--memory-sweep", value)
     assert exc_info.value.code == 2
-    assert "argument --memory-sweep: expected comma-separated integer MB sizes" in (
+    assert f"argument --memory-sweep: expected comma-separated integer MB sizes, got {value!r}" in (
         capsys.readouterr().err)
+
+
+def test_cost_csv_result_at_zero_memory_exits_2(tmp_path, capsys):
+    # 0 MB once priced the run at the 1024 MB default.
+    path = tmp_path / "samples.csv"
+    write_samples_csv(SampleSet.from_values([12.0, 15.0]), path)
+    code, err = run_error(capsys, "cost", "--result", path, "--memory-mb", "0")
+    assert code == 2
+    assert err == "error: memory_bytes must be positive\n"
+
+
+# Every float and Decimal flag. Each value once ended in a traceback or was
+# accepted silently.
+FINITE_FLAGS = [
+    (("select", "--catalog", "sentiment", "--provider", "aws", "--metric", "f1_macro"), flag)
+    for flag in ("--max-package-mb", "--min-score", "--code-mb")
+] + [
+    (("cost", "--scenario", SCENARIOS / "million_predictions.json"), flag)
+    for flag in ("--vm", "--months")
+] + [
+    (("bench", "--stub"), flag)
+    for flag in ("--rate", "--duration", "--timeout-ms", "--max-error-ratio",
+                 "--stub-delay-ms", "--stub-jitter-ms")
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, flag", FINITE_FLAGS, ids=[flag for _, flag in FINITE_FLAGS])
+def test_non_finite_flag_is_a_usage_error(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(*argv, f"{flag}={value}")
+    assert exc_info.value.code == 2
+    assert f"argument {flag}: must be a finite number, got {value!r}" in capsys.readouterr().err
+
+
+def test_every_number_flag_rejects_non_finite_values():
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    flags = {(name, action.option_strings[0])
+             for name, sub in subcommands.items() for action in sub._actions
+             if action.type in (float, Decimal, _finite_float, _finite_decimal)}
+    assert flags == {(argv[0], flag) for argv, flag in FINITE_FLAGS}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("cost", "--scenario", SCENARIOS / "million_predictions.json", "--months", "sNaN"),
+     "argument --months: must be a finite number, got 'sNaN'"),
+    (("cost", "--scenario", SCENARIOS / "million_predictions.json", "--vm", "abc"),
+     "argument --vm: invalid Decimal value: 'abc'"),
+    (("bench", "--stub", "--rate", "abc"), "argument --rate: invalid float value: 'abc'"),
+], ids=["months-snan", "vm-not-a-number", "rate-not-a-number"])
+def test_unparsable_number_flag_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(*argv)
+    assert exc_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--scenario", SCENARIOS / "smobilebert_replay.json"),
+    ("bench", "--stub", "--pattern", "poisson", "--duration", "0.1"),
+])
+def test_negative_seed_flag_is_a_usage_error(capsys, argv):
+    # numpy's seeding once raised "expected non-negative integer" here.
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(*argv, "--seed", "-1")
+    assert exc_info.value.code == 2
+    assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+
+
+# Runs one command in a fresh interpreter, then names the heavy modules it loaded.
+FOOTPRINT = """\
+import sys
+from faasplan.cli import _finite_decimal, _finite_float, build_parser, main
+code = main(sys.argv[1:])
+print(*sorted({"numpy", "http.server", "asyncio"} & sys.modules.keys()), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def loaded_heavy_modules(*argv) -> list[str]:
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *map(str, argv)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.splitlines()[-1].split()
+
+
+@pytest.fixture(scope="module")
+def saved_result(tmp_path_factory):
+    prefix = tmp_path_factory.mktemp("footprint") / "run"
+    assert main(["simulate", "--scenario", str(SCENARIOS / "smobilebert_replay.json"),
+                 "--out", str(prefix)]) == 0
+    return prefix
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "--scenario", SCENARIOS / "tinybert_aws.json"),
+    ("select", "--catalog", "sentiment", "--provider", "aws", "--metric", "f1_macro"),
+    ("cost", "--scenario", SCENARIOS / "million_predictions.json"),
+    ("cost", "--result", ".json"),
+    ("cost", "--result", ".csv"),
+], ids=["validate", "select", "cost", "cost-result-json", "cost-result-csv"])
+def test_planner_commands_load_no_numpy_or_http_stack(saved_result, argv):
+    if argv[1] == "--result":
+        argv = ("cost", "--result", f"{saved_result}{argv[2]}")
+    assert loaded_heavy_modules(*argv) == []
+
+
+def test_simulate_loads_numpy():
+    # The control for the test above: the footprint probe does see numpy.
+    loaded = loaded_heavy_modules("simulate", "--scenario", SCENARIOS / "smobilebert_replay.json")
+    assert "numpy" in loaded
