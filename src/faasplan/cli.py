@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import decimal
 import json
 import math
 import os
@@ -52,7 +53,7 @@ from .simulator import (
     TrafficPattern,
     export_result_csv,
     load_result_json,
-    result_to_dict,
+    render_result_json,
     save_result_json,
     simulate,
 )
@@ -481,7 +482,7 @@ def cmd_simulate(args, store: ProfileStore) -> int:
 
     result = simulate(scenario.profile, scenario.traffic, scenario.sim_config, pricing)
     if args.format == "json":
-        _emit(result_to_dict(result))
+        print(render_result_json(result))
     else:
         if result.latency_summary is not None:
             print(format_summary_table({"latency_ms": result.latency_summary}))
@@ -503,6 +504,20 @@ def cmd_simulate(args, store: ProfileStore) -> int:
 def cmd_cost(args, store: ProfileStore) -> int:
     if bool(args.scenario) == bool(args.result):
         raise ScenarioError("cost needs exactly one of --scenario / --result")
+    try:
+        report = _cost_report(args, store)
+        text = (json.dumps(cost_mod.cost_report_to_dict(report), indent=2) if args.format == "json"
+                else cost_mod.render_cost_table(report))
+    except (OverflowError, decimal.DecimalException) as exc:
+        # Finite but huge prices or horizons overflow the float break-even
+        # rate or the Decimal precision of the rendered amounts.
+        raise FaasPlanError("cost: amounts too large to price; check --vm, --months and the "
+                            f"scenario's cost and vm blocks ({type(exc).__name__})") from exc
+    print(text)
+    return 0
+
+
+def _cost_report(args, store: ProfileStore) -> cost_mod.CostReport:
     baseline_override = (
         cost_mod.VmBaseline(monthly_price=args.vm) if args.vm is not None else None
     )
@@ -517,7 +532,7 @@ def cmd_cost(args, store: ProfileStore) -> int:
         baseline = baseline_override or scenario.vm or cost_mod.DEFAULT_VM_BASELINE
         block = scenario.cost_block
         months = Decimal(str(args.months)) if args.months is not None else block["months"]
-        report = cost_mod.build_cost_report(
+        return cost_mod.build_cost_report(
             n_requests=block["n_requests"],
             billed_ms_per_request=block["billed_ms_per_request"],
             memory_bytes=block["memory_bytes"],
@@ -532,20 +547,14 @@ def cmd_cost(args, store: ProfileStore) -> int:
         result_path = Path(args.result)
         if result_path.suffix == ".json":
             result = load_result_json(result_path)
-            report = cost_mod.cost_from_simulation(result, pricing, baseline, months)
+            return cost_mod.cost_from_simulation(result, pricing, baseline, months)
         else:
             memory_bytes = (1024 if args.memory_mb is None else args.memory_mb) * MB
             try:
                 samples = read_samples_csv(result_path)
             except (OSError, UnicodeDecodeError) as exc:
                 raise ScenarioError(f"cannot read result {result_path}: {exc}") from exc
-            report = cost_mod.cost_from_samples(samples, pricing, baseline, memory_bytes, months)
-
-    if args.format == "json":
-        _emit(cost_mod.cost_report_to_dict(report))
-    else:
-        print(cost_mod.render_cost_table(report))
-    return 0
+            return cost_mod.cost_from_samples(samples, pricing, baseline, memory_bytes, months)
 
 
 def cmd_bench(args, store: ProfileStore) -> int:
@@ -665,6 +674,22 @@ _finite_float = _finite(float)
 _finite_decimal = _finite(Decimal)
 
 
+def _megabytes(text: str) -> float:
+    """A size flag in MB: a finite float that stays finite in bytes."""
+    value = _finite_float(text)
+    if not math.isfinite(value * MB):
+        raise argparse.ArgumentTypeError(f"too large for a size in bytes, got {text!r}")
+    return value
+
+
+def _ratio(text: str) -> float:
+    """A share flag: a float in [0, 1]."""
+    value = _finite_float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
+    return value
+
+
 def _seed(text: str) -> int:
     """``--seed`` value: a non-negative integer, as numpy's seeding requires."""
     try:
@@ -701,12 +726,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--catalog", required=True, help="built-in catalog name or a JSON path")
     p.add_argument("--provider", help="take the package budget from this provider")
-    p.add_argument("--max-package-mb", type=_finite_float, default=None,
+    p.add_argument("--max-package-mb", type=_megabytes, default=None,
                    help="explicit package budget in MB")
     p.add_argument("--metric", required=True, help="objective metric name")
     p.add_argument("--min-score", type=_finite_float, default=None, help="minimum acceptable score")
     p.add_argument("--runtime", default="onnxruntime", help="runtime library (default: onnxruntime)")
-    p.add_argument("--code-mb", type=_finite_float, default=1.0,
+    p.add_argument("--code-mb", type=_megabytes, default=1.0,
                    help="function code size (default: 1 MB)")
     p.set_defaults(func=cmd_select)
 
@@ -749,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-request timeout (default: 10000)")
     p.add_argument("--limits-profile", default=None,
                    help="provider whose request cap the payload must pass")
-    p.add_argument("--max-error-ratio", type=_finite_float, default=None,
+    p.add_argument("--max-error-ratio", type=_ratio, default=None,
                    help="fail the run when the error ratio exceeds this")
     p.add_argument("--out", default=None, help="write post-warmup samples to this CSV")
     p.add_argument("--stub", action="store_true",

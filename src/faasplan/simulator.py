@@ -20,19 +20,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence, Union
 
 from . import _schema
 from .cost import PricingModel, round_up
 from .errors import DomainError, ScenarioError
 from .metrics import (
+    CSV_HEADER,
     SampleSet,
     Summary,
     nearest_rank_index,
     summarize,
     summary_from_dict,
     summary_to_dict,
-    write_samples_csv,
 )
 from .providers import CpuScaling, effective_cpu
 from .units import GB, UNLIMITED, Unlimited
@@ -51,6 +51,8 @@ DEFAULT_COLD_START_MS = 1500.0
 # floats 0.8 and 1.05, which the seeded records depend on.
 _HEAD_FACTOR = Fraction(0.8)
 _TAIL_FACTOR = Fraction(1.05)
+# Most exponential gaps drawn at once for a Poisson segment.
+_MAX_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -123,12 +125,17 @@ class LatencyProfile:
             control.append((n_samples, _TAIL_FACTOR * Fraction(last_value)))
         values = [0.0] * n_samples
         # Interpolate in exact rationals, then round once per rank: floats
-        # of a non-decreasing rational sequence stay non-decreasing.
+        # of a non-decreasing rational sequence stay non-decreasing. On a
+        # common denominator the value at rank r is
+        # (base + (r - r0) * step) / den in integers, and int / int rounds
+        # correctly, as float(Fraction) does.
         for (r0, v0), (r1, v1) in zip(control, control[1:]):
             span = r1 - r0
-            for r in range(r0, r1 + 1):
-                t = Fraction(r - r0, span)
-                values[r - 1] = float(v0 + t * (v1 - v0))
+            common = math.lcm(v0.denominator, v1.denominator)
+            a0 = v0.numerator * (common // v0.denominator)
+            a1 = v1.numerator * (common // v1.denominator)
+            base, step, den = a0 * span, a1 - a0, common * span
+            values[r0 - 1:r1] = [(base + i * step) / den for i in range(span + 1)]
         if len(control) == 1:
             values = [float(control[0][1])] * n_samples
         return cls(reference_memory_bytes, SampleSet.from_values(values))
@@ -155,6 +162,11 @@ class TrafficPattern:
     def __post_init__(self):
         if self.kind not in TRAFFIC_KINDS:
             raise DomainError(f"unknown traffic kind {self.kind!r}; expected one of {TRAFFIC_KINDS}")
+        # An infinite rate or duration would draw arrivals without end.
+        for name in ("rate_rps", "duration_s", "high_rate", "low_rate", "period_s"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.kind == "poisson_constant":
             self._require(rate_rps=self.rate_rps, duration_s=self.duration_s)
             if self.rate_rps < 0:
@@ -244,8 +256,7 @@ class SimulationConfig:
                 raise DomainError("max_instances must be positive or UNLIMITED")
 
 
-@dataclass(frozen=True)
-class InvocationRecord:
+class InvocationRecord(NamedTuple):
     """One simulated request, all times in ms.
 
     ``end_ms`` is start + exec, plus the cold-start penalty when the
@@ -260,6 +271,13 @@ class InvocationRecord:
     instance_id: int
     exec_ms: float
     billed_ms: float
+
+
+def _transpose(records: Sequence[InvocationRecord]) -> InvocationRecord:
+    """The records as columns: each field holds that field of every record, in order."""
+    if not records:
+        return InvocationRecord._make(() for _ in InvocationRecord._fields)
+    return InvocationRecord._make(zip(*records))
 
 
 @dataclass(frozen=True)
@@ -299,15 +317,35 @@ def scale_duration(
 
 
 def _poisson_arrivals(rng: np.random.Generator, rate_rps: float, start_ms: float, end_ms: float) -> list[float]:
-    out = []
+    """Arrivals of ``t = start_ms; t += rng.exponential(1000 / rate_rps)`` while ``t < end_ms``.
+
+    Gaps are drawn in blocks and summed in order, which gives the scalar
+    loop's values bit for bit. The generator is left where that loop
+    leaves it, one draw past the last arrival: burst segments share it,
+    so a draw too many would shift every later segment.
+    """
+    out: list[float] = []
     if rate_rps <= 0:
         return out
     scale = 1000.0 / rate_rps
-    t = start_ms + rng.exponential(scale)
-    while t < end_ms:
-        out.append(t)
-        t += rng.exponential(scale)
-    return out
+    t = start_ms
+    while True:
+        # Enough for the expected count plus several standard deviations,
+        # so one block nearly always reaches end_ms.
+        expected = max(end_ms - t, 0.0) * rate_rps / 1000
+        size = int(min(expected * 1.1 + 64, _MAX_BLOCK))
+        state = rng.bit_generator.state
+        gaps = rng.exponential(scale, size)
+        gaps[0] += t
+        times = gaps.cumsum()
+        inside = int(times.searchsorted(end_ms))  # times[inside] is the first >= end_ms
+        out.extend(times[:inside].tolist())
+        if inside < size:
+            # Replay only the draws the scalar loop makes: each arrival and the one past end_ms.
+            rng.bit_generator.state = state
+            rng.exponential(scale, inside + 1)
+            return out
+        t = float(times[-1])
 
 
 def generate_arrivals(pattern: TrafficPattern, seed) -> list[float]:
@@ -422,13 +460,7 @@ def simulate(
         billed_us = round_up(exec_us, granularity_us)
         n_cold += cold
         records.append(InvocationRecord(
-            arrival_ms=t / 1000,
-            start_ms=start / 1000,
-            end_ms=end / 1000,
-            cold=cold,
-            instance_id=k,
-            exec_ms=exec_us / 1000,
-            billed_ms=billed_us / 1000,
+            t / 1000, start / 1000, end / 1000, cold, k, exec_us / 1000, billed_us / 1000,
         ))
         latencies.append((end - t) / 1000)
 
@@ -443,14 +475,24 @@ def simulate(
 
 
 def export_result_csv(result: SimulationResult, path: str | Path) -> None:
-    """Write per-record end-to-end latencies in the shared sample CSV format."""
-    samples = SampleSet(
-        values=result.latencies_ms,
-        timestamps=tuple(r.arrival_ms for r in result.records),
-        cold=tuple(r.cold for r in result.records),
-        instances=tuple(str(r.instance_id) for r in result.records),
-    )
-    write_samples_csv(samples, path)
+    """Write per-record end-to-end latencies in the shared sample CSV format.
+
+    The bytes are those :func:`~faasplan.metrics.write_samples_csv` writes
+    for the same samples, formatted straight from the record columns.
+
+    Raises:
+        DomainError: when a latency is negative or not finite.
+    """
+    columns = _transpose(result.records)
+    latencies = tuple(map(float, map(operator.sub, columns.end_ms, columns.arrival_ms)))
+    for value in latencies:
+        if not 0 <= value < math.inf:
+            raise DomainError(f"durations must be finite and non-negative, got {value}")
+    rows = map(_CSV_ROW.format, map(float, columns.arrival_ms), latencies,
+               map(int, columns.cold), columns.instance_id)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        fh.writelines(rows)
 
 
 _NUMBER = (int, float)
@@ -459,10 +501,13 @@ _RECORD_KINDS = {"arrival_ms": _NUMBER, "start_ms": _NUMBER, "end_ms": _NUMBER, 
                  "instance_id": (int,), "exec_ms": _NUMBER, "billed_ms": _NUMBER}
 _RECORD_ROW = operator.itemgetter(*_RECORD_KINDS)
 _KIND_TEXT = {_NUMBER: "a finite non-negative number", (bool,): "true or false", (int,): "an integer"}
+# One record as json.dumps(..., indent=2) lays it out inside the "records" list.
+_JSON_RECORD = "    {\n" + ",\n".join(f'      "{key}": %s' for key in InvocationRecord._fields) + "\n    }"
+# One row of the sample CSV, as csv.writer writes it: no cell here ever needs quoting.
+_CSV_ROW = "{!r},{!r},{},{}\r\n"
 
 
-def result_to_dict(result: SimulationResult) -> dict:
-    """JSON-ready dict carrying the full result, including billing detail."""
+def _result_header(result: SimulationResult) -> dict:
     return {
         "memory_bytes": result.memory_bytes,
         "cold_fraction": result.cold_fraction,
@@ -470,25 +515,37 @@ def result_to_dict(result: SimulationResult) -> dict:
         "latency_summary": (
             None if result.latency_summary is None else summary_to_dict(result.latency_summary)
         ),
-        "records": [
-            {
-                "arrival_ms": r.arrival_ms,
-                "start_ms": r.start_ms,
-                "end_ms": r.end_ms,
-                "cold": r.cold,
-                "instance_id": r.instance_id,
-                "exec_ms": r.exec_ms,
-                "billed_ms": r.billed_ms,
-            }
-            for r in result.records
-        ],
     }
+
+
+def result_to_dict(result: SimulationResult) -> dict:
+    """JSON-ready dict carrying the full result, including billing detail."""
+    return {**_result_header(result), "records": [r._asdict() for r in result.records]}
+
+
+def render_result_json(result: SimulationResult) -> str:
+    """``json.dumps(result_to_dict(result), indent=2)``, built column by column.
+
+    The indented encoder runs in pure Python; here each column goes
+    through one compact (C-encoded) ``json.dumps`` and the records are
+    joined through one template, which gives the same text several times
+    faster. Only the header goes through the indented encoder.
+    """
+    header = json.dumps({**_result_header(result), "records": []}, indent=2)
+    if not result.records:
+        return header
+    # A compact dump of a column of numbers and booleans is "[a, b, ...]".
+    cells = [json.dumps(column)[1:-1].split(", ") for column in _transpose(result.records)]
+    if any(len(column) != len(result.records) for column in cells):  # a value of another kind
+        return json.dumps(result_to_dict(result), indent=2)
+    body = ",\n".join(map(_JSON_RECORD.__mod__, zip(*cells)))
+    return header.removesuffix("[]\n}") + "[\n" + body + "\n  ]\n}"
 
 
 def result_from_dict(payload: Mapping) -> SimulationResult:
     """Inverse of :func:`result_to_dict`."""
     return SimulationResult(
-        records=tuple(InvocationRecord(*_RECORD_ROW(r)) for r in payload["records"]),
+        records=tuple(map(InvocationRecord._make, map(_RECORD_ROW, payload["records"]))),
         cold_fraction=payload["cold_fraction"],
         latency_summary=(
             None if payload["latency_summary"] is None
@@ -500,7 +557,8 @@ def result_from_dict(payload: Mapping) -> SimulationResult:
 
 
 def save_result_json(result: SimulationResult, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(result_to_dict(result), indent=2) + "\n", "utf-8")
+    """Write :func:`render_result_json` and a final newline to ``path``."""
+    Path(path).write_text(render_result_json(result) + "\n", "utf-8")
 
 
 def _check_records(records: list, label: str) -> None:

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from decimal import Decimal
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from faasplan import GB, SampleSet, load_pricing, serverless_cost_total, write_samples_csv
-from faasplan.cli import _finite_decimal, _finite_float, build_parser, main
+from faasplan.cli import _finite_decimal, _finite_float, _megabytes, _ratio, build_parser, main
 from faasplan.simulator import load_result_json
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -371,6 +372,14 @@ def test_bad_scenario_value_exits_2(tmp_path, capsys, case):
     assert err == f"error: {path}: {message}\n"
 
 
+def test_infinite_traffic_rate_exits_2(tmp_path, capsys):
+    # JSON's Infinity once made simulate draw zero-length gaps without end.
+    path = scenario_file(tmp_path, "smobilebert_replay.json", lambda d: d.update(
+        traffic={"kind": "poisson", "rate_rps": math.inf, "duration_s": 1}))
+    assert run_error(capsys, "simulate", "--scenario", path) == (
+        2, "error: rate_rps must be finite, got inf\n")
+
+
 BAD_FIXTURE_VALUES = {
     "pricing-rate-not-a-number": (
         "pricing.json",
@@ -558,8 +567,35 @@ def test_every_number_flag_rejects_non_finite_values():
     subcommands = build_parser()._subparsers._group_actions[0].choices
     flags = {(name, action.option_strings[0])
              for name, sub in subcommands.items() for action in sub._actions
-             if action.type in (float, Decimal, _finite_float, _finite_decimal)}
+             if action.type in (float, Decimal, _finite_float, _finite_decimal, _megabytes, _ratio)}
     assert flags == {(argv[0], flag) for argv, flag in FINITE_FLAGS}
+
+
+# Each of these once ended in a traceback (OverflowError, decimal.InvalidOperation).
+@pytest.mark.parametrize("argv, message", [
+    (("select", "--catalog", "sentiment", "--metric", "f1_macro", "--max-package-mb", "1e308"),
+     "argument --max-package-mb: too large for a size in bytes, got '1e308'"),
+    (("cost", "--scenario", SCENARIOS / "million_predictions.json", "--vm", "1e999999"),
+     "error: cost: amounts too large to price"),
+    (("cost", "--scenario", SCENARIOS / "million_predictions.json", "--months", "1e999999"),
+     "error: cost: amounts too large to price"),
+], ids=["select-max-package-mb", "cost-vm", "cost-months"])
+def test_huge_finite_flag_exits_2(capsys, argv, message):
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:  # rejected by argparse
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "1.5"])
+def test_error_ratio_outside_unit_interval_is_a_usage_error(capsys, value):
+    # -1 once failed every run, and a budget above 1 could never fail.
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("bench", "--stub", "--rate", "10", "--duration", "0.1", f"--max-error-ratio={value}")
+    assert exc_info.value.code == 2
+    assert f"argument --max-error-ratio: must lie in [0, 1], got {value!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -103,6 +103,19 @@ class TestTrafficPattern:
         with pytest.raises(DomainError, match="unknown traffic kind"):
             TrafficPattern(kind="sawtooth")
 
+    @pytest.mark.parametrize("build, name", [
+        (lambda v: TrafficPattern.poisson(v, 1), "rate_rps"),
+        (lambda v: TrafficPattern.poisson(5, v), "duration_s"),
+        (lambda v: TrafficPattern.burst(v, 1, 10, 0.5, 60), "high_rate"),
+        (lambda v: TrafficPattern.burst(100, v, 10, 0.5, 60), "low_rate"),
+        (lambda v: TrafficPattern.burst(100, 1, v, 0.5, 60), "period_s"),
+    ])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rates_and_durations_are_rejected(self, build, name, value):
+        # An infinite rate once drew zero-length gaps forever; an infinite duration never ends.
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            build(value)
+
 
 class TestGenerateArrivals:
     def test_deterministic_per_seed(self):

@@ -23,7 +23,7 @@ from faasplan import (
     simulate,
     summarize,
 )
-from faasplan.cli import ProfileStore, load_scenario
+from faasplan.cli import ProfileStore, load_scenario, main
 from faasplan.cost import round_up
 from faasplan.simulator import (
     InvocationRecord,
@@ -199,3 +199,30 @@ def test_seeded_results_are_pinned(name):
     build, expected = GOLDEN[name]
     result = simulate(*build())
     assert hashlib.sha256(json.dumps(result_to_dict(result)).encode()).hexdigest() == expected
+
+
+# The capped Poisson run that perfbench times, at its own seed. Queueing at
+# cap 64 makes start, end and latency differ from arrival and exec.
+CAPPED_SCENARIO = {
+    "version": 1, "name": "capped-poisson", "pricing": "aws",
+    "profile": {"reference_memory_mb": 1024, "n_samples": 5000,
+                "quantile_anchors": {"0.5": 50.08, "0.95": 80.14, "0.99": 102.65}},
+    "traffic": {"kind": "poisson", "rate_rps": 1000.0, "duration_s": 5.0},
+    "simulation": {"seed": 7, "memory_mb": 1024, "keep_alive_s": 600.0, "cold_start_ms": 1500.0,
+                   "max_instances": 64},
+}
+# sha256 of the bytes users get: the --out files and the --format json stdout.
+RESULT_JSON_SHA256 = "61b68a8e54085bae06c362dcf4d9a352d89628ad525c3365251e0174db2f89c9"
+RESULT_CSV_SHA256 = "bc20ac834202b18c7c827ce7389ecf5dd314fcdf41fd46fc99c190af968c405a"
+
+
+def test_simulate_output_bytes_are_pinned(tmp_path, capsys):
+    scenario = tmp_path / "capped.json"
+    scenario.write_text(json.dumps(CAPPED_SCENARIO), "utf-8")
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", str(scenario), "--format", "json"]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == RESULT_JSON_SHA256
+    assert hashlib.sha256((tmp_path / "run.json").read_bytes()).hexdigest() == RESULT_JSON_SHA256
+    assert hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest() == RESULT_CSV_SHA256
