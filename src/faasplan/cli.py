@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import decimal
+import functools
 import json
 import math
 import os
@@ -18,46 +19,21 @@ import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+# Each command imports the faasplan modules it runs inside the functions
+# that run them, so a short-lived process pays only for what it uses.
 from . import _schema
-from . import catalog as catalog_mod
-from . import cost as cost_mod
 from ._schema import Block
-from .errors import FaasPlanError, PreflightError, ScenarioError
-from .metrics import (
-    format_summary_table,
-    read_samples_csv,
-    summary_to_dict,
-    summarize,
-)
-from .packaging import (
-    DEFAULT_CODE_BYTES,
-    DeploymentPackage,
-    DeploymentPlan,
-    RuntimeLibrary,
-    load_runtime_libraries,
-)
-from .providers import (
-    CpuScaling,
-    ProviderLimits,
-    Violation,
-    load_provider_limits,
-    validate_plan,
-    validation_report_to_dict,
-)
-from .simulator import (
-    DEFAULT_COLD_START_MS,
-    DEFAULT_KEEP_ALIVE_S,
-    LatencyProfile,
-    SimulationConfig,
-    TrafficPattern,
-    export_result_csv,
-    load_result_json,
-    render_result_json,
-    save_result_json,
-    simulate,
-)
+from .errors import DomainError, FaasPlanError, PreflightError, ScenarioError
 from .units import MB, UNLIMITED, Unlimited, mb_text
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .catalog import ModelArtifact
+    from .cost import CostReport, PricingModel, VmBaseline
+    from .packaging import DeploymentPackage, RuntimeLibrary
+    from .providers import ProviderLimits, Violation
+    from .simulator import LatencyProfile, SimulationConfig, TrafficPattern
 
 SCENARIO_SCHEMA_VERSION = 1
 
@@ -112,20 +88,24 @@ class ProfileStore:
         return table[name]
 
     def provider(self, name: str) -> ProviderLimits:
+        from .providers import load_provider_limits
         return self._lookup("providers.json", load_provider_limits, "provider", name)
 
-    def pricing_profile(self, name: str) -> cost_mod.PricingModel:
-        return self._lookup("pricing.json", cost_mod.load_pricing, "pricing profile", name)
+    def pricing_profile(self, name: str) -> PricingModel:
+        from .cost import load_pricing
+        return self._lookup("pricing.json", load_pricing, "pricing profile", name)
 
     def runtime(self, name: str) -> RuntimeLibrary:
+        from .packaging import load_runtime_libraries
         return self._lookup("runtimes.json", load_runtime_libraries, "runtime", name)
 
-    def catalog(self, source: str) -> list[catalog_mod.ModelArtifact]:
-        if source not in catalog_mod.BUILTIN_CATALOGS:
+    def catalog(self, source: str) -> list[ModelArtifact]:
+        from .catalog import BUILTIN_CATALOGS, load_catalog
+        if source not in BUILTIN_CATALOGS:
             override = self._override(source)
             if override is not None:
-                return catalog_mod.load_catalog(override)
-        return catalog_mod.load_catalog(source)
+                return load_catalog(override)
+        return load_catalog(source)
 
 
 @dataclass
@@ -135,8 +115,8 @@ class Scenario:
     path: Path
     name: str | None
     provider: ProviderLimits | None
-    pricing: cost_mod.PricingModel | None
-    catalog: list[catalog_mod.ModelArtifact] | None
+    pricing: PricingModel | None
+    catalog: list[ModelArtifact] | None
     package: DeploymentPackage | None
     memory_bytes: int | None
     profile: LatencyProfile | None
@@ -144,10 +124,24 @@ class Scenario:
     sim_config: SimulationConfig | None
     memory_sweep_mb: list[int] | None
     cost_block: dict | None
-    vm: cost_mod.VmBaseline | None
+    vm: VmBaseline | None
 
 
+def _naming_block(parse):
+    """Re-raise a value check's DomainError from ``parse(block, ...)`` as ``<path>: <block>: ...``."""
+    @functools.wraps(parse)
+    def wrapped(block: Block, *args):
+        try:
+            return parse(block, *args)
+        except DomainError as exc:
+            raise ScenarioError(f"{block.context}: {exc}") from exc
+    return wrapped
+
+
+@_naming_block
 def _parse_profile(block: Block, scenario_dir: Path) -> LatencyProfile:
+    from .simulator import LatencyProfile
+
     reference = block.size("reference_memory_mb", "reference_memory_bytes")
     sources = [k for k in ("constant_ms", "quantile_anchors", "samples_csv") if k in block.raw]
     if len(sources) != 1:
@@ -164,6 +158,8 @@ def _parse_profile(block: Block, scenario_dir: Path) -> LatencyProfile:
         except ValueError:
             raise ScenarioError(f"{anchors.context}: keys must be quantiles such as \"0.5\"") from None
         return LatencyProfile.from_quantile_anchors(quantiles, block.get("n_samples", int), reference)
+    from .metrics import read_samples_csv
+
     csv_path = scenario_dir / block.get("samples_csv", str)
     try:
         samples = read_samples_csv(csv_path)
@@ -172,7 +168,10 @@ def _parse_profile(block: Block, scenario_dir: Path) -> LatencyProfile:
     return LatencyProfile(reference, samples)
 
 
+@_naming_block
 def _parse_traffic(block: Block) -> TrafficPattern:
+    from .simulator import TrafficPattern
+
     kind = block.get("kind", str)
     kind = _TRAFFIC_ALIASES.get(kind, kind)
     if kind not in _TRAFFIC_KEYS:
@@ -183,7 +182,11 @@ def _parse_traffic(block: Block) -> TrafficPattern:
     return getattr(TrafficPattern, kind)(*(block.get(key, float) for key in _TRAFFIC_KEYS[kind]))
 
 
+@_naming_block
 def _parse_simulation(block: Block, seed_override: int | None) -> SimulationConfig:
+    from .providers import CpuScaling
+    from .simulator import DEFAULT_COLD_START_MS, DEFAULT_KEEP_ALIVE_S, SimulationConfig
+
     seed = block.get("seed", int, 0)
     if seed < 0:
         raise ScenarioError(f"{block.context}: seed: must be a non-negative integer, got {seed}")
@@ -206,7 +209,7 @@ def _parse_simulation(block: Block, seed_override: int | None) -> SimulationConf
     )
 
 
-def _resolve_model(entry, scenario_catalog, context: str) -> catalog_mod.ModelArtifact:
+def _resolve_model(entry, scenario_catalog, context: str) -> ModelArtifact:
     if isinstance(entry, str):
         if scenario_catalog is None:
             raise ScenarioError(f"{context}: model {entry!r} needs a 'catalog' to look it up in")
@@ -215,10 +218,8 @@ def _resolve_model(entry, scenario_catalog, context: str) -> catalog_mod.ModelAr
                 return model
         raise ScenarioError(f"{context}: model {entry!r} not found in catalog")
     if isinstance(entry, dict):
-        parsed = catalog_mod.parse_catalog(
-            {"version": catalog_mod.CATALOG_SCHEMA_VERSION, "models": [entry]},
-            context,
-        )
+        from .catalog import CATALOG_SCHEMA_VERSION, parse_catalog
+        parsed = parse_catalog({"version": CATALOG_SCHEMA_VERSION, "models": [entry]}, context)
         return parsed[0]
     raise ScenarioError(f"{context}: model must be a name or an inline object")
 
@@ -248,6 +249,7 @@ def load_scenario(path: str | Path, store: ProfileStore, seed_override: int | No
     package = None
     block = top.block("package", _PACKAGE_KEYS, default=None)
     if block is not None:
+        from .packaging import DEFAULT_CODE_BYTES, DeploymentPackage
         runtime = store.runtime(block.get("runtime", str))
         model = _resolve_model(block.get("model"), models, block.context)
         code_bytes = block.size("code_mb", "code_bytes", DEFAULT_CODE_BYTES)
@@ -275,7 +277,8 @@ def load_scenario(path: str | Path, store: ProfileStore, seed_override: int | No
     vm = None
     block = top.block("vm", _VM_KEYS, default=None)
     if block is not None:
-        vm = cost_mod.VmBaseline(
+        from .cost import VmBaseline
+        vm = VmBaseline(
             monthly_price=block.get("monthly_price", Decimal),
             memory_bytes=block.size("memory_mb", "memory_bytes", 1024 * MB),
         )
@@ -305,7 +308,7 @@ def _violation_line(v: Violation) -> str:
     return f"  {v.limit_name}: {v.actual_value} B > {v.limit_value} B limit"
 
 
-def _model_dict(model: catalog_mod.ModelArtifact) -> dict:
+def _model_dict(model: ModelArtifact) -> dict:
     return {
         "name": model.name,
         "size_bytes": model.size_bytes,
@@ -316,6 +319,9 @@ def _model_dict(model: catalog_mod.ModelArtifact) -> dict:
 
 
 def cmd_validate(args, store: ProfileStore) -> int:
+    from .packaging import DeploymentPlan
+    from .providers import validate_plan, validation_report_to_dict
+
     scenario = load_scenario(args.scenario, store)
     provider = store.provider(args.provider) if args.provider else scenario.provider
     if provider is None:
@@ -352,6 +358,8 @@ def cmd_validate(args, store: ProfileStore) -> int:
 
 
 def cmd_select(args, store: ProfileStore) -> int:
+    from . import catalog as catalog_mod
+
     models = store.catalog(args.catalog)
     runtime = store.runtime(args.runtime)
     if args.max_package_mb is not None:
@@ -414,6 +422,8 @@ def cmd_select(args, store: ProfileStore) -> int:
 
 
 def _sweep_rows(scenario: Scenario, pricing, sweep_mb: list[int]):
+    from .simulator import simulate
+
     rows = []
     for memory_mb in sweep_mb:
         config = replace(scenario.sim_config, memory_bytes=memory_mb * MB)
@@ -432,6 +442,9 @@ def _writing(path: Path):
 
 
 def cmd_simulate(args, store: ProfileStore) -> int:
+    from .metrics import format_summary_table, summary_to_dict
+    from .simulator import export_result_csv, render_result_json, save_result_json, simulate
+
     scenario = load_scenario(args.scenario, store, seed_override=args.seed)
     for field_name in ("profile", "traffic", "sim_config"):
         if getattr(scenario, field_name) is None:
@@ -502,22 +515,27 @@ def cmd_simulate(args, store: ProfileStore) -> int:
 
 
 def cmd_cost(args, store: ProfileStore) -> int:
+    from . import cost as cost_mod
+
     if bool(args.scenario) == bool(args.result):
         raise ScenarioError("cost needs exactly one of --scenario / --result")
     try:
         report = _cost_report(args, store)
+        cost_mod.check_printable(report)
         text = (json.dumps(cost_mod.cost_report_to_dict(report), indent=2) if args.format == "json"
                 else cost_mod.render_cost_table(report))
     except (OverflowError, decimal.DecimalException) as exc:
-        # Finite but huge prices or horizons overflow the float break-even
-        # rate or the Decimal precision of the rendered amounts.
+        # Finite but huge or tiny prices and horizons give amounts that
+        # check_printable refuses, or that overflow the Decimal arithmetic.
         raise FaasPlanError("cost: amounts too large to price; check --vm, --months and the "
                             f"scenario's cost and vm blocks ({type(exc).__name__})") from exc
     print(text)
     return 0
 
 
-def _cost_report(args, store: ProfileStore) -> cost_mod.CostReport:
+def _cost_report(args, store: ProfileStore) -> CostReport:
+    from . import cost as cost_mod
+
     baseline_override = (
         cost_mod.VmBaseline(monthly_price=args.vm) if args.vm is not None else None
     )
@@ -546,9 +564,11 @@ def _cost_report(args, store: ProfileStore) -> cost_mod.CostReport:
         months = args.months if args.months is not None else 1
         result_path = Path(args.result)
         if result_path.suffix == ".json":
+            from .simulator import load_result_json
             result = load_result_json(result_path)
             return cost_mod.cost_from_simulation(result, pricing, baseline, months)
         else:
+            from .metrics import read_samples_csv
             memory_bytes = (1024 if args.memory_mb is None else args.memory_mb) * MB
             try:
                 samples = read_samples_csv(result_path)
@@ -560,6 +580,8 @@ def _cost_report(args, store: ProfileStore) -> cost_mod.CostReport:
 def cmd_bench(args, store: ProfileStore) -> int:
     # Only bench needs the HTTP stack; the planner commands never load it.
     from .harness import BenchRun, BenchTarget, StubServer, export_run, run_bench
+    from .metrics import format_summary_table, summarize, summary_to_dict
+    from .simulator import TrafficPattern
 
     if not args.url and not args.stub:
         raise ScenarioError("bench needs --url (or --stub for an offline run)")

@@ -290,6 +290,30 @@ def cost_from_samples(
     return _report_from_billed(len(samples), billed_total_ms, memory_bytes, pricing, baseline, months)
 
 
+# Both formats write amounts in positional notation, and the table rounds
+# money to four places in 28 digits, so amounts stay within this many
+# digits of the decimal point.
+_PRINTABLE_DIGITS = 24
+
+
+def check_printable(report: CostReport) -> None:
+    """Raise OverflowError when an amount of ``report`` is too far from 1 to print.
+
+    Nonzero totals, months and billed ms per request must lie in
+    ``10**-24 <= |x| < 10**24``, and the break-even count below ``10**24``.
+    Past that an amount cannot be rendered at all or runs to megabytes of
+    digits, so both output formats refuse the same reports.
+    """
+    assumptions = report.assumptions
+    for amount in (report.serverless_total, report.vm_total, assumptions.months,
+                   assumptions.billed_ms_per_request):
+        if amount and not -_PRINTABLE_DIGITS <= amount.adjusted() < _PRINTABLE_DIGITS:
+            raise OverflowError(f"amount {amount:.3e} is too far from 1 to print")
+    breakeven = report.breakeven_requests_per_month
+    if breakeven is not None and breakeven >= 10**_PRINTABLE_DIGITS:
+        raise OverflowError("break-even request count is too large to print")
+
+
 def _dec_str(value: Decimal) -> str:
     # Strip trailing zeros without drifting into scientific notation.
     return format(value.normalize(), "f")

@@ -360,6 +360,24 @@ BAD_SCENARIO_VALUES = {
         "cost", "million_predictions.json",
         lambda d: d["vm"].update(monthly_price="abc"),
         "vm: monthly_price: must be a number, got 'abc'"),
+    # The constructors' own value checks, named by file and block.
+    "traffic-rate-negative": (
+        "simulate", "smobilebert_replay.json",
+        lambda d: d.update(traffic={"kind": "poisson", "rate_rps": -1, "duration_s": 1}),
+        "traffic: rate_rps must be non-negative"),
+    "traffic-duty-above-1": (
+        "simulate", "smobilebert_replay.json",
+        lambda d: d.update(traffic={"kind": "burst", "high_rate": 10, "low_rate": 0,
+                                    "period_s": 10, "duty": 2, "duration_s": 10}),
+        "traffic: duty must lie in [0, 1], got 2.0"),
+    "keep-alive-negative": (
+        "simulate", "smobilebert_replay.json",
+        lambda d: d["simulation"].update(keep_alive_s=-1),
+        "simulation: keep_alive_s must be non-negative (math.inf allowed)"),
+    "n-samples-below-anchors": (
+        "simulate", "smobilebert_replay.json",
+        lambda d: d["profile"].update(n_samples=1),
+        "profile: n_samples=1 is too small to separate the anchor quantiles"),
 }
 
 
@@ -377,7 +395,7 @@ def test_infinite_traffic_rate_exits_2(tmp_path, capsys):
     path = scenario_file(tmp_path, "smobilebert_replay.json", lambda d: d.update(
         traffic={"kind": "poisson", "rate_rps": math.inf, "duration_s": 1}))
     assert run_error(capsys, "simulate", "--scenario", path) == (
-        2, "error: rate_rps must be finite, got inf\n")
+        2, f"error: {path}: traffic: rate_rps must be finite, got inf\n")
 
 
 BAD_FIXTURE_VALUES = {
@@ -571,22 +589,32 @@ def test_every_number_flag_rejects_non_finite_values():
     assert flags == {(argv[0], flag) for argv, flag in FINITE_FLAGS}
 
 
-# Each of these once ended in a traceback (OverflowError, decimal.InvalidOperation).
+MILLION = ("cost", "--scenario", SCENARIOS / "million_predictions.json")
+
+
+# Each of these once ended in a traceback (OverflowError, decimal.InvalidOperation,
+# ValueError), or in JSON printed megabytes of digits with exit 0.
 @pytest.mark.parametrize("argv, message", [
     (("select", "--catalog", "sentiment", "--metric", "f1_macro", "--max-package-mb", "1e308"),
      "argument --max-package-mb: too large for a size in bytes, got '1e308'"),
-    (("cost", "--scenario", SCENARIOS / "million_predictions.json", "--vm", "1e999999"),
+    ((*MILLION, "--vm", "1e999999"), "error: cost: amounts too large to price"),
+    ((*MILLION, "--months", "1e999999"), "error: cost: amounts too large to price"),
+    ((*MILLION, "--vm", "1e999999", "--format", "json"), "error: cost: amounts too large to price"),
+    ((*MILLION, "--months", "1e999999", "--format", "json"),
      "error: cost: amounts too large to price"),
-    (("cost", "--scenario", SCENARIOS / "million_predictions.json", "--months", "1e999999"),
+    ((*MILLION, "--months", "1e-999999"), "error: cost: amounts too large to price"),
+    ((*MILLION, "--months", "1e-999999", "--format", "json"),
      "error: cost: amounts too large to price"),
-], ids=["select-max-package-mb", "cost-vm", "cost-months"])
+], ids=["select-max-package-mb", "cost-vm", "cost-months", "cost-vm-json", "cost-months-json",
+        "cost-months-tiny", "cost-months-tiny-json"])
 def test_huge_finite_flag_exits_2(capsys, argv, message):
     try:
         code = run_cli(*argv)
     except SystemExit as exc:  # rejected by argparse
         code = exc.code
-    assert code == 2
-    assert message in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 @pytest.mark.parametrize("value", ["-1", "1.5"])
@@ -624,21 +652,24 @@ def test_negative_seed_flag_is_a_usage_error(capsys, argv):
     assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
 
 
-# Runs one command in a fresh interpreter, then names the heavy modules it loaded.
+# Runs one command in a fresh interpreter, then names the heavy modules it
+# loaded on one line and the faasplan submodules on the next.
 FOOTPRINT = """\
 import sys
 from faasplan.cli import _finite_decimal, _finite_float, build_parser, main
 code = main(sys.argv[1:])
 print(*sorted({"numpy", "http.server", "asyncio"} & sys.modules.keys()), file=sys.stderr)
+print(*sorted(m.split(".")[1] for m in sys.modules if m.startswith("faasplan.")), file=sys.stderr)
 sys.exit(code)
 """
 
 
-def loaded_heavy_modules(*argv) -> list[str]:
+def footprint(*argv) -> tuple[list[str], set[str]]:
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *map(str, argv)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stderr.splitlines()[-1].split()
+    heavy, faasplan_modules = proc.stderr.splitlines()[-2:]
+    return heavy.split(), set(faasplan_modules.split())
 
 
 @pytest.fixture(scope="module")
@@ -649,20 +680,40 @@ def saved_result(tmp_path_factory):
     return prefix
 
 
-@pytest.mark.parametrize("argv", [
-    ("validate", "--scenario", SCENARIOS / "tinybert_aws.json"),
-    ("select", "--catalog", "sentiment", "--provider", "aws", "--metric", "f1_macro"),
-    ("cost", "--scenario", SCENARIOS / "million_predictions.json"),
-    ("cost", "--result", ".json"),
-    ("cost", "--result", ".csv"),
-], ids=["validate", "select", "cost", "cost-result-json", "cost-result-csv"])
-def test_planner_commands_load_no_numpy_or_http_stack(saved_result, argv):
+# Planner command -> the faasplan modules it never runs, and so must not load.
+PLANNER_COMMANDS = {
+    "validate": (("validate", "--scenario", SCENARIOS / "tinybert_aws.json"),
+                 {"cost", "metrics", "simulator"}),
+    "select": (("select", "--catalog", "sentiment", "--provider", "aws", "--metric", "f1_macro"),
+               {"cost", "metrics", "simulator"}),
+    "cost": (("cost", "--scenario", SCENARIOS / "million_predictions.json"),
+             {"simulator", "catalog", "packaging", "providers", "metrics"}),
+    "cost-result-json": (("cost", "--result", ".json"), {"catalog", "packaging"}),
+    "cost-result-csv": (("cost", "--result", ".csv"), {"simulator"}),
+}
+
+
+@pytest.fixture(scope="module", params=list(PLANNER_COMMANDS))
+def planner_footprint(request, saved_result):
+    """Heavy modules, faasplan modules and forbidden modules of one planner command."""
+    argv, unused = PLANNER_COMMANDS[request.param]
     if argv[1] == "--result":
         argv = ("cost", "--result", f"{saved_result}{argv[2]}")
-    assert loaded_heavy_modules(*argv) == []
+    return (*footprint(*argv), unused)
+
+
+def test_planner_commands_load_no_numpy_or_http_stack(planner_footprint):
+    heavy, _, _ = planner_footprint
+    assert heavy == []
+
+
+def test_planner_commands_load_only_the_modules_they_run(planner_footprint):
+    _, loaded, unused = planner_footprint
+    assert "cli" in loaded  # the control: the probe does see faasplan modules
+    assert loaded & unused == set()
 
 
 def test_simulate_loads_numpy():
     # The control for the test above: the footprint probe does see numpy.
-    loaded = loaded_heavy_modules("simulate", "--scenario", SCENARIOS / "smobilebert_replay.json")
-    assert "numpy" in loaded
+    heavy, _ = footprint("simulate", "--scenario", SCENARIOS / "smobilebert_replay.json")
+    assert "numpy" in heavy
