@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 from .errors import ScenarioError
-from .units import MB
+from .units import mb_bytes
 
 REQUIRED = object()
 
@@ -59,7 +59,10 @@ def _check(value, kind: type, where: str, error: type[Exception]):
         return float(value)
     if kind is Decimal:
         # Via str, so a binary float keeps the digits it was written with.
-        return Decimal(str(value))
+        number = Decimal(str(value))
+        if not number.is_finite():  # JSON's NaN and Infinity
+            raise error(f"{where}: must be a finite number, got {reprlib.repr(value)}")
+        return number
     return value
 
 
@@ -106,11 +109,19 @@ class Block:
         given = [k for k in (mb_key, bytes_key) if self.raw.get(k) is not None]
         if len(given) == 2 or (not given and default is REQUIRED):
             raise self.error(f"{self.context}: give exactly one of {mb_key} / {bytes_key}")
-        if not given:
+        if given == [bytes_key]:
+            return self.get(bytes_key, int)
+        return self.megabytes(mb_key, default)
+
+    def megabytes(self, key: str, default=REQUIRED) -> int:
+        """Bytes in the size at ``key``, in MB: any number that stays finite in bytes."""
+        mb = self.get(key, float, default)
+        if mb is default:
             return default
-        if given[0] == mb_key:
-            return round(self.get(mb_key, float) * MB)
-        return self.get(bytes_key, int)
+        try:
+            return mb_bytes(mb)
+        except ValueError as exc:
+            raise self.error(f"{self.context}: {key}: {exc}, got {mb!r}") from None
 
 
 def entries(payload, list_key: str, version: int, source: str, keys,

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from decimal import Decimal
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -26,13 +26,13 @@ from typing import TYPE_CHECKING
 from . import _schema
 from ._schema import Block
 from .errors import DomainError, FaasPlanError, PreflightError, ScenarioError
-from .units import MB, UNLIMITED, Unlimited, mb_text
+from .units import MB, UNLIMITED, Unlimited, mb_bytes, mb_text
 
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import ModelArtifact
     from .cost import CostReport, PricingModel, VmBaseline
     from .packaging import DeploymentPackage, RuntimeLibrary
-    from .providers import ProviderLimits, Violation
+    from .providers import ProviderLimits
     from .simulator import LatencyProfile, SimulationConfig, TrafficPattern
 
 SCENARIO_SCHEMA_VERSION = 1
@@ -118,7 +118,7 @@ class Scenario:
     pricing: PricingModel | None
     catalog: list[ModelArtifact] | None
     package: DeploymentPackage | None
-    memory_bytes: int | None
+    memory_bytes: int
     profile: LatencyProfile | None
     traffic: TrafficPattern | None
     sim_config: SimulationConfig | None
@@ -255,7 +255,7 @@ def load_scenario(path: str | Path, store: ProfileStore, seed_override: int | No
         code_bytes = block.size("code_mb", "code_bytes", DEFAULT_CODE_BYTES)
         package = DeploymentPackage(code_bytes=code_bytes, runtime=runtime, model=model)
 
-    memory_mb = top.get("memory_mb", float, None)
+    memory_bytes = top.megabytes("memory_mb", 1024 * MB)
 
     block = top.block("profile", _PROFILE_KEYS, default=None)
     profile = _parse_profile(block, path.parent) if block is not None else None
@@ -290,7 +290,7 @@ def load_scenario(path: str | Path, store: ProfileStore, seed_override: int | No
         pricing=pricing,
         catalog=models,
         package=package,
-        memory_bytes=None if memory_mb is None else round(memory_mb * MB),
+        memory_bytes=memory_bytes,
         profile=profile,
         traffic=traffic,
         sim_config=sim_config,
@@ -300,22 +300,31 @@ def load_scenario(path: str | Path, store: ProfileStore, seed_override: int | No
     )
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _emit(args, report, table, dumps=functools.partial(json.dumps, indent=2)) -> None:
+    """Print ``report`` in the ``--format`` asked for: ``dumps(report)`` or ``table(report)``."""
+    print(dumps(report) if args.format == "json" else table(report))
 
 
-def _violation_line(v: Violation) -> str:
-    return f"  {v.limit_name}: {v.actual_value} B > {v.limit_value} B limit"
+def _fields(rows, gap: str = "  ") -> str:
+    """``label``/``value`` lines, each value ``gap`` after the longest label."""
+    width = max(len(label) for label, _ in rows)
+    return "\n".join(f"{label.ljust(width)}{gap}{value}" for label, value in rows)
 
 
-def _model_dict(model: ModelArtifact) -> dict:
-    return {
-        "name": model.name,
-        "size_bytes": model.size_bytes,
-        "format": model.format,
-        "metrics": dict(model.metrics),
-        "embedding_dim": model.embedding_dim,
-    }
+def _violation_line(v: dict) -> str:
+    return f"  {v['limit_name']}: {v['actual_value']} B > {v['limit_value']} B limit"
+
+
+def _validate_table(report: dict) -> str:
+    return "\n".join([
+        _fields([
+            ("provider", report["provider"]),
+            ("package", f"{report['package_bytes']} B ({mb_text(report['package_bytes'])})"),
+            ("memory", f"{report['memory_bytes']} B ({mb_text(report['memory_bytes'])})"),
+        ]),
+        "PASS" if report["passed"] else "FAIL",
+        *map(_violation_line, report["violations"]),
+    ])
 
 
 def cmd_validate(args, store: ProfileStore) -> int:
@@ -328,33 +337,34 @@ def cmd_validate(args, store: ProfileStore) -> int:
         raise ScenarioError(f"{scenario.path}: no provider given (scenario key or --provider)")
     if scenario.package is None:
         raise ScenarioError(f"{scenario.path}: validate needs a 'package' block")
-    if args.memory_mb is not None:
-        memory_bytes = args.memory_mb * MB
-    elif scenario.memory_bytes is not None:
-        memory_bytes = scenario.memory_bytes
-    else:
-        memory_bytes = 1024 * MB
+    memory_bytes = scenario.memory_bytes if args.memory_mb is None else args.memory_mb * MB
     plan = DeploymentPlan(provider=provider.name, package=scenario.package, memory_bytes=memory_bytes)
-    report = validate_plan(plan, provider)
-    if args.format == "json":
-        payload = validation_report_to_dict(report)
-        payload.update({
-            "provider": provider.name,
-            "package_bytes": plan.package.total_bytes,
-            "memory_bytes": plan.memory_bytes,
-        })
-        _emit(payload)
+    report = {
+        **validation_report_to_dict(validate_plan(plan, provider)),
+        "provider": provider.name,
+        "package_bytes": plan.package.total_bytes,
+        "memory_bytes": plan.memory_bytes,
+    }
+    _emit(args, report, _validate_table)
+    return 0 if report["passed"] else 1
+
+
+def _select_table(report: dict) -> str:
+    metric, selected, candidates = report["objective_metric"], report["selected"], report["candidates"]
+    if selected is not None:
+        winner = next(c for c in candidates if c["name"] == selected["name"])
+        head = (f"selected  {winner['name']}  {metric}={winner['score']:g}  "
+                f"package {mb_text(winner['package_bytes'])}")
     else:
-        print(f"provider  {provider.name}")
-        print(f"package   {plan.package.total_bytes} B ({mb_text(plan.package.total_bytes)})")
-        print(f"memory    {plan.memory_bytes} B ({mb_text(plan.memory_bytes)})")
-        if report.passed:
-            print("PASS")
-        else:
-            print("FAIL")
-            for v in report.violations:
-                print(_violation_line(v))
-    return 0 if report.passed else 1
+        head = f"no feasible model for {metric} within {mb_text(report['max_package_bytes'])}"
+    name_w = max((len(c["name"]) for c in candidates), default=0)
+    lines = [head, ""]
+    for c in candidates:
+        pkg = mb_text(c["package_bytes"]) if c["package_bytes"] is not None else "-"
+        score = f"{c['score']:g}" if c["score"] is not None else "-"
+        outcome = "feasible" if c["feasible"] else c["reason"]
+        lines.append(f"{c['name'].ljust(name_w)}  {pkg:>9}  {score:>7}  {outcome}")
+    return "\n".join(lines)
 
 
 def cmd_select(args, store: ProfileStore) -> int:
@@ -363,7 +373,7 @@ def cmd_select(args, store: ProfileStore) -> int:
     models = store.catalog(args.catalog)
     runtime = store.runtime(args.runtime)
     if args.max_package_mb is not None:
-        budget = round(args.max_package_mb * MB)
+        budget = mb_bytes(args.max_package_mb)
     elif args.provider:
         cap = store.provider(args.provider).max_package_bytes
         if isinstance(cap, Unlimited):
@@ -375,61 +385,32 @@ def cmd_select(args, store: ProfileStore) -> int:
         raise ScenarioError("select needs --provider or --max-package-mb")
     constraints = catalog_mod.SelectionConstraints(
         max_package_bytes=budget,
-        code_bytes=round(args.code_mb * MB),
+        code_bytes=mb_bytes(args.code_mb),
         runtime=runtime,
         objective_metric=args.metric,
         min_score=args.min_score,
     )
     evaluations = catalog_mod.evaluate_candidates(models, constraints)
-    feasible = [ev for ev in evaluations if ev.feasible]
     selected = None
-    if feasible:
+    if any(ev.feasible for ev in evaluations):
         selected = catalog_mod.select_model(models, constraints)
-
-    if args.format == "json":
-        _emit({
-            "selected": None if selected is None else _model_dict(selected),
-            "objective_metric": args.metric,
-            "max_package_bytes": budget,
-            "candidates": [
-                {
-                    "name": ev.model.name,
-                    "package_bytes": ev.package_bytes,
-                    "score": ev.score,
-                    "feasible": ev.feasible,
-                    "reason": ev.reason,
-                }
-                for ev in evaluations
-            ],
-        })
-    else:
-        if selected is not None:
-            score = selected.score(args.metric)
-            print(
-                f"selected  {selected.name}  {args.metric}={score:g}  "
-                f"package {mb_text(constraints.code_bytes + runtime.size_bytes + selected.size_bytes)}"
-            )
-        else:
-            print(f"no feasible model for {args.metric} within {mb_text(budget)}")
-        print()
-        name_w = max(len(ev.model.name) for ev in evaluations) if evaluations else 4
-        for ev in evaluations:
-            outcome = "feasible" if ev.feasible else ev.reason
-            pkg = mb_text(ev.package_bytes) if ev.package_bytes is not None else "-"
-            score = f"{ev.score:g}" if ev.score is not None else "-"
-            print(f"{ev.model.name.ljust(name_w)}  {pkg:>9}  {score:>7}  {outcome}")
+    report = {
+        "selected": None if selected is None else asdict(selected),
+        "objective_metric": args.metric,
+        "max_package_bytes": budget,
+        "candidates": [
+            {
+                "name": ev.model.name,
+                "package_bytes": ev.package_bytes,
+                "score": ev.score,
+                "feasible": ev.feasible,
+                "reason": ev.reason,
+            }
+            for ev in evaluations
+        ],
+    }
+    _emit(args, report, _select_table)
     return 0 if selected is not None else 1
-
-
-def _sweep_rows(scenario: Scenario, pricing, sweep_mb: list[int]):
-    from .simulator import simulate
-
-    rows = []
-    for memory_mb in sweep_mb:
-        config = replace(scenario.sim_config, memory_bytes=memory_mb * MB)
-        result = simulate(scenario.profile, scenario.traffic, config, pricing)
-        rows.append((memory_mb, result))
-    return rows
 
 
 @contextlib.contextmanager
@@ -441,9 +422,38 @@ def _writing(path: Path):
         raise FaasPlanError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
 
+# Columns of the sweep CSV: a sweep row's keys, its latency summary's keys in between.
+_SWEEP_CSV = ("memory_mb", "count", "mean_ms", "q50_ms", "q95_ms", "q99_ms",
+              "cold_fraction", "total_billed_gb_s")
+
+
+def _sweep_table(report: dict) -> str:
+    from .metrics import format_summary_table, summary_from_dict
+
+    return format_summary_table(
+        (f"{row['memory_mb']} MB", summary_from_dict(row["latency_summary"]))
+        for row in report["sweep"] if row["latency_summary"] is not None
+    )
+
+
+def _result_table(result) -> str:
+    from .metrics import format_summary_table
+
+    lines = []
+    if result.latency_summary is not None:
+        lines.append(format_summary_table({"latency_ms": result.latency_summary}))
+    lines += ["", _fields([
+        ("requests", len(result.records)),
+        ("instances", len({r.instance_id for r in result.records})),
+        ("cold fraction", f"{result.cold_fraction:.4f}"),
+        ("billed GB-seconds", f"{result.total_billed_gb_s:.6f}"),
+    ], gap=" ")]
+    return "\n".join(lines)
+
+
 def cmd_simulate(args, store: ProfileStore) -> int:
-    from .metrics import format_summary_table, summary_to_dict
-    from .simulator import export_result_csv, render_result_json, save_result_json, simulate
+    from .simulator import (export_result_csv, render_result_json, result_header, save_result_json,
+                            simulate)
 
     scenario = load_scenario(args.scenario, store, seed_override=args.seed)
     for field_name in ("profile", "traffic", "sim_config"):
@@ -452,59 +462,27 @@ def cmd_simulate(args, store: ProfileStore) -> int:
             raise ScenarioError(f"{scenario.path}: simulate needs a {block!r} block")
     pricing = scenario.pricing or store.pricing_profile("aws")
 
-    sweep_mb = None
-    if args.memory_sweep:
-        sweep_mb = args.memory_sweep
-    elif scenario.memory_sweep_mb:
-        sweep_mb = scenario.memory_sweep_mb
-
+    sweep_mb = args.memory_sweep or scenario.memory_sweep_mb
     if sweep_mb:
-        rows = _sweep_rows(scenario, pricing, sweep_mb)
-        if args.format == "json":
-            _emit({
-                "sweep": [
-                    {
-                        "memory_mb": memory_mb,
-                        "cold_fraction": result.cold_fraction,
-                        "total_billed_gb_s": result.total_billed_gb_s,
-                        "latency_summary": (
-                            None if result.latency_summary is None
-                            else summary_to_dict(result.latency_summary)
-                        ),
-                    }
-                    for memory_mb, result in rows
-                ],
-            })
-        else:
-            print(format_summary_table(
-                (f"{memory_mb} MB", result.latency_summary)
-                for memory_mb, result in rows if result.latency_summary is not None
-            ))
+        rows = []
+        for memory_mb in sweep_mb:
+            config = replace(scenario.sim_config, memory_bytes=memory_mb * MB)
+            row = {"memory_mb": memory_mb,
+                   **result_header(simulate(scenario.profile, scenario.traffic, config, pricing))}
+            del row["memory_bytes"]  # the row's memory_mb says it
+            rows.append(row)
+        _emit(args, {"sweep": rows}, _sweep_table)
         if args.out:
             out = Path(f"{args.out}_sweep.csv")
             with _writing(out), open(out, "w") as fh:
-                fh.write("memory_mb,count,mean_ms,q50_ms,q95_ms,q99_ms,cold_fraction,total_billed_gb_s\n")
-                for memory_mb, result in rows:
-                    s = result.latency_summary
-                    fh.write(
-                        f"{memory_mb},{s.count if s else 0},"
-                        f"{s.mean if s else ''},{s.q50 if s else ''},{s.q95 if s else ''},"
-                        f"{s.q99 if s else ''},{result.cold_fraction},{result.total_billed_gb_s}\n"
-                    )
+                fh.write(",".join(_SWEEP_CSV) + "\n")
+                for row in rows:
+                    cells = {**row, **(row["latency_summary"] or {"count": 0})}
+                    fh.write(",".join(str(cells.get(key, "")) for key in _SWEEP_CSV) + "\n")
         return 0
 
     result = simulate(scenario.profile, scenario.traffic, scenario.sim_config, pricing)
-    if args.format == "json":
-        print(render_result_json(result))
-    else:
-        if result.latency_summary is not None:
-            print(format_summary_table({"latency_ms": result.latency_summary}))
-        n_instances = len({r.instance_id for r in result.records})
-        print()
-        print(f"requests          {len(result.records)}")
-        print(f"instances         {n_instances}")
-        print(f"cold fraction     {result.cold_fraction:.4f}")
-        print(f"billed GB-seconds {result.total_billed_gb_s:.6f}")
+    _emit(args, result, _result_table, render_result_json)
     if args.out:
         csv_path, json_path = Path(f"{args.out}.csv"), Path(f"{args.out}.json")
         with _writing(csv_path):
@@ -522,14 +500,15 @@ def cmd_cost(args, store: ProfileStore) -> int:
     try:
         report = _cost_report(args, store)
         cost_mod.check_printable(report)
-        text = (json.dumps(cost_mod.cost_report_to_dict(report), indent=2) if args.format == "json"
-                else cost_mod.render_cost_table(report))
+        _emit(args, report, cost_mod.render_cost_table,
+              lambda r: json.dumps(cost_mod.cost_report_to_dict(r), indent=2))
     except (OverflowError, decimal.DecimalException) as exc:
         # Finite but huge or tiny prices and horizons give amounts that
-        # check_printable refuses, or that overflow the Decimal arithmetic.
-        raise FaasPlanError("cost: amounts too large to price; check --vm, --months and the "
+        # check_printable refuses (Underflow when too close to 0), or that
+        # overflow the Decimal arithmetic.
+        size = "small" if isinstance(exc, decimal.Underflow) else "large"
+        raise FaasPlanError(f"cost: amounts too {size} to price; check --vm, --months and the "
                             f"scenario's cost and vm blocks ({type(exc).__name__})") from exc
-    print(text)
     return 0
 
 
@@ -577,10 +556,29 @@ def _cost_report(args, store: ProfileStore) -> CostReport:
             return cost_mod.cost_from_samples(samples, pricing, baseline, memory_bytes, months)
 
 
+def _bench_table(report: dict) -> str:
+    from .metrics import format_summary_table, summary_from_dict
+
+    errors = " ".join(f"{k}={v}" for k, v in sorted(report["errors"].items())) or "none"
+    lines = [_fields([
+        ("attempts", report["attempts"]),
+        ("samples", report["samples"]),
+        ("warmup excluded", report["warmup_excluded"]),
+        ("errors", errors),
+        ("max schedule error", f"{report['max_schedule_error_ms']:.2f} ms"),
+    ])]
+    summaries = [(label, summary_from_dict(report[key]))
+                 for label, key in (("latency_ms", "summary"), ("server_ms", "server_exec_summary"))
+                 if report[key] is not None]
+    if summaries:
+        lines += ["", format_summary_table(summaries)]
+    return "\n".join(lines)
+
+
 def cmd_bench(args, store: ProfileStore) -> int:
     # Only bench needs the HTTP stack; the planner commands never load it.
     from .harness import BenchRun, BenchTarget, StubServer, export_run, run_bench
-    from .metrics import format_summary_table, summarize, summary_to_dict
+    from .metrics import summarize, summary_to_dict
     from .simulator import TrafficPattern
 
     if not args.url and not args.stub:
@@ -628,34 +626,16 @@ def cmd_bench(args, store: ProfileStore) -> int:
 
     summary = summarize(result.samples) if len(result.samples) else None
     server_summary = summarize(result.server_exec) if result.server_exec else None
-    if args.format == "json":
-        _emit({
-            "attempts": result.attempts,
-            "samples": len(result.samples),
-            "warmup_excluded": result.warmup_excluded,
-            "errors": dict(result.errors),
-            "error_ratio": result.error_ratio,
-            "max_schedule_error_ms": result.max_schedule_error_ms,
-            "summary": None if summary is None else summary_to_dict(summary),
-            "server_exec_summary": None if server_summary is None else summary_to_dict(server_summary),
-        })
-    else:
-        print(f"attempts            {result.attempts}")
-        print(f"samples             {len(result.samples)}")
-        print(f"warmup excluded     {result.warmup_excluded}")
-        error_text = (
-            " ".join(f"{k}={v}" for k, v in sorted(result.errors.items())) or "none"
-        )
-        print(f"errors              {error_text}")
-        print(f"max schedule error  {result.max_schedule_error_ms:.2f} ms")
-        if summary is not None or server_summary is not None:
-            print()
-            rows = []
-            if summary is not None:
-                rows.append(("latency_ms", summary))
-            if server_summary is not None:
-                rows.append(("server_ms", server_summary))
-            print(format_summary_table(rows))
+    _emit(args, {
+        "attempts": result.attempts,
+        "samples": len(result.samples),
+        "warmup_excluded": result.warmup_excluded,
+        "errors": dict(result.errors),
+        "error_ratio": result.error_ratio,
+        "max_schedule_error_ms": result.max_schedule_error_ms,
+        "summary": None if summary is None else summary_to_dict(summary),
+        "server_exec_summary": None if server_summary is None else summary_to_dict(server_summary),
+    }, _bench_table)
     if args.out:
         export_run(result, args.out)
     if args.max_error_ratio is not None and result.error_ratio > args.max_error_ratio:
@@ -699,8 +679,10 @@ _finite_decimal = _finite(Decimal)
 def _megabytes(text: str) -> float:
     """A size flag in MB: a finite float that stays finite in bytes."""
     value = _finite_float(text)
-    if not math.isfinite(value * MB):
-        raise argparse.ArgumentTypeError(f"too large for a size in bytes, got {text!r}")
+    try:
+        mb_bytes(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
     return value
 
 
@@ -826,7 +808,7 @@ def main(argv=None) -> int:
     except PreflightError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for v in exc.report.violations:
-            print(_violation_line(v), file=sys.stderr)
+            print(_violation_line(asdict(v)), file=sys.stderr)
         return 1
     except FaasPlanError as exc:
         print(f"error: {exc}", file=sys.stderr)

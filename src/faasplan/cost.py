@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal, Underflow, localcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Union
@@ -297,7 +297,7 @@ _PRINTABLE_DIGITS = 24
 
 
 def check_printable(report: CostReport) -> None:
-    """Raise OverflowError when an amount of ``report`` is too far from 1 to print.
+    """Raise OverflowError (Underflow) when an amount of ``report`` is too large (small) to print.
 
     Nonzero totals, months and billed ms per request must lie in
     ``10**-24 <= |x| < 10**24``, and the break-even count below ``10**24``.
@@ -307,7 +307,9 @@ def check_printable(report: CostReport) -> None:
     assumptions = report.assumptions
     for amount in (report.serverless_total, report.vm_total, assumptions.months,
                    assumptions.billed_ms_per_request):
-        if amount and not -_PRINTABLE_DIGITS <= amount.adjusted() < _PRINTABLE_DIGITS:
+        if amount and amount.adjusted() < -_PRINTABLE_DIGITS:
+            raise Underflow(f"amount {amount:.3e} is too close to 0 to print")
+        if amount and amount.adjusted() >= _PRINTABLE_DIGITS:
             raise OverflowError(f"amount {amount:.3e} is too far from 1 to print")
     breakeven = report.breakeven_requests_per_month
     if breakeven is not None and breakeven >= 10**_PRINTABLE_DIGITS:

@@ -9,7 +9,7 @@ helping a single-request inference workload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
@@ -140,17 +140,7 @@ def validate_plan(plan: "DeploymentPlan", limits: ProviderLimits) -> ValidationR
 
 def validation_report_to_dict(report: ValidationReport) -> dict:
     """JSON-ready dict of the report."""
-    return {
-        "passed": report.passed,
-        "violations": [
-            {
-                "limit_name": v.limit_name,
-                "limit_value": v.limit_value,
-                "actual_value": v.actual_value,
-            }
-            for v in report.violations
-        ],
-    }
+    return {"passed": report.passed, "violations": [asdict(v) for v in report.violations]}
 
 
 def parse_provider_limits(payload: Mapping, source: str = "<providers>") -> dict[str, ProviderLimits]:

@@ -105,6 +105,8 @@ class LatencyProfile:
         for q, v in parsed:
             if not 0 < q <= 1:
                 raise DomainError(f"anchor quantile {q} outside (0, 1]")
+            if not math.isfinite(v):
+                raise DomainError(f"anchor duration {v} must be finite")
             if v < 0:
                 raise DomainError(f"anchor duration {v} must be non-negative")
         for (_, lo), (_, hi) in zip(parsed, parsed[1:]):
@@ -223,6 +225,7 @@ class TrafficPattern:
         """Evenly spaced trace: rate*duration requests with exact gaps."""
         if rate_rps < 0 or duration_s <= 0:
             raise DomainError("steady needs rate_rps >= 0 and duration_s > 0")
+        cls.poisson(rate_rps, duration_s)  # the finite checks of a pattern with the same fields
         n = round(rate_rps * duration_s)
         gap_ms = 1000.0 / rate_rps if rate_rps > 0 else 0.0
         return cls.trace([i * gap_ms for i in range(n)])
@@ -507,7 +510,8 @@ _JSON_RECORD = "    {\n" + ",\n".join(f'      "{key}": %s' for key in Invocation
 _CSV_ROW = "{!r},{!r},{},{}\r\n"
 
 
-def _result_header(result: SimulationResult) -> dict:
+def result_header(result: SimulationResult) -> dict:
+    """The JSON-ready fields of ``result`` other than its records."""
     return {
         "memory_bytes": result.memory_bytes,
         "cold_fraction": result.cold_fraction,
@@ -520,7 +524,7 @@ def _result_header(result: SimulationResult) -> dict:
 
 def result_to_dict(result: SimulationResult) -> dict:
     """JSON-ready dict carrying the full result, including billing detail."""
-    return {**_result_header(result), "records": [r._asdict() for r in result.records]}
+    return {**result_header(result), "records": [r._asdict() for r in result.records]}
 
 
 def render_result_json(result: SimulationResult) -> str:
@@ -531,7 +535,7 @@ def render_result_json(result: SimulationResult) -> str:
     joined through one template, which gives the same text several times
     faster. Only the header goes through the indented encoder.
     """
-    header = json.dumps({**_result_header(result), "records": []}, indent=2)
+    header = json.dumps({**result_header(result), "records": []}, indent=2)
     if not result.records:
         return header
     # A compact dump of a column of numbers and booleans is "[a, b, ...]".

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from typing import Union
 
 MB = 2**20
 GB = 2**30
+
+
+def mb_bytes(mb: float) -> int:
+    """Whole bytes in ``mb`` MB; ValueError unless that is a finite number of bytes."""
+    n_bytes = mb * MB
+    if not math.isfinite(n_bytes):
+        raise ValueError("too large for a size in bytes" if math.isfinite(mb)
+                         else "must be a finite number")
+    return round(n_bytes)
 
 
 def mb_text(n_bytes: int) -> str:

@@ -279,6 +279,79 @@ def test_bench_needs_url_or_stub(capsys):
     assert "bench needs --url" in capsys.readouterr().err
 
 
+TABLES = {
+    "validate-pass": (("validate", "--scenario", SCENARIOS / "tinybert_aws.json"), 0, """\
+provider  aws
+package   74448896 B (71 MB)
+memory    1073741824 B (1024 MB)
+PASS
+"""),
+    "validate-fail": (("validate", "--scenario", SCENARIOS / "bert_base_aws.json"), 1, """\
+provider  aws
+package   456130560 B (435 MB)
+memory    1073741824 B (1024 MB)
+FAIL
+  package_size: 456130560 B > 262144000 B limit
+"""),
+    "select": (("select", "--catalog", "sentiment", "--provider", "aws", "--metric", "f1_macro"), 0, """\
+selected  MobileBERT  f1_macro=0.84  package 113 MB
+
+BERT_BASE_GRU     441 MB        -  package 441 MB exceeds 250 MB budget
+BERT_BASE_CLS     435 MB        -  package 435 MB exceeds 250 MB budget
+TinyBERT           71 MB     0.82  feasible
+MobileBERT        113 MB     0.84  feasible
+"""),
+    "select-none-feasible": (("select", "--catalog", "sentiment", "--provider", "aws",
+                              "--metric", "f1_macro", "--min-score", "0.99"), 1, """\
+no feasible model for f1_macro within 250 MB
+
+BERT_BASE_GRU     441 MB        -  package 441 MB exceeds 250 MB budget
+BERT_BASE_CLS     435 MB        -  package 435 MB exceeds 250 MB budget
+TinyBERT           71 MB     0.82  f1_macro 0.82 below minimum 0.99
+MobileBERT        113 MB     0.84  f1_macro 0.84 below minimum 0.99
+"""),
+    "simulate": (("simulate", "--scenario", SCENARIOS / "smobilebert_replay.json"), 0, """\
+            count   mean    q50    q95     q99
+latency_ms   5000  56.91  50.64  83.97  103.68
+
+requests          5000
+instances         6
+cold fraction     0.0012
+billed GB-seconds 287.021000
+"""),
+    "simulate-sweep": (("simulate", "--scenario", SCENARIOS / "memory_sweep.json"), 0, """\
+         count    mean     q50     q95     q99
+256 MB     500  227.08  200.16  318.42  419.84
+512 MB     500  113.54  100.08  159.21  209.92
+1024 MB    500   56.77   50.04   79.61  104.96
+2048 MB    500   32.86   28.97   46.08   60.76
+4096 MB    500   32.86   28.97   46.08   60.76
+"""),
+    "cost": (("cost", "--scenario", SCENARIOS / "million_predictions.json"), 0, """\
+requests                 1000000
+billed ms/request        100
+memory                   1024 MB
+serverless total (USD)   1.8667
+vm baseline (USD/month)  8.00
+break-even               4285707 requests/month (~1.65 rps)
+"""),
+    "bench-no-requests": (("bench", "--stub", "--rate", "0"), 0, """\
+attempts            0
+samples             0
+warmup excluded     0
+errors              none
+max schedule error  0.00 ms
+"""),
+}
+
+
+@pytest.mark.parametrize("case", list(TABLES))
+def test_table_output_is_pinned(capsys, case):
+    argv, expected_code, expected_out = TABLES[case]
+    code = run_cli(*argv)
+    assert (code, capsys.readouterr().out) == (expected_code, expected_out)
+
+
 def test_unknown_provider_exits_2(capsys):
     code = run_cli("validate", "--scenario", SCENARIOS / "tinybert_aws.json",
                    "--provider", "ibm")
@@ -378,6 +451,51 @@ BAD_SCENARIO_VALUES = {
         "simulate", "smobilebert_replay.json",
         lambda d: d["profile"].update(n_samples=1),
         "profile: n_samples=1 is too small to separate the anchor quantiles"),
+    # A size in MB must stay finite in bytes, as the MB flags must.
+    "memory-mb-huge": (
+        "validate", "tinybert_aws.json", lambda d: d.update(memory_mb=1e308),
+        "memory_mb: too large for a size in bytes, got 1e+308"),
+    "memory-mb-infinite": (
+        "validate", "tinybert_aws.json", lambda d: d.update(memory_mb=math.inf),
+        "memory_mb: must be a finite number, got inf"),
+    "memory-mb-nan": (
+        "validate", "tinybert_aws.json", lambda d: d.update(memory_mb=math.nan),
+        "memory_mb: must be a finite number, got nan"),
+    "code-mb-infinite": (
+        "validate", "tinybert_aws.json", lambda d: d["package"].update(code_mb=math.inf),
+        "package: code_mb: must be a finite number, got inf"),
+    "reference-memory-huge": (
+        "simulate", "smobilebert_replay.json",
+        lambda d: d["profile"].update(reference_memory_mb=1e308),
+        "profile: reference_memory_mb: too large for a size in bytes, got 1e+308"),
+    "mb-per-full-cpu-nan": (
+        "simulate", "smobilebert_replay.json",
+        lambda d: d["simulation"].update(scaling={"mb_per_full_cpu": math.nan}),
+        "simulation: scaling: mb_per_full_cpu: must be a finite number, got nan"),
+    "cost-memory-huge": (
+        "cost", "million_predictions.json", lambda d: d["cost"].update(memory_mb=-1e308),
+        "cost: memory_mb: too large for a size in bytes, got -1e+308"),
+    "steady-rate-nan": (
+        "simulate", "smobilebert_replay.json", lambda d: d["traffic"].update(rate_rps=math.nan),
+        "traffic: rate_rps must be finite, got nan"),
+    "steady-duration-infinite": (
+        "simulate", "smobilebert_replay.json", lambda d: d["traffic"].update(duration_s=math.inf),
+        "traffic: duration_s must be finite, got inf"),
+    "anchor-duration-nan": (
+        "simulate", "smobilebert_replay.json",
+        lambda d: d["profile"]["quantile_anchors"].update({"0.99": math.nan}),
+        "profile: anchor duration nan must be finite"),
+    # Non-finite amounts are named by file and key, not reported as unpriceable.
+    "months-nan": (
+        "cost", "million_predictions.json", lambda d: d["cost"].update(months=math.nan),
+        "cost: months: must be a finite number, got nan"),
+    "billed-ms-infinite": (
+        "cost", "million_predictions.json",
+        lambda d: d["cost"].update(billed_ms_per_request=math.inf),
+        "cost: billed_ms_per_request: must be a finite number, got inf"),
+    "vm-price-infinite": (
+        "cost", "million_predictions.json", lambda d: d["vm"].update(monthly_price=-math.inf),
+        "vm: monthly_price: must be a finite number, got -inf"),
 }
 
 
@@ -418,6 +536,23 @@ BAD_FIXTURE_VALUES = {
              "max_memory_bytes": 10737418240, "max_request_bytes": 6291456}]},
         ("validate", "--scenario", SCENARIOS / "tinybert_aws.json"),
         "provider entry: unknown keys ['max_execution_ms']"),
+    "pricing-rate-nan": (
+        "pricing.json",
+        {"version": 1, "profiles": [
+            {"name": "aws", "per_million_requests": 0.2, "per_gb_second": math.nan}]},
+        ("cost", "--scenario", SCENARIOS / "million_predictions.json"),
+        "profile 'aws': per_gb_second: must be a finite number, got nan"),
+    "runtime-size-infinite": (
+        "runtimes.json",
+        {"version": 1, "runtimes": [
+            {"name": "onnxruntime", "size_mb": math.inf, "model_formats": ["onnx"]}]},
+        ("validate", "--scenario", SCENARIOS / "tinybert_aws.json"),
+        "runtime 'onnxruntime': size_mb: must be a finite number, got inf"),
+    "catalog-size-huge": (
+        "models.json",
+        {"version": 1, "models": [{"name": "big", "size_mb": 1e308, "format": "onnx"}]},
+        ("select", "--catalog", "models.json", "--provider", "aws", "--metric", "f1_macro"),
+        "model 'big': size_mb: too large for a size in bytes, got 1e+308"),
 }
 
 
@@ -602,9 +737,9 @@ MILLION = ("cost", "--scenario", SCENARIOS / "million_predictions.json")
     ((*MILLION, "--vm", "1e999999", "--format", "json"), "error: cost: amounts too large to price"),
     ((*MILLION, "--months", "1e999999", "--format", "json"),
      "error: cost: amounts too large to price"),
-    ((*MILLION, "--months", "1e-999999"), "error: cost: amounts too large to price"),
+    ((*MILLION, "--months", "1e-999999"), "error: cost: amounts too small to price"),
     ((*MILLION, "--months", "1e-999999", "--format", "json"),
-     "error: cost: amounts too large to price"),
+     "error: cost: amounts too small to price"),
 ], ids=["select-max-package-mb", "cost-vm", "cost-months", "cost-vm-json", "cost-months-json",
         "cost-months-tiny", "cost-months-tiny-json"])
 def test_huge_finite_flag_exits_2(capsys, argv, message):
@@ -693,13 +828,17 @@ PLANNER_COMMANDS = {
 }
 
 
-@pytest.fixture(scope="module", params=list(PLANNER_COMMANDS))
+# Both formats: perfbench times the JSON output, users read the table.
+@pytest.fixture(scope="module",
+                params=[(name, fmt) for fmt in ("table", "json") for name in PLANNER_COMMANDS],
+                ids=lambda param: param[0] if param[1] == "table" else f"{param[0]}-json")
 def planner_footprint(request, saved_result):
     """Heavy modules, faasplan modules and forbidden modules of one planner command."""
-    argv, unused = PLANNER_COMMANDS[request.param]
+    name, fmt = request.param
+    argv, unused = PLANNER_COMMANDS[name]
     if argv[1] == "--result":
         argv = ("cost", "--result", f"{saved_result}{argv[2]}")
-    return (*footprint(*argv), unused)
+    return (*footprint(*argv, "--format", fmt), unused)
 
 
 def test_planner_commands_load_no_numpy_or_http_stack(planner_footprint):

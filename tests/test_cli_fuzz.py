@@ -11,6 +11,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -30,6 +31,8 @@ RETYPES = {
     "list": lambda value: [value],
     "null": lambda value: None,
     "bool": lambda value: True,
+    "nan": lambda value: math.nan,
+    "inf": lambda value: math.inf,
 }
 
 
@@ -101,7 +104,7 @@ def test_mutated_scenarios_exit_cleanly(doc):
 RESULT = result_to_dict(simulate(
     LatencyProfile.from_quantile_anchors({0.5: 20.0, 0.99: 80.0}, 100, GB),
     TrafficPattern.poisson(5, 1), SimulationConfig(seed=1, memory_bytes=GB), load_pricing()["aws"]))
-RESULT_RETYPES = {**RETYPES, "nan": lambda value: float("nan"), "negative": lambda value: -1}
+RESULT_RETYPES = {**RETYPES, "negative": lambda value: -1}
 RESULT_KEYS = sorted({path[-1] for path in _paths(RESULT)})
 
 
