@@ -9,11 +9,11 @@ agree byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import _schema
+from ._record import dataclass, field
 from .errors import CatalogError, DomainError, NoFeasibleModelError
 from .packaging import DeploymentPackage, RuntimeLibrary
 from .units import mb_text

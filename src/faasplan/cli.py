@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
 from decimal import Decimal
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -24,6 +23,7 @@ from typing import TYPE_CHECKING
 # Each command imports the faasplan modules it runs inside the functions
 # that run them, so a short-lived process pays only for what it uses.
 from . import _schema
+from ._record import asdict, dataclass, replace
 from ._schema import Block
 from .errors import DomainError, FaasPlanError, PreflightError, ScenarioError
 from .units import MB, UNLIMITED, Unlimited, mb_bytes, mb_text

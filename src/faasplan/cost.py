@@ -9,13 +9,13 @@ nearest binary float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, Underflow, localcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Union
 
 from . import _schema
+from ._record import dataclass
 from .errors import DomainError, ScenarioError
 from .units import GB, mb_text
 
@@ -114,23 +114,29 @@ class CostReport:
 def round_up(value, step):
     """Smallest multiple of ``step`` at or above ``value``.
 
-    Exact for integers and Fractions, which is how every billed duration
-    is rounded: durations already on a step boundary never move up.
+    Exact for integers, which is how the simulator rounds billed
+    microseconds: durations already on a step boundary never move up.
     """
     return -(-value // step) * step
 
 
-def billed_duration(exec_ms: float, granularity_ms: int) -> float:
-    """Smallest multiple of the granularity at or above ``exec_ms``.
+def ceil_ms(duration_ms: float, granularity_ms: int) -> int:
+    """``duration_ms`` rounded up to a whole multiple of ``granularity_ms``.
 
-    The rounding happens in exact rational arithmetic, so durations that
+    Exact: the float's own integer ratio is rounded, so durations that
     already sit on a granularity boundary are never pushed up a step.
     """
+    p, q = duration_ms.as_integer_ratio()
+    return -(-p // (q * granularity_ms)) * granularity_ms
+
+
+def billed_duration(exec_ms: float, granularity_ms: int) -> float:
+    """Smallest multiple of the granularity at or above ``exec_ms`` (see ``ceil_ms``)."""
     if exec_ms < 0 or not math.isfinite(exec_ms):
         raise DomainError(f"exec_ms must be finite and non-negative, got {exec_ms}")
     if granularity_ms < 1:
         raise DomainError(f"granularity_ms must be at least 1, got {granularity_ms}")
-    return float(round_up(Fraction(exec_ms), granularity_ms))
+    return float(ceil_ms(exec_ms, granularity_ms))
 
 
 def serverless_cost(
@@ -286,7 +292,7 @@ def cost_from_samples(
 ) -> CostReport:
     """Bill measured durations (one request each), rounding each up to the granularity."""
     granularity = pricing.billing_granularity_ms
-    billed_total_ms = sum(round_up(Fraction(v), granularity) for v in samples.values)
+    billed_total_ms = sum(ceil_ms(v, granularity) for v in samples.values)
     return _report_from_billed(len(samples), billed_total_ms, memory_bytes, pricing, baseline, months)
 
 

@@ -15,12 +15,12 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Mapping
 from urllib.parse import urlsplit
 
+from ._record import dataclass, field
 from .errors import DomainError, FaasPlanError, PreflightError
 from .metrics import DEFAULT_WARMUP, SampleSet, warmup_filter, write_samples_csv
 from .providers import ProviderLimits, ValidationReport, Violation

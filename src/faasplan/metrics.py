@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
+from ._record import dataclass
 from .errors import DomainError
 
 CSV_HEADER = ("timestamp_ms", "duration_ms", "cold", "instance")

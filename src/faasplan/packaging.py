@@ -8,11 +8,11 @@ would deploy and then fail on first invocation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import _schema
+from ._record import dataclass
 from .errors import DomainError, IncompatibleFormatError, ScenarioError
 from .providers import ProviderLimits
 from .units import MB, Limit, Unlimited

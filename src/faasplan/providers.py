@@ -9,11 +9,11 @@ helping a single-request inference workload.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 from . import _schema
+from ._record import asdict, dataclass
 from .errors import DomainError, ScenarioError
 from .units import MB, UNLIMITED, Limit, Unlimited
 

@@ -16,13 +16,13 @@ import json
 import math
 import operator
 import reprlib
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence, Union
 
 from . import _schema
+from ._record import dataclass
 from .cost import PricingModel, round_up
 from .errors import DomainError, ScenarioError
 from .metrics import (
@@ -53,6 +53,9 @@ _HEAD_FACTOR = Fraction(0.8)
 _TAIL_FACTOR = Fraction(1.05)
 # Most exponential gaps drawn at once for a Poisson segment.
 _MAX_BLOCK = 1 << 16
+# Most requests a traffic pattern may expect. Arrivals are built as whole
+# lists, so a larger count would fill memory before a run could start.
+MAX_REQUESTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -175,6 +178,7 @@ class TrafficPattern:
                 raise DomainError("rate_rps must be non-negative")
             if self.duration_s <= 0:
                 raise DomainError("duration_s must be positive")
+            self._check_count(self.rate_rps * self.duration_s)
         elif self.kind == "on_off_burst":
             self._require(
                 high_rate=self.high_rate, low_rate=self.low_rate,
@@ -186,6 +190,13 @@ class TrafficPattern:
                 raise DomainError("period_s and duration_s must be positive")
             if not 0 <= self.duty <= 1:
                 raise DomainError(f"duty must lie in [0, 1], got {self.duty}")
+            # Whole periods, then the last partial one, which starts high.
+            full, rest = divmod(self.duration_s, self.period_s)
+            high_s = self.duty * self.period_s
+            self._check_count(
+                full * (high_s * self.high_rate + (self.period_s - high_s) * self.low_rate)
+                + min(rest, high_s) * self.high_rate + max(rest - high_s, 0.0) * self.low_rate
+            )
         else:
             if self.timestamps is None:
                 raise DomainError("trace_replay requires timestamps")
@@ -197,6 +208,10 @@ class TrafficPattern:
                 if previous is not None and t < previous:
                     raise DomainError("trace timestamps must be non-decreasing")
                 previous = t
+
+    def _check_count(self, expected: float) -> None:
+        if expected > MAX_REQUESTS:
+            raise DomainError(f"expected request count {expected:g} exceeds the limit of {MAX_REQUESTS:,}")
 
     def _require(self, **fields):
         missing = [name for name, value in fields.items() if value is None]
@@ -225,7 +240,7 @@ class TrafficPattern:
         """Evenly spaced trace: rate*duration requests with exact gaps."""
         if rate_rps < 0 or duration_s <= 0:
             raise DomainError("steady needs rate_rps >= 0 and duration_s > 0")
-        cls.poisson(rate_rps, duration_s)  # the finite checks of a pattern with the same fields
+        cls.poisson(rate_rps, duration_s)  # the finite and count checks of the same fields
         n = round(rate_rps * duration_s)
         gap_ms = 1000.0 / rate_rps if rate_rps > 0 else 0.0
         return cls.trace([i * gap_ms for i in range(n)])

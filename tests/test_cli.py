@@ -1,5 +1,6 @@
 import json
 import math
+import resource
 import subprocess
 import sys
 from decimal import Decimal
@@ -516,6 +517,45 @@ def test_infinite_traffic_rate_exits_2(tmp_path, capsys):
         2, f"error: {path}: traffic: rate_rps must be finite, got inf\n")
 
 
+def _cap_address_space():
+    # A regression then ends in a MemoryError here, not on the host's memory.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_capped(*argv):
+    proc = subprocess.run([sys.executable, "-m", "faasplan.cli", *map(str, argv)],
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=_cap_address_space)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("traffic, count", [
+    ({"kind": "steady", "rate_rps": 1e9, "duration_s": 1}, "1e+09"),
+    ({"kind": "poisson", "rate_rps": 1e9, "duration_s": 1}, "1e+09"),
+    ({"kind": "burst", "high_rate": 4e7, "low_rate": 1e6, "period_s": 10, "duty": 0.5,
+      "duration_s": 25}, "6.1e+08"),
+    ({"kind": "steady", "rate_rps": 1e300, "duration_s": 1e300}, "inf"),
+], ids=["steady", "poisson", "burst", "overflowing"])
+def test_oversized_traffic_exits_2_before_allocating(tmp_path, traffic, count):
+    # Arrival lists of this size once filled memory.
+    path = scenario_file(tmp_path, "smobilebert_replay.json", lambda d: d.update(traffic=traffic))
+    assert run_capped("simulate", "--scenario", path) == (
+        2, "", f"error: {path}: traffic: expected request count {count} exceeds the limit of "
+               "10,000,000\n")
+
+
+@pytest.mark.parametrize("pattern", ["steady", "poisson"])
+def test_oversized_bench_rate_exits_2_before_allocating(pattern):
+    assert run_capped("bench", "--stub", "--pattern", pattern, "--rate", "1e9", "--duration", "1") == (
+        2, "", "error: expected request count 1e+09 exceeds the limit of 10,000,000\n")
+
+
+def test_traffic_at_the_request_limit_is_accepted():
+    from faasplan.simulator import MAX_REQUESTS, TrafficPattern
+    assert TrafficPattern.poisson(MAX_REQUESTS / 10, 10).rate_rps == MAX_REQUESTS / 10
+    assert TrafficPattern.burst(MAX_REQUESTS / 5, 0, 10, 0.5, 10).high_rate == MAX_REQUESTS / 5
+
+
 BAD_FIXTURE_VALUES = {
     "pricing-rate-not-a-number": (
         "pricing.json",
@@ -787,13 +827,18 @@ def test_negative_seed_flag_is_a_usage_error(capsys, argv):
     assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
 
 
+# Modules a planner command must not pay for: numpy and the HTTP stack it
+# does not run, and dataclasses with the inspect module it loads.
+HEAVY = {"numpy", "http.server", "asyncio", "dataclasses", "inspect"}
+
 # Runs one command in a fresh interpreter, then names the heavy modules it
 # loaded on one line and the faasplan submodules on the next.
-FOOTPRINT = """\
+FOOTPRINT = f"""\
 import sys
+HEAVY = {HEAVY!r}
 from faasplan.cli import _finite_decimal, _finite_float, build_parser, main
 code = main(sys.argv[1:])
-print(*sorted({"numpy", "http.server", "asyncio"} & sys.modules.keys()), file=sys.stderr)
+print(*sorted(HEAVY & sys.modules.keys()), file=sys.stderr)
 print(*sorted(m.split(".")[1] for m in sys.modules if m.startswith("faasplan.")), file=sys.stderr)
 sys.exit(code)
 """
@@ -844,6 +889,15 @@ def planner_footprint(request, saved_result):
 def test_planner_commands_load_no_numpy_or_http_stack(planner_footprint):
     heavy, _, _ = planner_footprint
     assert heavy == []
+
+
+def test_harness_import_loads_no_dataclasses_or_inspect():
+    # perfbench's stub child imports only this module.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, faasplan.harness; "
+                               "print(*sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"],
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
 def test_planner_commands_load_only_the_modules_they_run(planner_footprint):

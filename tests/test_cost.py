@@ -26,9 +26,11 @@ from faasplan import (
     vm_baseline_cost,
 )
 from faasplan.cost import (
+    ceil_ms,
     cost_from_samples,
     parse_pricing,
     render_cost_table,
+    round_up,
 )
 from faasplan.metrics import SampleSet
 from faasplan.simulator import InvocationRecord, SimulationResult
@@ -65,6 +67,24 @@ def test_billed_duration_rejects_bad_inputs():
         billed_duration(float("inf"), 1)
     with pytest.raises(DomainError):
         billed_duration(10.0, 0)
+
+
+GRANULARITIES = st.sampled_from([1, 100]) | st.integers(1, 10**4)
+
+
+@given(
+    value=st.floats(0, allow_nan=False, allow_infinity=False)  # subnormals and values near 1e308
+    | st.builds(lambda k, g: float(k * g), st.integers(0, 10**6), st.sampled_from([1, 100])),  # exact multiples
+    granularity=GRANULARITIES,
+)
+def test_ceil_ms_matches_exact_rational_round_up(value, granularity):
+    assert ceil_ms(value, granularity) == round_up(Fraction(value), granularity)
+
+
+@pytest.mark.parametrize("value", [0.0, 5e-324, 2.2250738585072014e-308, 1.0, 100.0, 1e308, 1.7976931348623157e308])
+@pytest.mark.parametrize("granularity", [1, 100])
+def test_ceil_ms_matches_exact_rational_round_up_at_the_edges(value, granularity):
+    assert ceil_ms(value, granularity) == round_up(Fraction(value), granularity)
 
 
 def test_coarser_multiple_granularity_never_cheaper():
