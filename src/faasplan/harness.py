@@ -3,9 +3,11 @@
 Requests leave on the traffic pattern's schedule regardless of how slowly
 responses come back, so queueing delay shows up in the measurements
 instead of silently throttling the generator. One asyncio event loop
-paces the sends and runs every request as a task on a fresh connection,
-so a run holds no thread per request however many are in flight. A
-built-in stub responder makes fully offline runs possible.
+paces the sends and runs every request as a task, so a run holds no
+thread per request however many are in flight. A request reuses an idle
+HTTP/1.1 connection when one is free and opens a new one otherwise, so a
+sample pays a TCP or TLS handshake only when no idle connection is left.
+A built-in stub responder makes fully offline runs possible.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ _START_LEAD_S = 0.05
 # epoll rounds its timeout up to whole ms), so the pacer sleeps to this
 # far before each send and covers the rest in short naps.
 _NAP_S = 0.015
+# How often the stub's accept loop checks for shutdown: the most that
+# StubServer.stop() waits.
+_STUB_POLL_S = 0.01
 
 
 @dataclass(frozen=True)
@@ -165,6 +170,11 @@ def _server_ms(text: str | None) -> float | None:
     return value if 0 <= value < float("inf") else None
 
 
+def _tokens(value: str) -> set[str]:
+    """The lower-cased tokens of a comma-separated header value such as ``Connection``'s."""
+    return {token.strip().lower() for token in value.split(",")}
+
+
 def _by_send_time(pairs: list[tuple[float, float]]) -> SampleSet:
     """Samples from ``(sent_ms, value)`` pairs, by send time; completion order breaks ties."""
     pairs = sorted(pairs, key=lambda pair: pair[0])
@@ -176,12 +186,27 @@ def run_bench(run: BenchRun) -> BenchResult:
 
     One asyncio event loop sends each request at its scheduled time as a
     task of its own, so a slow response never delays the next send. Each
-    task opens a fresh connection, sends ``Connection: close`` and gives
-    up after ``timeout_ms``; the run ends when every task is back, so
-    every attempt lands in exactly one accounting bucket. Successful
-    responses are timed from the send to the end of the body; the first
-    ``n_warmup`` successes are excluded from the returned samples but
-    still counted. Must not be called from inside a running event loop.
+    task gives up after ``timeout_ms``; the run ends when every task is
+    back, so every attempt lands in exactly one accounting bucket.
+    Successful responses are timed from the send to the end of the body;
+    the first ``n_warmup`` successes are excluded from the returned
+    samples but still counted. Must not be called from inside a running
+    event loop.
+
+    A request takes the most recently idled HTTP/1.1 connection of the
+    run, or opens a new one when none is idle, so a send never waits for
+    a connection and requests are never pipelined. The response body is
+    framed by RFC 9112 section 6.3: none after ``HEAD``, 1xx, 204 or 304;
+    chunked coding, trailers included; ``Content-Length``; else the end of
+    the stream. A connection is reused only after a response framed
+    without the end of the stream, with status line ``HTTP/1.1``, and
+    with ``Connection: close`` in neither the request nor the response; a
+    timeout or any other failure closes it. If a reused connection ends
+    before the first response byte, the server probably closed it while it
+    sat idle: the request is sent once more on a new connection, still as
+    one attempt timed from the first send. Give the target a
+    ``Connection: close`` header for one connection per request. Idle
+    connections are closed when the run ends.
 
     Raises:
         PreflightError: if ``run.provider_limits`` is set and the payload
@@ -201,7 +226,7 @@ def run_bench(run: BenchRun) -> BenchResult:
     host, port, https, authority, path = _split_url(target.url)
     ssl_context = ssl.create_default_context() if https else None
     # urllib's default headers, so endpoints see the same request; the target's own replace them.
-    fields = {"host": ("Host", authority), "connection": ("Connection", "close"),
+    fields = {"host": ("Host", authority),
               "user-agent": ("User-Agent", "Python-urllib/%d.%d" % sys.version_info[:2]),
               "accept-encoding": ("Accept-Encoding", "identity")}
     if target.payload:
@@ -211,6 +236,8 @@ def run_bench(run: BenchRun) -> BenchResult:
     fields.update((name.lower(), (name, value)) for name, value in target.headers.items())
     head = "".join(f"{name}: {value}\r\n" for name, value in fields.values())
     request = f"{target.method} {path} HTTP/1.1\r\n{head}\r\n".encode("latin-1") + target.payload
+    close_requested = "close" in _tokens(fields.get("connection", ("", ""))[1])
+    head_request = target.method.upper() == "HEAD"
     offsets_ms = generate_arrivals(run.pattern, run.seed)
     n = len(offsets_ms)
     # (sent_ms, ms) of each success, and of each server time, in completion order.
@@ -219,21 +246,62 @@ def run_bench(run: BenchRun) -> BenchResult:
     errors: Counter = Counter()
     sent_ms = [0.0] * n
 
+    # Open connections that no request holds, most recently idled last.
+    idle: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
+
+    def connect():
+        return asyncio.open_connection(host, port, ssl=ssl_context)
+
+    async def read_body(reader: asyncio.StreamReader, status: int, headers: dict) -> bool:
+        """Read and drop the body; True if its end was framed, so the connection may carry more."""
+        if status < 200:  # an interim response: the final one is still to come
+            return False
+        if head_request or status in (204, 304):
+            return True
+        coding = headers.get("transfer-encoding")
+        if coding is not None and coding.rsplit(",", 1)[-1].strip().lower() == "chunked":
+            while size := int((await reader.readuntil(b"\r\n")).split(b";", 1)[0], 16):
+                await reader.readexactly(size + 2)  # the chunk and its CRLF
+            while await reader.readuntil(b"\r\n") != b"\r\n":  # trailer fields
+                pass
+            return True
+        if coding is None and "content-length" in headers:
+            await reader.readexactly(int(headers["content-length"]))
+            return True
+        await reader.read()
+        return False
+
     async def exchange() -> tuple[float, float | None]:
-        reader, writer = await asyncio.open_connection(host, port, ssl=ssl_context)
+        reused = bool(idle)
+        reader, writer = idle.pop() if reused else await connect()
+        keep = False
         try:
             writer.write(request)
-            status_line, *lines = (await reader.readuntil(b"\r\n\r\n")).decode("latin-1").split("\r\n")
-            status = int(status_line.split(" ", 2)[1])
+            try:
+                first = await reader.readexactly(1)
+            except (asyncio.IncompleteReadError, ConnectionError):
+                if not reused:
+                    raise
+                # Not one response byte: the server probably closed the idle connection.
+                writer.transport.abort()
+                reader, writer = await connect()
+                writer.write(request)
+                first = await reader.readexactly(1)
+            status_line, *lines = (first + await reader.readuntil(b"\r\n\r\n")).decode("latin-1").split("\r\n")
+            version, status = status_line.split(" ", 2)[:2]
+            status = int(status)
             headers = {name.strip().lower(): value.strip()
                        for name, _, value in (line.partition(":") for line in lines if line)}
-            if "content-length" in headers and target.method.upper() != "HEAD":
-                await reader.readexactly(int(headers["content-length"]))
-            else:
-                await reader.read()
+            framed = await read_body(reader, status, headers)
             end = time.perf_counter()
+            keep = (framed and version == "HTTP/1.1" and not close_requested
+                    and "close" not in _tokens(headers.get("connection", "")))
         finally:
-            writer.close()
+            if keep:
+                idle.append((reader, writer))
+            else:
+                # abort, not close: a TLS close would wait for the server's close_notify.
+                writer.transport.abort()
         if not 200 <= status < 300:
             raise _StatusError(status)
         return end, _server_ms(headers.get(EXEC_TIME_HEADER.lower()))
@@ -264,6 +332,9 @@ def run_bench(run: BenchRun) -> BenchResult:
             sent_ms[index] = (send - start) * 1000.0
             tasks.append(asyncio.create_task(fire(index, send)))
         await asyncio.gather(*tasks)
+        for _, writer in idle:
+            writer.transport.abort()
+        await asyncio.gather(*(writer.wait_closed() for _, writer in idle))
 
     start = time.perf_counter() + _START_LEAD_S
     asyncio.run(pace())
@@ -291,6 +362,10 @@ def export_run(result: BenchResult, path: str | Path) -> None:
 
 class _StubHandler(BaseHTTPRequestHandler):
     server: "_StubHTTPServer"
+    protocol_version = "HTTP/1.1"  # keep connections open between requests
+    # Headers and body are two writes: with Nagle on, the body would wait
+    # for the client's delayed ACK of the headers, about 40 ms.
+    disable_nagle_algorithm = True
 
     def _respond(self) -> None:
         length = int(self.headers.get("Content-Length") or 0)
@@ -327,6 +402,11 @@ class _StubHTTPServer(ThreadingHTTPServer):
         self._counter = 0
         self._lock = threading.Lock()
 
+    def handle_error(self, request, client_address) -> None:
+        # A client may reset a connection it keeps alive, or leave before its answer.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
     def plan_response(self) -> tuple[int, float, bool]:
         with self._lock:
             self._counter += 1
@@ -344,7 +424,9 @@ class StubServer:
     Sleeps ``delay_ms`` (plus uniform jitter up to ``jitter_ms``) before
     answering, and fails every ``fail_every``-th request (1-based) with
     HTTP 500, deterministically. The applied delay is echoed in the
-    ``X-Exec-Time-Ms`` response header. Usable as a context manager.
+    ``X-Exec-Time-Ms`` response header. Speaks HTTP/1.1, so a client may
+    reuse its connection. ``stop()`` returns without waiting for
+    connections a client still holds open. Usable as a context manager.
     """
 
     def __init__(
@@ -373,7 +455,9 @@ class StubServer:
         return self._server._counter
 
     def start(self) -> "StubServer":
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(_STUB_POLL_S,), daemon=True
+        )
         self._thread.start()
         return self
 

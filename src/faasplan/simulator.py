@@ -53,8 +53,9 @@ _HEAD_FACTOR = Fraction(0.8)
 _TAIL_FACTOR = Fraction(1.05)
 # Most exponential gaps drawn at once for a Poisson segment.
 _MAX_BLOCK = 1 << 16
-# Most requests a traffic pattern may expect. Arrivals are built as whole
-# lists, so a larger count would fill memory before a run could start.
+# Most requests a traffic pattern may expect, and most periods a burst
+# pattern may span. Arrivals are built as whole lists, so a larger count
+# would fill memory before a run could start.
 MAX_REQUESTS = 10**7
 
 
@@ -190,6 +191,10 @@ class TrafficPattern:
                 raise DomainError("period_s and duration_s must be positive")
             if not 0 <= self.duty <= 1:
                 raise DomainError(f"duty must lie in [0, 1], got {self.duty}")
+            # generate_arrivals walks every period, even one where no request is expected.
+            periods = self.duration_s / self.period_s
+            if periods > MAX_REQUESTS:
+                raise DomainError(f"period count {periods:g} exceeds the limit of {MAX_REQUESTS:,}")
             # Whole periods, then the last partial one, which starts high.
             full, rest = divmod(self.duration_s, self.period_s)
             high_s = self.duty * self.period_s
@@ -381,19 +386,16 @@ def generate_arrivals(pattern: TrafficPattern, seed) -> list[float]:
         return _poisson_arrivals(rng, pattern.rate_rps, 0.0, pattern.duration_s * 1000.0)
     duration_ms = pattern.duration_s * 1000.0
     period_ms = pattern.period_s * 1000.0
-    segments = []
+    out: list[float] = []
     t0 = 0.0
     while t0 < duration_ms:
         high_end = min(t0 + pattern.duty * period_ms, duration_ms)
         if high_end > t0:
-            segments.append((t0, high_end, pattern.high_rate))
+            out.extend(_poisson_arrivals(rng, pattern.high_rate, t0, high_end))
         low_end = min(t0 + period_ms, duration_ms)
         if low_end > high_end:
-            segments.append((high_end, low_end, pattern.low_rate))
+            out.extend(_poisson_arrivals(rng, pattern.low_rate, high_end, low_end))
         t0 += period_ms
-    out: list[float] = []
-    for seg_start, seg_end, rate in segments:
-        out.extend(_poisson_arrivals(rng, rate, seg_start, seg_end))
     return out
 
 

@@ -544,6 +544,15 @@ def test_oversized_traffic_exits_2_before_allocating(tmp_path, traffic, count):
                "10,000,000\n")
 
 
+def test_burst_with_too_many_periods_exits_2_before_allocating(tmp_path):
+    # No requests expected, but 10^8 periods once filled memory with segments.
+    traffic = {"kind": "burst", "high_rate": 0, "low_rate": 0, "period_s": 1e-6, "duty": 0.5,
+               "duration_s": 100}
+    path = scenario_file(tmp_path, "smobilebert_replay.json", lambda d: d.update(traffic=traffic))
+    assert run_capped("simulate", "--scenario", path) == (
+        2, "", f"error: {path}: traffic: period count 1e+08 exceeds the limit of 10,000,000\n")
+
+
 @pytest.mark.parametrize("pattern", ["steady", "poisson"])
 def test_oversized_bench_rate_exits_2_before_allocating(pattern):
     assert run_capped("bench", "--stub", "--pattern", pattern, "--rate", "1e9", "--duration", "1") == (

@@ -1,14 +1,21 @@
 import asyncio
 import contextlib
+import gc
+import http.client
 import shutil
 import socket
 import ssl
+import statistics
+import struct
 import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -36,6 +43,7 @@ from faasplan.harness import (
     _classify,
     _split_url,
     _StatusError,
+    _StubHandler,
 )
 
 LIMITS = ProviderLimits("aws", 250 * MB, 10 * GB, 6 * MB)
@@ -265,31 +273,39 @@ class _FramingHandler(BaseHTTPRequestHandler):
 
 
 @contextlib.contextmanager
-def _serving(tls: ssl.SSLContext | None = None):
-    """Run a ``_FramingHandler`` server; yields its base URL."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _FramingHandler)
+def _serving(handler=_FramingHandler, tls: ssl.SSLContext | None = None):
+    """Run a server of ``handler``; yields it, with its base URL as ``url``.
+
+    ``connections`` gets the client address of each connection a
+    ``_KeepAliveHandler`` accepts.
+    """
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     server.daemon_threads = True
+    server.connections = []
     if tls is not None:
         server.socket = tls.wrap_socket(server.socket, server_side=True)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    server.url = f"{'https' if tls else 'http'}://127.0.0.1:{server.server_address[1]}"
+    threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
     try:
-        yield f"{'https' if tls else 'http'}://127.0.0.1:{server.server_address[1]}"
+        yield server
     finally:
         server.shutdown()
         server.server_close()
 
 
-def _get(url: str, n: int = 5) -> BenchResult:
+def _get(url: str, n: int = 5, method: str = "GET", timeout_ms: float = 2000.0,
+         rate: float = 10.0, headers=None) -> BenchResult:
+    """``n`` requests, ``1/rate`` s apart: at 10 rps each finds the one before it answered."""
     return run_bench(BenchRun(
-        target=BenchTarget(url=url, method="GET", timeout_ms=2000.0),
-        pattern=TrafficPattern.steady(n * 10, 0.1),
+        target=BenchTarget(url=url, method=method, timeout_ms=timeout_ms, headers=headers or {}),
+        pattern=TrafficPattern.steady(rate, n / rate),
         n_warmup=0,
     ))
 
 
 def test_run_bench_reads_body_to_eof_without_content_length():
-    with _serving() as base:
-        result = _get(f"{base}/eof?q=1")
+    with _serving() as server:
+        result = _get(f"{server.url}/eof?q=1")
     assert result.errors == {}
     assert len(result.samples) == 5
     assert set(result.server_exec.values) == {2.5}
@@ -297,25 +313,25 @@ def test_run_bench_reads_body_to_eof_without_content_length():
 
 @pytest.mark.parametrize("header", ["nan", "inf", "-1", "abc"])
 def test_run_bench_ignores_a_bad_server_time(header):
-    with _serving() as base:
-        result = _get(f"{base}/exec/{header}")
+    with _serving() as server:
+        result = _get(f"{server.url}/exec/{header}")
     assert result.errors == {}
     assert len(result.samples) == 5
     assert result.server_exec is None
 
 
 def test_run_bench_counts_redirect_as_http_error():
-    with _serving() as base:
-        result = _get(f"{base}/redirect")
+    with _serving() as server:
+        result = _get(f"{server.url}/redirect")
     assert result.errors == {"http": 5}
 
 
 def test_run_bench_sends_urllib_default_headers():
     def post(headers):
         _FramingHandler.seen.clear()
-        with _serving() as base:
+        with _serving() as server:
             result = run_bench(BenchRun(
-                target=BenchTarget(url=f"{base}/", payload=b'{"a": 1}', headers=headers),
+                target=BenchTarget(url=f"{server.url}/", payload=b'{"a": 1}', headers=headers),
                 pattern=TrafficPattern.steady(10, 0.1),
                 n_warmup=0,
             ))
@@ -326,10 +342,11 @@ def test_run_bench_sends_urllib_default_headers():
     assert sent["User-Agent"].startswith("Python-urllib/")
     assert sent["Content-Type"] == "application/x-www-form-urlencoded"
     assert sent["Content-Length"] == "8"
-    assert sent["Connection"] == "close"
-    sent = post({"content-type": "application/json", "User-Agent": "probe"})
+    assert "Connection" not in sent
+    sent = post({"content-type": "application/json", "User-Agent": "probe", "Connection": "close"})
     assert sent.get_all("Content-Type") == ["application/json"]
     assert sent.get_all("User-Agent") == ["probe"]
+    assert sent.get_all("Connection") == ["close"]
 
 
 def test_run_bench_over_https(tmp_path, monkeypatch):
@@ -346,10 +363,254 @@ def test_run_bench_over_https(tmp_path, monkeypatch):
     monkeypatch.setenv("SSL_CERT_FILE", str(cert))
     tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
     tls.load_cert_chain(cert, key)
-    with _serving(tls) as base:
-        result = _get(f"{base}/eof")
+    with _serving(tls=tls) as server:
+        result = _get(f"{server.url}/eof")
     assert result.errors == {}
     assert len(result.samples) == result.attempts == 5
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """An HTTP/1.1 handler that records each connection it accepts in ``server.connections``."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        super().setup()
+        self.server.connections.append(self.client_address)
+
+    def reply(self, status: int = 200, headers: dict | None = None, body: bytes = b"") -> None:
+        self.send_response(status)
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+class _Chunked(_KeepAliveHandler):
+    def do_GET(self):
+        self.reply(headers={"Transfer-Encoding": "chunked", EXEC_TIME_HEADER: "1.5"},
+                   body=b"5;ext=1\r\nhello\r\n1A\r\n" + b"x" * 26 + b"\r\n0\r\nX-Trailer: t\r\n\r\n")
+
+
+def test_run_bench_decodes_a_chunked_body_and_reuses_the_connection():
+    with _serving(_Chunked) as server:
+        result = _get(server.url)
+    assert result.errors == {}
+    assert set(result.server_exec.values) == {1.5}
+    assert len(server.connections) < 5  # a misread body would break the next response
+
+
+class _HeadWithLength(_KeepAliveHandler):
+    def do_HEAD(self):
+        self.reply(headers={"Content-Length": "1000"})
+
+
+def test_run_bench_reads_no_body_after_head():
+    with _serving(_HeadWithLength) as server:
+        result = _get(server.url, method="HEAD", timeout_ms=500.0)
+    assert result.errors == {}  # waiting for the 1000 bytes would time out
+    assert len(server.connections) < 5
+
+
+class _NoBody(_KeepAliveHandler):
+    def do_GET(self):
+        status = int(self.path.strip("/"))
+        # A 304 may announce the length of the body it leaves out.
+        self.reply(status, headers={"Content-Length": "10"} if status == 304 else {})
+
+
+@pytest.mark.parametrize("status, errors", [(204, {}), (304, {"http": 5})])
+def test_run_bench_reads_no_body_after_204_or_304(status, errors):
+    with _serving(_NoBody) as server:
+        result = _get(f"{server.url}/{status}", timeout_ms=500.0)
+    assert result.errors == errors
+    assert len(server.connections) < 5
+
+
+class _NeverCloses(_KeepAliveHandler):
+    """Answers ``/1.0`` with an HTTP/1.0 status line, ``/close`` with ``Connection: close``
+    and ``/100`` with an interim response before the final one, and keeps every
+    connection open all the same, so only the client can end one."""
+
+    def do_GET(self):
+        if self.path == "/1.0":
+            self.protocol_version = "HTTP/1.0"
+        if self.path == "/100":
+            self.send_response_only(100)
+            self.end_headers()
+        headers = {"Content-Length": "2"}
+        if self.path == "/close":
+            headers["Connection"] = "close"
+        self.reply(headers=headers, body=b"ok")
+        self.close_connection = False
+
+
+@pytest.mark.parametrize("path, headers, errors", [
+    ("/1.0", {}, {}), ("/close", {}, {}), ("/", {"Connection": "close"}, {}), ("/100", {}, {"http": 5}),
+], ids=["http-1.0-response", "close-response", "close-request", "interim-response"])
+def test_run_bench_reuses_no_connection_the_rules_exclude(path, headers, errors):
+    with _serving(_NeverCloses) as server:
+        result = _get(server.url + path, headers=headers)
+    assert result.errors == errors
+    assert len(server.connections) == 5
+
+
+class _ClosesWhenIdle(_KeepAliveHandler):
+    """Closes each connection after its first response, without saying so."""
+
+    def do_GET(self):
+        self.reply(headers={"Content-Length": "2"}, body=b"ok")
+        self.close_connection = True
+
+
+def test_run_bench_resends_once_on_a_connection_closed_while_idle():
+    with _serving(_ClosesWhenIdle) as server:
+        result = _get(server.url)
+    # Each request after the first finds its pooled connection closed and goes out again.
+    assert result.errors == {}
+    assert len(result.samples) + result.warmup_excluded + result.error_total == result.attempts == 5
+    assert len(server.connections) == 5
+
+
+class _ResetsSecondResponse(_KeepAliveHandler):
+    """Answers a connection's first request, and resets it part way through the second."""
+
+    answered = False
+
+    def do_GET(self):
+        if not self.answered:
+            self.answered = True
+            self.reply(headers={"Content-Length": "2"}, body=b"ok")
+            return
+        self.wfile.write(b"HTTP/1.1 200 OK\r\nContent-Le")
+        time.sleep(0.05)  # the client holds a response byte before the reset
+        self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        self.connection.close()
+        self.close_connection = True
+
+
+def test_run_bench_does_not_resend_after_part_of_a_response():
+    with _serving(_ResetsSecondResponse) as server:
+        result = _get(server.url, n=2, rate=4.0)
+    assert result.errors == {"transport": 1}
+    assert len(server.connections) == 1
+
+
+class _StallsSecondRequest(_KeepAliveHandler):
+    """Answers a connection's first request; on the second, records whether the client closes it."""
+
+    answered = False
+
+    def do_GET(self):
+        if not self.answered:
+            self.answered = True
+            self.reply(headers={"Content-Length": "2"}, body=b"ok")
+            return
+        self.connection.settimeout(5.0)
+        self.server.closed_by_client.append(self.rfile.read(1) == b"")
+        self.close_connection = True
+
+
+def test_run_bench_closes_a_reused_connection_that_timed_out():
+    with _serving(_StallsSecondRequest) as server:
+        server.closed_by_client = []
+        result = _get(server.url, n=3, timeout_ms=300.0, rate=2.0)
+    assert result.errors == {"timeout": 1}
+    assert server.closed_by_client == [True]
+    assert len(server.connections) == 2  # the third request did not take the timed-out one
+
+
+@pytest.fixture
+def stub_connections(monkeypatch):
+    """Client addresses of the connections each StubServer of the test accepts."""
+    seen = []
+    setup = _StubHandler.setup
+
+    def counting_setup(self):
+        setup(self)
+        seen.append(self.client_address)
+
+    monkeypatch.setattr(_StubHandler, "setup", counting_setup)
+    return seen
+
+
+def test_run_bench_reuses_one_connection_at_a_steady_rate(stub_connections):
+    with StubServer(delay_ms=1.0) as stub:
+        result = _get(stub.url, n=10)
+    assert result.errors == {}
+    assert len(stub_connections) == 1
+
+
+def test_run_bench_opens_a_connection_for_each_request_in_flight(stub_connections):
+    # Requests leave 50 ms apart and take 200 ms: none may wait for a free connection.
+    with StubServer(delay_ms=200.0) as stub:
+        result = _get(stub.url, n=10, rate=20.0)
+    assert result.errors == {}
+    assert 4 <= len(stub_connections) < 10
+    assert result.max_schedule_error_ms < 100.0
+
+
+def test_stub_answers_a_reused_connection_without_nagle_delay():
+    # With Nagle on, the body would wait for the client's delayed ACK of the
+    # headers, about 40 ms; the ACK is delayed once requests follow answers
+    # within the 40 ms, as at 50 rps.
+    with StubServer(delay_ms=0.0) as stub:
+        result = _get(stub.url, n=30, rate=50.0)
+    assert statistics.median(result.samples.values) < 20.0
+
+
+@pytest.mark.parametrize("hold_connection", [False, True], ids=["no-client", "idle-client"])
+def test_stub_stops_promptly(hold_connection):
+    stub = StubServer(delay_ms=0.0).start()
+    conn = http.client.HTTPConnection(urlsplit(stub.url).hostname, urlsplit(stub.url).port)
+    try:
+        if hold_connection:
+            conn.request("GET", "/")
+            conn.getresponse().read()  # the stub's handler now waits on the open connection
+        t0 = time.perf_counter()
+        stub.stop()
+        elapsed = time.perf_counter() - t0
+    finally:
+        conn.close()
+    assert elapsed < 0.1
+
+
+def test_stub_takes_a_reset_connection_quietly(capfd):
+    with StubServer(delay_ms=0.0) as stub:
+        client = socket.create_connection((urlsplit(stub.url).hostname, urlsplit(stub.url).port))
+        client.sendall(b"GET / HTTP/1.1\r\nHost: stub\r\n\r\n")
+        time.sleep(0.1)  # the answer arrives and stays unread
+        client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        client.close()  # a reset, while the stub waits for the next request
+        time.sleep(0.2)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("run", ["clean", "timeouts"])
+def test_run_bench_leaves_no_socket_open(run):
+    caught = []
+    previous = sys.unraisablehook
+    sys.unraisablehook = caught.append  # a ResourceWarning raised in a finalizer lands here
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            if run == "clean":
+                with StubServer(delay_ms=1.0) as stub:
+                    assert _get(stub.url, n=5, rate=20.0).errors == {}
+            else:
+                with socket.socket() as sink:  # listens and never accepts
+                    sink.bind(("127.0.0.1", 0))
+                    sink.listen()
+                    url = f"http://127.0.0.1:{sink.getsockname()[1]}/"
+                    assert _get(url, n=5, timeout_ms=200.0, rate=20.0).errors == {"timeout": 5}
+            gc.collect()
+    finally:
+        sys.unraisablehook = previous
+    assert [u.exc_value for u in caught] == []
 
 
 def test_bench_target_rejects_non_http_urls():
