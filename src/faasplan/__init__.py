@@ -3,8 +3,9 @@
 The pieces compose in deployment order: pick a model that fits the
 platform's package cap (``catalog``, ``packaging``), check the plan
 against hard limits (``providers``), predict latency and cold starts
-under load (``simulator``), price the workload against an always-on VM
-(``cost``), and finally measure a real endpoint (``harness``).
+under load (``simulator``, with its result files in ``results``), price
+the workload against an always-on VM (``cost``), and finally measure a
+real endpoint (``harness``).
 """
 
 import importlib
@@ -31,8 +32,9 @@ _EXPORTS = {
                      "fit_matrix load_runtime_libraries",
         "providers": "CpuScaling ProviderLimits ValidationReport Violation default_provider_limits "
                      "effective_cpu load_provider_limits validate_plan",
-        "simulator": "InvocationRecord LatencyProfile SimulationConfig SimulationResult "
-                     "TrafficPattern generate_arrivals scale_duration simulate",
+        "results": "InvocationRecord SimulationResult",
+        "simulator": "LatencyProfile SimulationConfig TrafficPattern generate_arrivals "
+                     "scale_duration simulate",
         "units": "GB MB UNLIMITED Unlimited",
     }.items()
     for name in names.split()

@@ -4,15 +4,18 @@ Every command reads its inputs from flags and JSON scenario files, so a
 run is reproducible from the scenario alone. Exit codes: 0 success, 1
 domain failure (plan rejected, nothing feasible, error budget blown), 2
 configuration or usage problems.
+
+This module parses the arguments and resolves fixtures; each command runs
+in its own module, ``faasplan.commands.<name>``, and scenario files are
+read by ``faasplan.scenario``. A command is one short process, and without
+a bytecode cache a process compiles every module it imports, so ``main``
+imports only the module of the command it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import decimal
-import functools
-import json
+import importlib
 import math
 import os
 import sys
@@ -20,46 +23,27 @@ from decimal import Decimal
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-# Each command imports the faasplan modules it runs inside the functions
-# that run them, so a short-lived process pays only for what it uses.
-from . import _schema
-from ._record import asdict, dataclass, replace
-from ._schema import Block
-from .errors import DomainError, FaasPlanError, PreflightError, ScenarioError
-from .units import MB, UNLIMITED, Unlimited, mb_bytes, mb_text
+from .errors import FaasPlanError, PreflightError, ScenarioError
+from .units import mb_bytes
 
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import ModelArtifact
-    from .cost import CostReport, PricingModel, VmBaseline
-    from .packaging import DeploymentPackage, RuntimeLibrary
+    from .cost import PricingModel
+    from .packaging import RuntimeLibrary
     from .providers import ProviderLimits
-    from .simulator import LatencyProfile, SimulationConfig, TrafficPattern
+    from .scenario import SCENARIO_SCHEMA_VERSION, Scenario, load_scenario  # noqa: F401
 
-SCENARIO_SCHEMA_VERSION = 1
+# Names defined in faasplan.scenario, resolved on first access, so that a
+# command that reads no scenario file never compiles the loader.
+_SCENARIO_NAMES = {"SCENARIO_SCHEMA_VERSION", "Scenario", "load_scenario"}
 
-_SCENARIO_KEYS = {
-    "version", "name", "description", "provider", "pricing", "catalog", "package",
-    "memory_mb", "profile", "traffic", "simulation", "memory_sweep_mb", "cost", "vm",
-}
-_PACKAGE_KEYS = {"code_mb", "code_bytes", "runtime", "model"}
-_PROFILE_KEYS = {
-    "reference_memory_mb", "reference_memory_bytes",
-    "constant_ms", "quantile_anchors", "n_samples", "samples_csv",
-}
-_SIMULATION_KEYS = {
-    "seed", "memory_mb", "memory_bytes", "scaling", "keep_alive_s", "cold_start_ms", "max_instances",
-}
-_SCALING_KEYS = {"mb_per_full_cpu", "bytes_per_full_cpu", "max_useful_cpus"}
-_COST_KEYS = {"n_requests", "billed_ms_per_request", "memory_mb", "memory_bytes", "months"}
-_VM_KEYS = {"monthly_price", "memory_mb", "memory_bytes"}
-# Traffic kind -> the keys its TrafficPattern constructor of the same name takes, in order.
-_TRAFFIC_KEYS = {
-    "steady": ("rate_rps", "duration_s"),
-    "poisson": ("rate_rps", "duration_s"),
-    "burst": ("high_rate", "low_rate", "period_s", "duty", "duration_s"),
-    "trace": ("timestamps",),
-}
-_TRAFFIC_ALIASES = {"poisson_constant": "poisson", "on_off_burst": "burst", "trace_replay": "trace"}
+
+def __getattr__(name: str):
+    if name not in _SCENARIO_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(".scenario", __package__), name)
+    globals()[name] = value
+    return value
 
 
 class ProfileStore:
@@ -106,545 +90,6 @@ class ProfileStore:
             if override is not None:
                 return load_catalog(override)
         return load_catalog(source)
-
-
-@dataclass
-class Scenario:
-    """A scenario file resolved against the fixture store."""
-
-    path: Path
-    name: str | None
-    provider: ProviderLimits | None
-    pricing: PricingModel | None
-    catalog: list[ModelArtifact] | None
-    package: DeploymentPackage | None
-    memory_bytes: int
-    profile: LatencyProfile | None
-    traffic: TrafficPattern | None
-    sim_config: SimulationConfig | None
-    memory_sweep_mb: list[int] | None
-    cost_block: dict | None
-    vm: VmBaseline | None
-
-
-def _naming_block(parse):
-    """Re-raise a value check's DomainError from ``parse(block, ...)`` as ``<path>: <block>: ...``."""
-    @functools.wraps(parse)
-    def wrapped(block: Block, *args):
-        try:
-            return parse(block, *args)
-        except DomainError as exc:
-            raise ScenarioError(f"{block.context}: {exc}") from exc
-    return wrapped
-
-
-@_naming_block
-def _parse_profile(block: Block, scenario_dir: Path) -> LatencyProfile:
-    from .simulator import LatencyProfile
-
-    reference = block.size("reference_memory_mb", "reference_memory_bytes")
-    sources = [k for k in ("constant_ms", "quantile_anchors", "samples_csv") if k in block.raw]
-    if len(sources) != 1:
-        raise ScenarioError(
-            f"{block.context}: give exactly one of constant_ms / quantile_anchors / samples_csv"
-        )
-    kind = sources[0]
-    if kind == "constant_ms":
-        return LatencyProfile.constant(block.get("constant_ms", float), reference)
-    if kind == "quantile_anchors":
-        anchors = block.block("quantile_anchors")
-        try:
-            quantiles = {float(q): anchors.get(q, float) for q in anchors.raw}
-        except ValueError:
-            raise ScenarioError(f"{anchors.context}: keys must be quantiles such as \"0.5\"") from None
-        return LatencyProfile.from_quantile_anchors(quantiles, block.get("n_samples", int), reference)
-    from .metrics import read_samples_csv
-
-    csv_path = scenario_dir / block.get("samples_csv", str)
-    try:
-        samples = read_samples_csv(csv_path)
-    except OSError as exc:
-        raise ScenarioError(f"{block.context}: samples_csv: cannot read {csv_path}: {exc}") from exc
-    return LatencyProfile(reference, samples)
-
-
-@_naming_block
-def _parse_traffic(block: Block) -> TrafficPattern:
-    from .simulator import TrafficPattern
-
-    kind = block.get("kind", str)
-    kind = _TRAFFIC_ALIASES.get(kind, kind)
-    if kind not in _TRAFFIC_KEYS:
-        raise ScenarioError(f"{block.context}: kind: unknown traffic kind {kind!r}")
-    block = Block(block.raw, block.context, {"kind", *_TRAFFIC_KEYS[kind]})
-    if kind == "trace":
-        return TrafficPattern.trace(block.get_list("timestamps", float))
-    return getattr(TrafficPattern, kind)(*(block.get(key, float) for key in _TRAFFIC_KEYS[kind]))
-
-
-@_naming_block
-def _parse_simulation(block: Block, seed_override: int | None) -> SimulationConfig:
-    from .providers import CpuScaling
-    from .simulator import DEFAULT_COLD_START_MS, DEFAULT_KEEP_ALIVE_S, SimulationConfig
-
-    seed = block.get("seed", int, 0)
-    if seed < 0:
-        raise ScenarioError(f"{block.context}: seed: must be a non-negative integer, got {seed}")
-    scaling = block.block("scaling", _SCALING_KEYS, default={})
-    keep_alive = block.raw.get("keep_alive_s")
-    return SimulationConfig(
-        seed=seed if seed_override is None else seed_override,
-        memory_bytes=block.size("memory_mb", "memory_bytes"),
-        scaling=CpuScaling(
-            bytes_per_full_cpu=scaling.size("mb_per_full_cpu", "bytes_per_full_cpu",
-                                            CpuScaling.bytes_per_full_cpu),
-            max_useful_cpus=scaling.get("max_useful_cpus", float, CpuScaling.max_useful_cpus),
-        ),
-        keep_alive_s=(
-            float("inf") if keep_alive == "inf"
-            else block.get("keep_alive_s", float, DEFAULT_KEEP_ALIVE_S)
-        ),
-        cold_start_ms=block.get("cold_start_ms", float, DEFAULT_COLD_START_MS),
-        max_instances=block.get("max_instances", int, UNLIMITED),
-    )
-
-
-def _resolve_model(entry, scenario_catalog, context: str) -> ModelArtifact:
-    if isinstance(entry, str):
-        if scenario_catalog is None:
-            raise ScenarioError(f"{context}: model {entry!r} needs a 'catalog' to look it up in")
-        for model in scenario_catalog:
-            if model.name == entry:
-                return model
-        raise ScenarioError(f"{context}: model {entry!r} not found in catalog")
-    if isinstance(entry, dict):
-        from .catalog import CATALOG_SCHEMA_VERSION, parse_catalog
-        parsed = parse_catalog({"version": CATALOG_SCHEMA_VERSION, "models": [entry]}, context)
-        return parsed[0]
-    raise ScenarioError(f"{context}: model must be a name or an inline object")
-
-
-def load_scenario(path: str | Path, store: ProfileStore, seed_override: int | None = None) -> Scenario:
-    """Load and resolve a scenario file.
-
-    Raises:
-        ScenarioError: on unreadable files, schema violations, or names
-            that do not resolve against the fixture store.
-    """
-    path = Path(path)
-    # Exact decimals throughout: money stays Decimal, and float() of a
-    # parsed Decimal is the same float json would have produced.
-    raw, context = _schema.load(path, "scenario", parse_float=Decimal)
-    top = Block(raw, context, _SCENARIO_KEYS)
-    if top.get("version", int) != SCENARIO_SCHEMA_VERSION:
-        raise ScenarioError(f"{context}: scenario version must be {SCENARIO_SCHEMA_VERSION}")
-
-    provider_name = top.get("provider", str, None)
-    pricing_name = top.get("pricing", str, None)
-    catalog_source = top.get("catalog", str, None)
-    provider = store.provider(provider_name) if provider_name is not None else None
-    pricing = store.pricing_profile(pricing_name) if pricing_name is not None else None
-    models = store.catalog(catalog_source) if catalog_source is not None else None
-
-    package = None
-    block = top.block("package", _PACKAGE_KEYS, default=None)
-    if block is not None:
-        from .packaging import DEFAULT_CODE_BYTES, DeploymentPackage
-        runtime = store.runtime(block.get("runtime", str))
-        model = _resolve_model(block.get("model"), models, block.context)
-        code_bytes = block.size("code_mb", "code_bytes", DEFAULT_CODE_BYTES)
-        package = DeploymentPackage(code_bytes=code_bytes, runtime=runtime, model=model)
-
-    memory_bytes = top.megabytes("memory_mb", 1024 * MB)
-
-    block = top.block("profile", _PROFILE_KEYS, default=None)
-    profile = _parse_profile(block, path.parent) if block is not None else None
-    block = top.block("traffic", default=None)
-    traffic = _parse_traffic(block) if block is not None else None
-    block = top.block("simulation", _SIMULATION_KEYS, default=None)
-    sim_config = _parse_simulation(block, seed_override) if block is not None else None
-
-    cost_block = None
-    block = top.block("cost", _COST_KEYS, default=None)
-    if block is not None:
-        cost_block = {
-            "n_requests": block.get("n_requests", int),
-            "billed_ms_per_request": block.get("billed_ms_per_request", Decimal, Decimal(0)),
-            "memory_bytes": block.size("memory_mb", "memory_bytes", 1024 * MB),
-            "months": block.get("months", Decimal, Decimal(1)),
-        }
-
-    vm = None
-    block = top.block("vm", _VM_KEYS, default=None)
-    if block is not None:
-        from .cost import VmBaseline
-        vm = VmBaseline(
-            monthly_price=block.get("monthly_price", Decimal),
-            memory_bytes=block.size("memory_mb", "memory_bytes", 1024 * MB),
-        )
-
-    return Scenario(
-        path=path,
-        name=top.get("name", str, None),
-        provider=provider,
-        pricing=pricing,
-        catalog=models,
-        package=package,
-        memory_bytes=memory_bytes,
-        profile=profile,
-        traffic=traffic,
-        sim_config=sim_config,
-        memory_sweep_mb=top.get_list("memory_sweep_mb", int, None),
-        cost_block=cost_block,
-        vm=vm,
-    )
-
-
-def _emit(args, report, table, dumps=functools.partial(json.dumps, indent=2)) -> None:
-    """Print ``report`` in the ``--format`` asked for: ``dumps(report)`` or ``table(report)``."""
-    print(dumps(report) if args.format == "json" else table(report))
-
-
-def _fields(rows, gap: str = "  ") -> str:
-    """``label``/``value`` lines, each value ``gap`` after the longest label."""
-    width = max(len(label) for label, _ in rows)
-    return "\n".join(f"{label.ljust(width)}{gap}{value}" for label, value in rows)
-
-
-def _violation_line(v: dict) -> str:
-    return f"  {v['limit_name']}: {v['actual_value']} B > {v['limit_value']} B limit"
-
-
-def _validate_table(report: dict) -> str:
-    return "\n".join([
-        _fields([
-            ("provider", report["provider"]),
-            ("package", f"{report['package_bytes']} B ({mb_text(report['package_bytes'])})"),
-            ("memory", f"{report['memory_bytes']} B ({mb_text(report['memory_bytes'])})"),
-        ]),
-        "PASS" if report["passed"] else "FAIL",
-        *map(_violation_line, report["violations"]),
-    ])
-
-
-def cmd_validate(args, store: ProfileStore) -> int:
-    from .packaging import DeploymentPlan
-    from .providers import validate_plan, validation_report_to_dict
-
-    scenario = load_scenario(args.scenario, store)
-    provider = store.provider(args.provider) if args.provider else scenario.provider
-    if provider is None:
-        raise ScenarioError(f"{scenario.path}: no provider given (scenario key or --provider)")
-    if scenario.package is None:
-        raise ScenarioError(f"{scenario.path}: validate needs a 'package' block")
-    memory_bytes = scenario.memory_bytes if args.memory_mb is None else args.memory_mb * MB
-    plan = DeploymentPlan(provider=provider.name, package=scenario.package, memory_bytes=memory_bytes)
-    report = {
-        **validation_report_to_dict(validate_plan(plan, provider)),
-        "provider": provider.name,
-        "package_bytes": plan.package.total_bytes,
-        "memory_bytes": plan.memory_bytes,
-    }
-    _emit(args, report, _validate_table)
-    return 0 if report["passed"] else 1
-
-
-def _select_table(report: dict) -> str:
-    metric, selected, candidates = report["objective_metric"], report["selected"], report["candidates"]
-    if selected is not None:
-        winner = next(c for c in candidates if c["name"] == selected["name"])
-        head = (f"selected  {winner['name']}  {metric}={winner['score']:g}  "
-                f"package {mb_text(winner['package_bytes'])}")
-    else:
-        head = f"no feasible model for {metric} within {mb_text(report['max_package_bytes'])}"
-    name_w = max((len(c["name"]) for c in candidates), default=0)
-    lines = [head, ""]
-    for c in candidates:
-        pkg = mb_text(c["package_bytes"]) if c["package_bytes"] is not None else "-"
-        score = f"{c['score']:g}" if c["score"] is not None else "-"
-        outcome = "feasible" if c["feasible"] else c["reason"]
-        lines.append(f"{c['name'].ljust(name_w)}  {pkg:>9}  {score:>7}  {outcome}")
-    return "\n".join(lines)
-
-
-def cmd_select(args, store: ProfileStore) -> int:
-    from . import catalog as catalog_mod
-
-    models = store.catalog(args.catalog)
-    runtime = store.runtime(args.runtime)
-    if args.max_package_mb is not None:
-        budget = mb_bytes(args.max_package_mb)
-    elif args.provider:
-        cap = store.provider(args.provider).max_package_bytes
-        if isinstance(cap, Unlimited):
-            raise ScenarioError(
-                f"provider {args.provider!r} does not cap package size; use --max-package-mb"
-            )
-        budget = cap
-    else:
-        raise ScenarioError("select needs --provider or --max-package-mb")
-    constraints = catalog_mod.SelectionConstraints(
-        max_package_bytes=budget,
-        code_bytes=mb_bytes(args.code_mb),
-        runtime=runtime,
-        objective_metric=args.metric,
-        min_score=args.min_score,
-    )
-    evaluations = catalog_mod.evaluate_candidates(models, constraints)
-    selected = None
-    if any(ev.feasible for ev in evaluations):
-        selected = catalog_mod.select_model(models, constraints)
-    report = {
-        "selected": None if selected is None else asdict(selected),
-        "objective_metric": args.metric,
-        "max_package_bytes": budget,
-        "candidates": [
-            {
-                "name": ev.model.name,
-                "package_bytes": ev.package_bytes,
-                "score": ev.score,
-                "feasible": ev.feasible,
-                "reason": ev.reason,
-            }
-            for ev in evaluations
-        ],
-    }
-    _emit(args, report, _select_table)
-    return 0 if selected is not None else 1
-
-
-@contextlib.contextmanager
-def _writing(path: Path):
-    """Report a failed write of ``path`` as ``<path>: cannot write: <reason>`` (exit 2)."""
-    try:
-        yield
-    except OSError as exc:
-        raise FaasPlanError(f"{path}: cannot write: {exc.strerror or exc}") from exc
-
-
-# Columns of the sweep CSV: a sweep row's keys, its latency summary's keys in between.
-_SWEEP_CSV = ("memory_mb", "count", "mean_ms", "q50_ms", "q95_ms", "q99_ms",
-              "cold_fraction", "total_billed_gb_s")
-
-
-def _sweep_table(report: dict) -> str:
-    from .metrics import format_summary_table, summary_from_dict
-
-    return format_summary_table(
-        (f"{row['memory_mb']} MB", summary_from_dict(row["latency_summary"]))
-        for row in report["sweep"] if row["latency_summary"] is not None
-    )
-
-
-def _result_table(result) -> str:
-    from .metrics import format_summary_table
-
-    lines = []
-    if result.latency_summary is not None:
-        lines.append(format_summary_table({"latency_ms": result.latency_summary}))
-    lines += ["", _fields([
-        ("requests", len(result.records)),
-        ("instances", len({r.instance_id for r in result.records})),
-        ("cold fraction", f"{result.cold_fraction:.4f}"),
-        ("billed GB-seconds", f"{result.total_billed_gb_s:.6f}"),
-    ], gap=" ")]
-    return "\n".join(lines)
-
-
-def cmd_simulate(args, store: ProfileStore) -> int:
-    from .simulator import (export_result_csv, render_result_json, result_header, save_result_json,
-                            simulate)
-
-    scenario = load_scenario(args.scenario, store, seed_override=args.seed)
-    for field_name in ("profile", "traffic", "sim_config"):
-        if getattr(scenario, field_name) is None:
-            block = "simulation" if field_name == "sim_config" else field_name
-            raise ScenarioError(f"{scenario.path}: simulate needs a {block!r} block")
-    pricing = scenario.pricing or store.pricing_profile("aws")
-
-    sweep_mb = args.memory_sweep or scenario.memory_sweep_mb
-    if sweep_mb:
-        rows = []
-        for memory_mb in sweep_mb:
-            config = replace(scenario.sim_config, memory_bytes=memory_mb * MB)
-            row = {"memory_mb": memory_mb,
-                   **result_header(simulate(scenario.profile, scenario.traffic, config, pricing))}
-            del row["memory_bytes"]  # the row's memory_mb says it
-            rows.append(row)
-        _emit(args, {"sweep": rows}, _sweep_table)
-        if args.out:
-            out = Path(f"{args.out}_sweep.csv")
-            with _writing(out), open(out, "w") as fh:
-                fh.write(",".join(_SWEEP_CSV) + "\n")
-                for row in rows:
-                    cells = {**row, **(row["latency_summary"] or {"count": 0})}
-                    fh.write(",".join(str(cells.get(key, "")) for key in _SWEEP_CSV) + "\n")
-        return 0
-
-    result = simulate(scenario.profile, scenario.traffic, scenario.sim_config, pricing)
-    _emit(args, result, _result_table, render_result_json)
-    if args.out:
-        csv_path, json_path = Path(f"{args.out}.csv"), Path(f"{args.out}.json")
-        with _writing(csv_path):
-            export_result_csv(result, csv_path)
-        with _writing(json_path):
-            save_result_json(result, json_path)
-    return 0
-
-
-def cmd_cost(args, store: ProfileStore) -> int:
-    from . import cost as cost_mod
-
-    if bool(args.scenario) == bool(args.result):
-        raise ScenarioError("cost needs exactly one of --scenario / --result")
-    try:
-        report = _cost_report(args, store)
-        cost_mod.check_printable(report)
-        _emit(args, report, cost_mod.render_cost_table,
-              lambda r: json.dumps(cost_mod.cost_report_to_dict(r), indent=2))
-    except (OverflowError, decimal.DecimalException) as exc:
-        # Finite but huge or tiny prices and horizons give amounts that
-        # check_printable refuses (Underflow when too close to 0), or that
-        # overflow the Decimal arithmetic.
-        size = "small" if isinstance(exc, decimal.Underflow) else "large"
-        raise FaasPlanError(f"cost: amounts too {size} to price; check --vm, --months and the "
-                            f"scenario's cost and vm blocks ({type(exc).__name__})") from exc
-    return 0
-
-
-def _cost_report(args, store: ProfileStore) -> CostReport:
-    from . import cost as cost_mod
-
-    baseline_override = (
-        cost_mod.VmBaseline(monthly_price=args.vm) if args.vm is not None else None
-    )
-    if args.scenario:
-        scenario = load_scenario(args.scenario, store)
-        if scenario.cost_block is None:
-            raise ScenarioError(f"{scenario.path}: cost needs a 'cost' block")
-        pricing = (
-            store.pricing_profile(args.pricing) if args.pricing
-            else scenario.pricing or store.pricing_profile("aws")
-        )
-        baseline = baseline_override or scenario.vm or cost_mod.DEFAULT_VM_BASELINE
-        block = scenario.cost_block
-        months = Decimal(str(args.months)) if args.months is not None else block["months"]
-        return cost_mod.build_cost_report(
-            n_requests=block["n_requests"],
-            billed_ms_per_request=block["billed_ms_per_request"],
-            memory_bytes=block["memory_bytes"],
-            pricing=pricing,
-            baseline=baseline,
-            months=months,
-        )
-    else:
-        pricing = store.pricing_profile(args.pricing or "aws")
-        baseline = baseline_override or cost_mod.DEFAULT_VM_BASELINE
-        months = args.months if args.months is not None else 1
-        result_path = Path(args.result)
-        if result_path.suffix == ".json":
-            from .simulator import load_result_json
-            result = load_result_json(result_path)
-            return cost_mod.cost_from_simulation(result, pricing, baseline, months)
-        else:
-            from .metrics import read_samples_csv
-            memory_bytes = (1024 if args.memory_mb is None else args.memory_mb) * MB
-            try:
-                samples = read_samples_csv(result_path)
-            except (OSError, UnicodeDecodeError) as exc:
-                raise ScenarioError(f"cannot read result {result_path}: {exc}") from exc
-            return cost_mod.cost_from_samples(samples, pricing, baseline, memory_bytes, months)
-
-
-def _bench_table(report: dict) -> str:
-    from .metrics import format_summary_table, summary_from_dict
-
-    errors = " ".join(f"{k}={v}" for k, v in sorted(report["errors"].items())) or "none"
-    lines = [_fields([
-        ("attempts", report["attempts"]),
-        ("samples", report["samples"]),
-        ("warmup excluded", report["warmup_excluded"]),
-        ("errors", errors),
-        ("max schedule error", f"{report['max_schedule_error_ms']:.2f} ms"),
-    ])]
-    summaries = [(label, summary_from_dict(report[key]))
-                 for label, key in (("latency_ms", "summary"), ("server_ms", "server_exec_summary"))
-                 if report[key] is not None]
-    if summaries:
-        lines += ["", format_summary_table(summaries)]
-    return "\n".join(lines)
-
-
-def cmd_bench(args, store: ProfileStore) -> int:
-    # Only bench needs the HTTP stack; the planner commands never load it.
-    from .harness import BenchRun, BenchTarget, StubServer, export_run, run_bench
-    from .metrics import summarize, summary_to_dict
-    from .simulator import TrafficPattern
-
-    if not args.url and not args.stub:
-        raise ScenarioError("bench needs --url (or --stub for an offline run)")
-    payload = b""
-    if args.payload_file:
-        try:
-            payload = Path(args.payload_file).read_bytes()
-        except OSError as exc:
-            raise ScenarioError(f"cannot read payload file: {exc}") from exc
-    if args.pattern == "steady":
-        pattern = TrafficPattern.steady(args.rate, args.duration)
-    else:
-        pattern = TrafficPattern.poisson(args.rate, args.duration)
-    limits = store.provider(args.limits_profile) if args.limits_profile else None
-
-    stub = None
-    try:
-        if args.stub:
-            stub = StubServer(
-                delay_ms=args.stub_delay_ms,
-                jitter_ms=args.stub_jitter_ms,
-                fail_every=args.stub_fail_every,
-            ).start()
-            url = stub.url
-        else:
-            url = args.url
-        target = BenchTarget(
-            url=url,
-            method=args.method,
-            payload=payload,
-            timeout_ms=args.timeout_ms,
-        )
-        run = BenchRun(
-            target=target,
-            pattern=pattern,
-            n_warmup=args.warmup,
-            provider_limits=limits,
-            seed=args.seed,
-        )
-        result = run_bench(run)
-    finally:
-        if stub is not None:
-            stub.stop()
-
-    summary = summarize(result.samples) if len(result.samples) else None
-    server_summary = summarize(result.server_exec) if result.server_exec else None
-    _emit(args, {
-        "attempts": result.attempts,
-        "samples": len(result.samples),
-        "warmup_excluded": result.warmup_excluded,
-        "errors": dict(result.errors),
-        "error_ratio": result.error_ratio,
-        "max_schedule_error_ms": result.max_schedule_error_ms,
-        "summary": None if summary is None else summary_to_dict(summary),
-        "server_exec_summary": None if server_summary is None else summary_to_dict(server_summary),
-    }, _bench_table)
-    if args.out:
-        export_run(result, args.out)
-    if args.max_error_ratio is not None and result.error_ratio > args.max_error_ratio:
-        print(
-            f"error ratio {result.error_ratio:.4f} exceeds budget {args.max_error_ratio}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 def _mb_list(text: str) -> list[int]:
@@ -724,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario JSON with a package block")
     p.add_argument("--provider", help="override the scenario provider")
     p.add_argument("--memory-mb", type=int, default=None, help="override the plan memory")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("select", help="pick the best model that fits a size budget")
     _add_common(p)
@@ -737,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runtime", default="onnxruntime", help="runtime library (default: onnxruntime)")
     p.add_argument("--code-mb", type=_megabytes, default=1.0,
                    help="function code size (default: 1 MB)")
-    p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("simulate", help="run a seeded deployment simulation")
     _add_common(p)
@@ -747,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated memory sizes in MB, one run per size")
     p.add_argument("--out", default=None,
                    help="output prefix; writes <out>.csv and <out>.json (or <out>_sweep.csv)")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("cost", help="price a workload against a VM baseline")
     _add_common(p)
@@ -759,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--months", type=_finite_decimal, default=None, help="billing horizon (default: 1)")
     p.add_argument("--memory-mb", type=int, default=None,
                    help="memory for CSV results (default: 1024)")
-    p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("bench", help="open-loop load generation against a live endpoint")
     _add_common(p)
@@ -789,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="uniform extra stub delay (default: 0)")
     p.add_argument("--stub-fail-every", type=int, default=None,
                    help="stub fails every k-th request with HTTP 500")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -798,17 +238,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     store = ProfileStore(args.profile_dir)
+    command = importlib.import_module(f".commands.{args.command}", __package__)
     try:
-        return args.func(args, store)
+        return command.run(args, store)
     except BrokenPipeError:
         # Downstream consumer (head, less) went away; suppress the flush error.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
     except PreflightError as exc:
+        from ._record import asdict
+        from .commands import violation_line
+
         print(f"error: {exc}", file=sys.stderr)
         for v in exc.report.violations:
-            print(_violation_line(asdict(v)), file=sys.stderr)
+            print(violation_line(asdict(v)), file=sys.stderr)
         return 1
     except FaasPlanError as exc:
         print(f"error: {exc}", file=sys.stderr)

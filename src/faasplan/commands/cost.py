@@ -1,0 +1,81 @@
+"""``faasplan cost``: price a scenario's cost block, a saved result or a sample CSV."""
+
+from __future__ import annotations
+
+import decimal
+import json
+from decimal import Decimal
+from pathlib import Path
+from typing import TYPE_CHECKING
+
+from ..errors import FaasPlanError, ScenarioError
+from ..units import MB
+from . import emit
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..cost import CostReport
+
+
+def run(args, store) -> int:
+    from .. import cost as cost_mod
+
+    if bool(args.scenario) == bool(args.result):
+        raise ScenarioError("cost needs exactly one of --scenario / --result")
+    try:
+        report = _cost_report(args, store)
+        cost_mod.check_printable(report)
+        emit(args, report, cost_mod.render_cost_table,
+             lambda r: json.dumps(cost_mod.cost_report_to_dict(r), indent=2))
+    except (OverflowError, decimal.DecimalException) as exc:
+        # Finite but huge or tiny prices and horizons give amounts that
+        # check_printable refuses (Underflow when too close to 0), or that
+        # overflow the Decimal arithmetic.
+        size = "small" if isinstance(exc, decimal.Underflow) else "large"
+        raise FaasPlanError(f"cost: amounts too {size} to price; check --vm, --months and the "
+                            f"scenario's cost and vm blocks ({type(exc).__name__})") from exc
+    return 0
+
+
+def _cost_report(args, store) -> CostReport:
+    from .. import cost as cost_mod
+
+    baseline_override = (
+        cost_mod.VmBaseline(monthly_price=args.vm) if args.vm is not None else None
+    )
+    if args.scenario:
+        from ..scenario import load_scenario
+        scenario = load_scenario(args.scenario, store)
+        if scenario.cost_block is None:
+            raise ScenarioError(f"{scenario.path}: cost needs a 'cost' block")
+        pricing = (
+            store.pricing_profile(args.pricing) if args.pricing
+            else scenario.pricing or store.pricing_profile("aws")
+        )
+        baseline = baseline_override or scenario.vm or cost_mod.DEFAULT_VM_BASELINE
+        block = scenario.cost_block
+        months = Decimal(str(args.months)) if args.months is not None else block["months"]
+        return cost_mod.build_cost_report(
+            n_requests=block["n_requests"],
+            billed_ms_per_request=block["billed_ms_per_request"],
+            memory_bytes=block["memory_bytes"],
+            pricing=pricing,
+            baseline=baseline,
+            months=months,
+        )
+    else:
+        pricing = store.pricing_profile(args.pricing or "aws")
+        baseline = baseline_override or cost_mod.DEFAULT_VM_BASELINE
+        months = args.months if args.months is not None else 1
+        result_path = Path(args.result)
+        if result_path.suffix == ".json":
+            from ..results import load_result_json
+            result = load_result_json(result_path)
+            return cost_mod.cost_from_simulation(result, pricing, baseline, months)
+        else:
+            from ..metrics import read_samples_csv
+            memory_bytes = (1024 if args.memory_mb is None else args.memory_mb) * MB
+            try:
+                samples = read_samples_csv(result_path)
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ScenarioError(f"cannot read result {result_path}: {exc}") from exc
+            return cost_mod.cost_from_samples(samples, pricing, baseline, memory_bytes, months)

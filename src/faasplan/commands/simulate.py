@@ -1,0 +1,91 @@
+"""``faasplan simulate``: run a scenario's seeded simulation, or a memory sweep of it."""
+
+from __future__ import annotations
+
+import contextlib
+from pathlib import Path
+
+from .._record import replace
+from ..errors import FaasPlanError, ScenarioError
+from ..units import MB
+from . import emit, fields
+
+
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Report a failed write of ``path`` as ``<path>: cannot write: <reason>`` (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise FaasPlanError(f"{path}: cannot write: {exc.strerror or exc}") from exc
+
+
+# Columns of the sweep CSV: a sweep row's keys, its latency summary's keys in between.
+_SWEEP_CSV = ("memory_mb", "count", "mean_ms", "q50_ms", "q95_ms", "q99_ms",
+              "cold_fraction", "total_billed_gb_s")
+
+
+def _sweep_table(report: dict) -> str:
+    from ..metrics import format_summary_table, summary_from_dict
+
+    return format_summary_table(
+        (f"{row['memory_mb']} MB", summary_from_dict(row["latency_summary"]))
+        for row in report["sweep"] if row["latency_summary"] is not None
+    )
+
+
+def _result_table(result) -> str:
+    from ..metrics import format_summary_table
+
+    lines = []
+    if result.latency_summary is not None:
+        lines.append(format_summary_table({"latency_ms": result.latency_summary}))
+    lines += ["", fields([
+        ("requests", len(result.records)),
+        ("instances", len({r.instance_id for r in result.records})),
+        ("cold fraction", f"{result.cold_fraction:.4f}"),
+        ("billed GB-seconds", f"{result.total_billed_gb_s:.6f}"),
+    ], gap=" ")]
+    return "\n".join(lines)
+
+
+def run(args, store) -> int:
+    from ..scenario import load_scenario
+    from ..simulator import (export_result_csv, render_result_json, result_header, save_result_json,
+                             simulate)
+
+    scenario = load_scenario(args.scenario, store, seed_override=args.seed)
+    for field_name in ("profile", "traffic", "sim_config"):
+        if getattr(scenario, field_name) is None:
+            block = "simulation" if field_name == "sim_config" else field_name
+            raise ScenarioError(f"{scenario.path}: simulate needs a {block!r} block")
+    pricing = scenario.pricing or store.pricing_profile("aws")
+
+    sweep_mb = args.memory_sweep or scenario.memory_sweep_mb
+    if sweep_mb:
+        rows = []
+        for memory_mb in sweep_mb:
+            config = replace(scenario.sim_config, memory_bytes=memory_mb * MB)
+            row = {"memory_mb": memory_mb,
+                   **result_header(simulate(scenario.profile, scenario.traffic, config, pricing))}
+            del row["memory_bytes"]  # the row's memory_mb says it
+            rows.append(row)
+        emit(args, {"sweep": rows}, _sweep_table)
+        if args.out:
+            out = Path(f"{args.out}_sweep.csv")
+            with _writing(out), open(out, "w") as fh:
+                fh.write(",".join(_SWEEP_CSV) + "\n")
+                for row in rows:
+                    cells = {**row, **(row["latency_summary"] or {"count": 0})}
+                    fh.write(",".join(str(cells.get(key, "")) for key in _SWEEP_CSV) + "\n")
+        return 0
+
+    result = simulate(scenario.profile, scenario.traffic, scenario.sim_config, pricing)
+    emit(args, result, _result_table, render_result_json)
+    if args.out:
+        csv_path, json_path = Path(f"{args.out}.csv"), Path(f"{args.out}.json")
+        with _writing(csv_path):
+            export_result_csv(result, csv_path)
+        with _writing(json_path):
+            save_result_json(result, json_path)
+    return 0

@@ -21,7 +21,7 @@ from .units import GB, mb_text
 
 if TYPE_CHECKING:  # pragma: no cover
     from .metrics import SampleSet
-    from .simulator import SimulationResult
+    from .results import SimulationResult
 
 PRICING_SCHEMA_VERSION = 1
 

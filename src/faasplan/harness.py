@@ -19,14 +19,16 @@ import time
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 from urllib.parse import urlsplit
 
 from ._record import dataclass, field
 from .errors import DomainError, FaasPlanError, PreflightError
 from .metrics import DEFAULT_WARMUP, SampleSet, warmup_filter, write_samples_csv
-from .providers import ProviderLimits, ValidationReport, Violation
-from .simulator import TrafficPattern, generate_arrivals
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .providers import ProviderLimits, ValidationReport
+    from .simulator import TrafficPattern
 
 EXEC_TIME_HEADER = "X-Exec-Time-Ms"
 
@@ -83,6 +85,8 @@ def _split_url(url: str) -> tuple[str, int, bool, str, str]:
 
 def preflight(target: BenchTarget, limits: ProviderLimits) -> ValidationReport:
     """Check the request body against the provider's request-size cap."""
+    from .providers import ValidationReport, Violation
+
     violations = []
     if target.payload_bytes > limits.max_request_bytes:
         violations.append(
@@ -221,6 +225,8 @@ def run_bench(run: BenchRun) -> BenchResult:
             )
     import asyncio  # here, not at the top: only bench should pay for importing it
     import ssl
+
+    from .simulator import generate_arrivals
 
     target = run.target
     host, port, https, authority, path = _split_url(target.url)

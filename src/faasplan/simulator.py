@@ -8,33 +8,35 @@ profile and rescaled for the configured memory size through the CPU law.
 
 The clock is integer microseconds internally, so a given seed produces
 bit-identical results on every run and platform.
+
+The records, the result and their JSON and CSV files belong to
+:mod:`faasplan.results`, which a reader of saved results loads without
+this module; the names are re-exported here.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import operator
-import reprlib
 from fractions import Fraction
 from heapq import heappop, heappush
-from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
-from . import _schema
 from ._record import dataclass
 from .cost import PricingModel, round_up
-from .errors import DomainError, ScenarioError
-from .metrics import (
-    CSV_HEADER,
-    SampleSet,
-    Summary,
-    nearest_rank_index,
-    summarize,
-    summary_from_dict,
-    summary_to_dict,
-)
+from .errors import DomainError
+from .metrics import SampleSet, nearest_rank_index, summarize
 from .providers import CpuScaling, effective_cpu
+from .results import (  # noqa: F401 - re-exported
+    InvocationRecord,
+    SimulationResult,
+    export_result_csv,
+    load_result_json,
+    render_result_json,
+    result_from_dict,
+    result_header,
+    result_to_dict,
+    save_result_json,
+)
 from .units import GB, UNLIMITED, Unlimited
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -279,45 +281,6 @@ class SimulationConfig:
                 raise DomainError("max_instances must be positive or UNLIMITED")
 
 
-class InvocationRecord(NamedTuple):
-    """One simulated request, all times in ms.
-
-    ``end_ms`` is start + exec, plus the cold-start penalty when the
-    instance had to be initialized. ``billed_ms`` is exec rounded up to
-    the billing granularity; the penalty itself is not billed.
-    """
-
-    arrival_ms: float
-    start_ms: float
-    end_ms: float
-    cold: bool
-    instance_id: int
-    exec_ms: float
-    billed_ms: float
-
-
-def _transpose(records: Sequence[InvocationRecord]) -> InvocationRecord:
-    """The records as columns: each field holds that field of every record, in order."""
-    if not records:
-        return InvocationRecord._make(() for _ in InvocationRecord._fields)
-    return InvocationRecord._make(zip(*records))
-
-
-@dataclass(frozen=True)
-class SimulationResult:
-    """Everything a finished run produced, in arrival order."""
-
-    records: tuple[InvocationRecord, ...]
-    cold_fraction: float
-    latency_summary: Summary | None
-    total_billed_gb_s: float
-    memory_bytes: int
-
-    @property
-    def latencies_ms(self) -> tuple[float, ...]:
-        return tuple(r.end_ms - r.arrival_ms for r in self.records)
-
-
 def scale_duration(
     base_ms: float,
     reference_memory_bytes: int,
@@ -492,142 +455,3 @@ def simulate(
         total_billed_gb_s=math.fsum(r.billed_ms for r in records) * memory_gb / 1000,
         memory_bytes=config.memory_bytes,
     )
-
-
-def export_result_csv(result: SimulationResult, path: str | Path) -> None:
-    """Write per-record end-to-end latencies in the shared sample CSV format.
-
-    The bytes are those :func:`~faasplan.metrics.write_samples_csv` writes
-    for the same samples, formatted straight from the record columns.
-
-    Raises:
-        DomainError: when a latency is negative or not finite.
-    """
-    columns = _transpose(result.records)
-    latencies = tuple(map(float, map(operator.sub, columns.end_ms, columns.arrival_ms)))
-    for value in latencies:
-        if not 0 <= value < math.inf:
-            raise DomainError(f"durations must be finite and non-negative, got {value}")
-    rows = map(_CSV_ROW.format, map(float, columns.arrival_ms), latencies,
-               map(int, columns.cold), columns.instance_id)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\r\n")
-        fh.writelines(rows)
-
-
-_NUMBER = (int, float)
-# The fields of a saved record, in InvocationRecord's order, and the types each may load as.
-_RECORD_KINDS = {"arrival_ms": _NUMBER, "start_ms": _NUMBER, "end_ms": _NUMBER, "cold": (bool,),
-                 "instance_id": (int,), "exec_ms": _NUMBER, "billed_ms": _NUMBER}
-_RECORD_ROW = operator.itemgetter(*_RECORD_KINDS)
-_KIND_TEXT = {_NUMBER: "a finite non-negative number", (bool,): "true or false", (int,): "an integer"}
-# One record as json.dumps(..., indent=2) lays it out inside the "records" list.
-_JSON_RECORD = "    {\n" + ",\n".join(f'      "{key}": %s' for key in InvocationRecord._fields) + "\n    }"
-# One row of the sample CSV, as csv.writer writes it: no cell here ever needs quoting.
-_CSV_ROW = "{!r},{!r},{},{}\r\n"
-
-
-def result_header(result: SimulationResult) -> dict:
-    """The JSON-ready fields of ``result`` other than its records."""
-    return {
-        "memory_bytes": result.memory_bytes,
-        "cold_fraction": result.cold_fraction,
-        "total_billed_gb_s": result.total_billed_gb_s,
-        "latency_summary": (
-            None if result.latency_summary is None else summary_to_dict(result.latency_summary)
-        ),
-    }
-
-
-def result_to_dict(result: SimulationResult) -> dict:
-    """JSON-ready dict carrying the full result, including billing detail."""
-    return {**result_header(result), "records": [r._asdict() for r in result.records]}
-
-
-def render_result_json(result: SimulationResult) -> str:
-    """``json.dumps(result_to_dict(result), indent=2)``, built column by column.
-
-    The indented encoder runs in pure Python; here each column goes
-    through one compact (C-encoded) ``json.dumps`` and the records are
-    joined through one template, which gives the same text several times
-    faster. Only the header goes through the indented encoder.
-    """
-    header = json.dumps({**result_header(result), "records": []}, indent=2)
-    if not result.records:
-        return header
-    # A compact dump of a column of numbers and booleans is "[a, b, ...]".
-    cells = [json.dumps(column)[1:-1].split(", ") for column in _transpose(result.records)]
-    if any(len(column) != len(result.records) for column in cells):  # a value of another kind
-        return json.dumps(result_to_dict(result), indent=2)
-    body = ",\n".join(map(_JSON_RECORD.__mod__, zip(*cells)))
-    return header.removesuffix("[]\n}") + "[\n" + body + "\n  ]\n}"
-
-
-def result_from_dict(payload: Mapping) -> SimulationResult:
-    """Inverse of :func:`result_to_dict`."""
-    return SimulationResult(
-        records=tuple(map(InvocationRecord._make, map(_RECORD_ROW, payload["records"]))),
-        cold_fraction=payload["cold_fraction"],
-        latency_summary=(
-            None if payload["latency_summary"] is None
-            else summary_from_dict(payload["latency_summary"])
-        ),
-        total_billed_gb_s=payload["total_billed_gb_s"],
-        memory_bytes=payload["memory_bytes"],
-    )
-
-
-def save_result_json(result: SimulationResult, path: str | Path) -> None:
-    """Write :func:`render_result_json` and a final newline to ``path``."""
-    Path(path).write_text(render_result_json(result) + "\n", "utf-8")
-
-
-def _check_records(records: list, label: str) -> None:
-    """Raise naming a saved record that lacks a field or holds a bad value.
-
-    Numbers must be finite and non-negative. Each field is checked over all
-    records at once, in passes that run in C: a Python-level check per
-    record added a few percent to ``cost --result`` on a 5k-record result.
-    """
-    try:
-        columns = list(zip(*map(_RECORD_ROW, records)))
-    except (KeyError, TypeError):  # a record that is not an object, or lacks a field
-        for i, record in enumerate(records):
-            if type(record) is not dict:
-                raise ScenarioError(
-                    f"{label}: records[{i}]: must be an object, got {reprlib.repr(record)}") from None
-            if not record.keys() >= _RECORD_KINDS.keys():
-                missing = sorted(_RECORD_KINDS.keys() - record.keys())
-                raise ScenarioError(f"{label}: records[{i}]: missing keys {missing}") from None
-        raise
-    for (key, types), column in zip(_RECORD_KINDS.items(), columns):
-        sound = set(map(type, column)) <= set(types)
-        if sound and types is _NUMBER:  # with no NaN, min and max compare every value
-            sound = not any(map(math.isnan, column)) and 0 <= min(column) and max(column) < math.inf
-        if not sound:
-            i, value = next((i, v) for i, v in enumerate(column) if type(v) not in types
-                            or (types is _NUMBER and not 0 <= v < math.inf))
-            raise ScenarioError(
-                f"{label}: records[{i}]: {key}: must be {_KIND_TEXT[types]}, got {reprlib.repr(value)}")
-
-
-def load_result_json(path: str | Path) -> SimulationResult:
-    """Inverse of :func:`save_result_json`.
-
-    Raises:
-        ScenarioError: naming the file, when it is unreadable or any key
-            :func:`result_from_dict` reads is missing or of the wrong type.
-    """
-    payload, label = _schema.load(path, "result")
-    top = _schema.Block(payload, label)
-    _check_records(top.get("records", list), label)
-    top.get("cold_fraction", float)
-    top.get("total_billed_gb_s", float)
-    if top.get("memory_bytes", int) <= 0:
-        raise ScenarioError(f"{label}: memory_bytes: must be positive")
-    if top.get("latency_summary") is not None:
-        summary = top.block("latency_summary")
-        summary.get("count", int)
-        for key in ("mean_ms", "q50_ms", "q95_ms", "q99_ms"):
-            summary.get(key, float)
-    return result_from_dict(payload)

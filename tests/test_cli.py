@@ -841,14 +841,15 @@ def test_negative_seed_flag_is_a_usage_error(capsys, argv):
 HEAVY = {"numpy", "http.server", "asyncio", "dataclasses", "inspect"}
 
 # Runs one command in a fresh interpreter, then names the heavy modules it
-# loaded on one line and the faasplan submodules on the next.
+# loaded on one line and the faasplan submodules (as "cost" or
+# "commands.cost") on the next.
 FOOTPRINT = f"""\
 import sys
 HEAVY = {HEAVY!r}
 from faasplan.cli import _finite_decimal, _finite_float, build_parser, main
 code = main(sys.argv[1:])
 print(*sorted(HEAVY & sys.modules.keys()), file=sys.stderr)
-print(*sorted(m.split(".")[1] for m in sys.modules if m.startswith("faasplan.")), file=sys.stderr)
+print(*sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("faasplan.")), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -869,16 +870,28 @@ def saved_result(tmp_path_factory):
     return prefix
 
 
+COMMANDS = ("validate", "select", "simulate", "cost", "bench")
+
+
+def other_commands(name: str) -> set[str]:
+    """The modules of every CLI command but ``name``: no command loads another's."""
+    return {f"commands.{command}" for command in COMMANDS if command != name}
+
+
 # Planner command -> the faasplan modules it never runs, and so must not load.
 PLANNER_COMMANDS = {
     "validate": (("validate", "--scenario", SCENARIOS / "tinybert_aws.json"),
-                 {"cost", "metrics", "simulator"}),
+                 {"cost", "metrics", "simulator", "results", *other_commands("validate")}),
     "select": (("select", "--catalog", "sentiment", "--provider", "aws", "--metric", "f1_macro"),
-               {"cost", "metrics", "simulator"}),
+               {"cost", "metrics", "simulator", "scenario", "results", *other_commands("select")}),
     "cost": (("cost", "--scenario", SCENARIOS / "million_predictions.json"),
-             {"simulator", "catalog", "packaging", "providers", "metrics"}),
-    "cost-result-json": (("cost", "--result", ".json"), {"catalog", "packaging"}),
-    "cost-result-csv": (("cost", "--result", ".csv"), {"simulator"}),
+             {"simulator", "catalog", "packaging", "providers", "metrics", "results",
+              *other_commands("cost")}),
+    "cost-result-json": (("cost", "--result", ".json"),
+                         {"catalog", "packaging", "scenario", "simulator", "providers",
+                          *other_commands("cost")}),
+    "cost-result-csv": (("cost", "--result", ".csv"),
+                        {"simulator", "scenario", "results", *other_commands("cost")}),
 }
 
 
@@ -909,10 +922,63 @@ def test_harness_import_loads_no_dataclasses_or_inspect():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
+def test_harness_import_loads_no_simulator():
+    # A stub server sends nothing, so it needs no arrivals, prices or limits.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, faasplan.harness; "
+                               "print(*sorted(m for m in sys.modules if m.startswith('faasplan.')))"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "faasplan.harness" in loaded
+    assert loaded & {"faasplan.simulator", "faasplan.cost", "faasplan.providers",
+                     "faasplan._schema"} == set()
+
+
 def test_planner_commands_load_only_the_modules_they_run(planner_footprint):
     _, loaded, unused = planner_footprint
     assert "cli" in loaded  # the control: the probe does see faasplan modules
     assert loaded & unused == set()
+    assert len(loaded & {f"commands.{command}" for command in COMMANDS}) == 1
+
+
+# Runs ``python -m faasplan.cli ARGV...`` as runpy does for -m, then names on
+# stderr whether the module was also imported under its own name.
+AS_MAIN = """\
+import runpy, sys
+try:
+    runpy.run_module("faasplan.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print("faasplan.cli" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    *(argv for argv, _ in PLANNER_COMMANDS.values()),
+    ("simulate", "--scenario", SCENARIOS / "smobilebert_replay.json"),
+    ("bench", "--stub", "--rate", "0"),
+], ids=[*PLANNER_COMMANDS, "simulate", "bench"])
+def test_command_run_as_main_never_imports_faasplan_cli(saved_result, argv):
+    # Importing faasplan.cli from a command module would compile and run cli.py
+    # a second time, next to __main__, with a second ProfileStore class.
+    if argv[1] == "--result":
+        argv = ("cost", "--result", f"{saved_result}{argv[2]}")
+    proc = subprocess.run([sys.executable, "-c", AS_MAIN, *map(str, argv), "--format", "json"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    json.loads(proc.stdout)  # the command ran and printed its report
+    assert proc.stderr.splitlines()[-1] == "False"
+
+
+def test_scenario_names_resolve_through_cli():
+    from faasplan import cli, scenario
+
+    for name in ("Scenario", "load_scenario", "SCENARIO_SCHEMA_VERSION"):
+        assert getattr(cli, name) is getattr(scenario, name)
+    with pytest.raises(AttributeError, match="nosuch"):
+        cli.nosuch  # noqa: B018
 
 
 def test_simulate_loads_numpy():

@@ -18,7 +18,19 @@ from pathlib import Path
 
 import pytest
 
-from faasplan import _record, catalog, cli, cost, harness, metrics, packaging, providers, simulator
+from faasplan import (
+    _record,
+    catalog,
+    cli,
+    cost,
+    harness,
+    metrics,
+    packaging,
+    providers,
+    results,
+    scenario,
+    simulator,
+)
 from faasplan.catalog import CandidateEvaluation, ModelArtifact, SelectionConstraints
 from faasplan.cli import Scenario
 from faasplan.cost import CostAssumptions, CostReport, PricingModel, VmBaseline
@@ -239,7 +251,7 @@ def cls(request):
 
 def test_every_value_class_has_examples():
     defined = {value for module in (catalog, cli, cost, harness, metrics, packaging, providers,
-                                    simulator)
+                                    results, scenario, simulator)
                for value in vars(module).values()
                if isinstance(value, type) and "__record_fields__" in vars(value)}
     assert defined == set(EXAMPLES)
