@@ -140,7 +140,7 @@ def _ratio(text: str) -> float:
 
 
 def _seed(text: str) -> int:
-    """``--seed`` value: a non-negative integer, as numpy's seeding requires."""
+    """``--seed`` value: a non-negative integer, as a run's ``SeedSequence`` requires."""
     try:
         seed = int(text)
     except ValueError:
@@ -185,7 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a seeded deployment simulation")
     _add_common(p)
     p.add_argument("--scenario", required=True, help="scenario JSON with profile/traffic/simulation")
-    p.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
+    p.add_argument("--seed", type=_seed, default=None,
+                   help="override the scenario seed, a non-negative integer; a seed gives "
+                        "the same records whether numpy or faasplan's own PCG64 draws them")
     p.add_argument("--memory-sweep", type=_mb_list, default=None,
                    help="comma-separated memory sizes in MB, one run per size")
     p.add_argument("--out", default=None,
@@ -212,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run length in seconds (default: 10)")
     p.add_argument("--pattern", choices=("steady", "poisson"), default="steady",
                    help="send schedule (default: steady)")
-    p.add_argument("--seed", type=_seed, default=0, help="seed of the poisson schedule (default: 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="seed of the poisson schedule, a non-negative integer (default: 0)")
     p.add_argument("--warmup", type=int, default=10,
                    help="successful responses to exclude up front (default: 10)")
     p.add_argument("--timeout-ms", type=_finite_float, default=10_000.0,

@@ -41,3 +41,13 @@ class PreflightError(FaasPlanError):
     def __init__(self, message: str, report):
         super().__init__(message)
         self.report = report
+
+
+def check_seed(seed) -> None:
+    """Reject a seed that is not a non-negative ``int``, the seeds a run's draws start from.
+
+    Raises:
+        DomainError: naming the bad seed.
+    """
+    if not isinstance(seed, int) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Mapping
 from urllib.parse import urlsplit
 
 from ._record import dataclass, field
-from .errors import DomainError, FaasPlanError, PreflightError
+from .errors import DomainError, FaasPlanError, PreflightError, check_seed
 from .metrics import DEFAULT_WARMUP, SampleSet, warmup_filter, write_samples_csv
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -110,6 +110,7 @@ class BenchRun:
     seed: int = 0
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.n_warmup < 0:
             raise DomainError("n_warmup must be non-negative")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
@@ -36,10 +37,7 @@ class SampleSet:
     instances: tuple[Union[str, None], ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        for v in self.values:
-            if not math.isfinite(v) or v < 0:
-                raise DomainError(f"durations must be finite and non-negative, got {v}")
+        object.__setattr__(self, "values", _durations(self.values))
         for name in ("timestamps", "cold", "instances"):
             column = getattr(self, name)
             if column is not None:
@@ -61,10 +59,36 @@ class SampleSet:
 Samples = Union[SampleSet, Sequence[float]]
 
 
+def _durations(values: Iterable[float]) -> tuple[float, ...]:
+    """``values`` as floats, each checked to be a finite, non-negative duration."""
+    values = tuple(map(float, values))
+    for v in values:
+        if not 0.0 <= v < math.inf:
+            raise DomainError(f"durations must be finite and non-negative, got {v}")
+    return values
+
+
 def _as_values(samples: Samples) -> tuple[float, ...]:
-    if isinstance(samples, SampleSet):
-        return samples.values
-    return tuple(float(v) for v in samples)
+    return samples.values if isinstance(samples, SampleSet) else _durations(samples)
+
+
+def _loaded_numpy():
+    """numpy if some module has imported it already, else None.
+
+    Sorts here, and the simulator's seeded draws, use numpy only once it is
+    loaded (the simulator also for a run large enough to be worth its import
+    of about 170 ms): a command that summarizes a few thousand samples
+    sorts them in Python faster than it could import numpy.
+    """
+    return sys.modules.get("numpy")
+
+
+def _ascending(values: tuple[float, ...]):
+    """``values`` sorted: by ``numpy.sort`` once numpy is loaded, by ``sorted`` otherwise."""
+    np = _loaded_numpy()
+    if np is None:
+        return sorted(values)
+    return np.sort(np.asarray(values, dtype=float))
 
 
 def nearest_rank_index(q: float, n: int) -> int:
@@ -88,17 +112,14 @@ def quantile(samples: Samples, q: float) -> float:
     Always returns an element of the sample set.
 
     Raises:
-        DomainError: on an empty set or q outside (0, 1].
+        DomainError: on an empty set, q outside (0, 1], or a value that is
+            not a finite, non-negative duration.
     """
-    # numpy loads here, not at import time: reading and writing samples
-    # (the planner commands) never sorts them.
-    import numpy as np
-
     values = _as_values(samples)
     if not values:
         raise DomainError("quantile of an empty sample set")
-    ordered = np.sort(np.asarray(values, dtype=float))
-    return float(ordered[nearest_rank_index(q, ordered.size) - 1])
+    ordered = _ascending(values)
+    return float(ordered[nearest_rank_index(q, len(ordered)) - 1])
 
 
 @dataclass(frozen=True)
@@ -117,14 +138,16 @@ def summarize(samples: Samples) -> Summary:
 
     The mean uses compensated summation, so it is invariant under
     permutation of the samples.
-    """
-    import numpy as np
 
+    Raises:
+        DomainError: on an empty set, or a value that is not a finite,
+            non-negative duration.
+    """
     values = _as_values(samples)
     if not values:
         raise DomainError("cannot summarize an empty sample set")
-    ordered = np.sort(np.asarray(values, dtype=float))
-    n = ordered.size
+    ordered = _ascending(values)
+    n = len(ordered)
 
     def at(q: float) -> float:
         return float(ordered[nearest_rank_index(q, n) - 1])

@@ -17,14 +17,16 @@ this module; the names are re-exported here.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
+from functools import partial
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 from ._record import dataclass
 from .cost import PricingModel, round_up
-from .errors import DomainError
-from .metrics import SampleSet, nearest_rank_index, summarize
+from .errors import DomainError, check_seed
+from .metrics import SampleSet, _loaded_numpy, nearest_rank_index, summarize
 from .providers import CpuScaling, effective_cpu
 from .results import (  # noqa: F401 - re-exported
     InvocationRecord,
@@ -59,6 +61,12 @@ _MAX_BLOCK = 1 << 16
 # pattern may span. Arrivals are built as whole lists, so a larger count
 # would fill memory before a run could start.
 MAX_REQUESTS = 10**7
+# Expected requests from which a run imports numpy to draw when nothing has
+# imported it yet. On a shared 2-vCPU host `import numpy` took 169 ms, and
+# drawing in pure Python cost 2.2 us per request (1.34 us per arrival gap and
+# 0.89 us per service-time index, each timed over 100k draws) against about
+# 0.1 us in numpy: 169 ms / 2.1 us is about 80,000 requests.
+_NUMPY_BREAK_EVEN = 80_000
 
 
 @dataclass(frozen=True)
@@ -181,7 +189,7 @@ class TrafficPattern:
                 raise DomainError("rate_rps must be non-negative")
             if self.duration_s <= 0:
                 raise DomainError("duration_s must be positive")
-            self._check_count(self.rate_rps * self.duration_s)
+            self._check_count()
         elif self.kind == "on_off_burst":
             self._require(
                 high_rate=self.high_rate, low_rate=self.low_rate,
@@ -197,13 +205,7 @@ class TrafficPattern:
             periods = self.duration_s / self.period_s
             if periods > MAX_REQUESTS:
                 raise DomainError(f"period count {periods:g} exceeds the limit of {MAX_REQUESTS:,}")
-            # Whole periods, then the last partial one, which starts high.
-            full, rest = divmod(self.duration_s, self.period_s)
-            high_s = self.duty * self.period_s
-            self._check_count(
-                full * (high_s * self.high_rate + (self.period_s - high_s) * self.low_rate)
-                + min(rest, high_s) * self.high_rate + max(rest - high_s, 0.0) * self.low_rate
-            )
+            self._check_count()
         else:
             if self.timestamps is None:
                 raise DomainError("trace_replay requires timestamps")
@@ -216,7 +218,21 @@ class TrafficPattern:
                     raise DomainError("trace timestamps must be non-decreasing")
                 previous = t
 
-    def _check_count(self, expected: float) -> None:
+    @property
+    def expected_requests(self) -> float:
+        """The mean number of arrivals: exact for a trace, rate times time otherwise."""
+        if self.kind == "trace_replay":
+            return len(self.timestamps)
+        if self.kind == "poisson_constant":
+            return self.rate_rps * self.duration_s
+        # Whole periods, then the last partial one, which starts high.
+        full, rest = divmod(self.duration_s, self.period_s)
+        high_s = self.duty * self.period_s
+        return (full * (high_s * self.high_rate + (self.period_s - high_s) * self.low_rate)
+                + min(rest, high_s) * self.high_rate + max(rest - high_s, 0.0) * self.low_rate)
+
+    def _check_count(self) -> None:
+        expected = self.expected_requests
         if expected > MAX_REQUESTS:
             raise DomainError(f"expected request count {expected:g} exceeds the limit of {MAX_REQUESTS:,}")
 
@@ -270,6 +286,7 @@ class SimulationConfig:
     max_instances: Union[int, Unlimited] = UNLIMITED
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.memory_bytes <= 0:
             raise DomainError("memory_bytes must be positive")
         if math.isnan(self.keep_alive_s) or self.keep_alive_s < 0:
@@ -334,19 +351,45 @@ def _poisson_arrivals(rng: np.random.Generator, rate_rps: float, start_ms: float
         t = float(times[-1])
 
 
+def _draws_in_python(pattern: TrafficPattern, seed) -> bool:
+    """Whether ``seed``'s draws for ``pattern`` come from :mod:`._pcg64` rather than numpy.
+
+    Both draw the same numbers. numpy draws once it is loaded, since its
+    draws then cost nothing to set up; for a run of at least
+    ``_NUMPY_BREAK_EVEN`` expected requests, whose draws in Python would
+    cost more than importing it; and for any seed but a non-negative int,
+    which only ``numpy.random.default_rng`` takes.
+    """
+    if isinstance(seed, int):
+        return seed >= 0 and _loaded_numpy() is None and pattern.expected_requests < _NUMPY_BREAK_EVEN
+    # A child seed of a run that draws in Python, which numpy does not take.
+    # Only such a run loads _pcg64, so a run that draws with numpy never
+    # compiles it.
+    pcg64 = sys.modules.get(f"{__package__}._pcg64")
+    return pcg64 is not None and isinstance(seed, pcg64.SeedSequence)
+
+
 def generate_arrivals(pattern: TrafficPattern, seed) -> list[float]:
     """Arrival timestamps in ms for one pattern, deterministic per seed.
 
-    ``seed`` may be anything ``numpy.random.default_rng`` accepts. Traces
-    replay verbatim and ignore the seed.
+    ``seed`` may be anything ``numpy.random.default_rng`` accepts, and the
+    arrivals are those its draws give. A non-negative int seed for fewer
+    than 80,000 expected requests draws them in pure Python, bit for bit
+    the same, unless numpy is loaded already. Traces replay verbatim and
+    ignore the seed.
     """
     if pattern.kind == "trace_replay":
         return list(pattern.timestamps)
-    import numpy as np
+    if _draws_in_python(pattern, seed):
+        from ._pcg64 import Generator
 
-    rng = np.random.default_rng(seed)
+        poisson = Generator(seed).poisson_times
+    else:
+        import numpy as np
+
+        poisson = partial(_poisson_arrivals, np.random.default_rng(seed))
     if pattern.kind == "poisson_constant":
-        return _poisson_arrivals(rng, pattern.rate_rps, 0.0, pattern.duration_s * 1000.0)
+        return poisson(pattern.rate_rps, 0.0, pattern.duration_s * 1000.0)
     duration_ms = pattern.duration_s * 1000.0
     period_ms = pattern.period_s * 1000.0
     out: list[float] = []
@@ -354,10 +397,10 @@ def generate_arrivals(pattern: TrafficPattern, seed) -> list[float]:
     while t0 < duration_ms:
         high_end = min(t0 + pattern.duty * period_ms, duration_ms)
         if high_end > t0:
-            out.extend(_poisson_arrivals(rng, pattern.high_rate, t0, high_end))
+            out.extend(poisson(pattern.high_rate, t0, high_end))
         low_end = min(t0 + period_ms, duration_ms)
         if low_end > high_end:
-            out.extend(_poisson_arrivals(rng, pattern.low_rate, high_end, low_end))
+            out.extend(poisson(pattern.low_rate, high_end, low_end))
         t0 += period_ms
     return out
 
@@ -385,11 +428,19 @@ def simulate(
 
     Instances live in three heaps (busy, idle, expired), so each arrival
     costs O(log instances) amortized, however many instances exist.
-    """
-    import numpy as np
 
-    seed_seq = np.random.SeedSequence(config.seed)
-    arrival_seed, service_seed = seed_seq.spawn(2)
+    Arrivals and service draws come from the two children of
+    ``SeedSequence(config.seed)``, drawn by numpy or, bit for bit the same,
+    by :mod:`._pcg64` (see :func:`_draws_in_python`).
+    """
+    in_python = _draws_in_python(pattern, config.seed)
+    if in_python:
+        from ._pcg64 import Generator, SeedSequence
+    else:
+        import numpy as np
+
+        Generator, SeedSequence = np.random.default_rng, np.random.SeedSequence
+    arrival_seed, service_seed = SeedSequence(config.seed).spawn(2)
     arrivals_ms = generate_arrivals(pattern, arrival_seed)
     n = len(arrivals_ms)
 
@@ -398,8 +449,8 @@ def simulate(
         1.0, profile.reference_memory_bytes, config.memory_bytes, config.scaling
     )
     base_values = profile.samples.values
-    rng = np.random.default_rng(service_seed)
-    draw_index = rng.integers(0, len(base_values), size=n).tolist() if n else ()
+    draws = Generator(service_seed).integers(0, len(base_values), size=n)
+    draw_index = draws if in_python else draws.tolist()
 
     keep_alive_us = math.inf if math.isinf(config.keep_alive_s) else round(config.keep_alive_s * 1e6)
     cold_us = round(config.cold_start_ms * 1000)

@@ -10,7 +10,7 @@ import pytest
 
 from faasplan import GB, SampleSet, load_pricing, serverless_cost_total, write_samples_csv
 from faasplan.cli import _finite_decimal, _finite_float, _megabytes, _ratio, build_parser, main
-from faasplan.simulator import load_result_json
+from faasplan.simulator import _NUMPY_BREAK_EVEN, load_result_json
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -981,7 +981,64 @@ def test_scenario_names_resolve_through_cli():
         cli.nosuch  # noqa: B018
 
 
-def test_simulate_loads_numpy():
-    # The control for the test above: the footprint probe does see numpy.
-    heavy, _ = footprint("simulate", "--scenario", SCENARIOS / "smobilebert_replay.json")
+def poisson_scenario(tmp_path, requests: float):
+    """smobilebert_replay.json with Poisson traffic that expects ``requests`` over 100 s."""
+    return scenario_file(tmp_path, "smobilebert_replay.json", lambda doc: doc.update(
+        traffic={"kind": "poisson", "rate_rps": requests / 100, "duration_s": 100}))
+
+
+@pytest.mark.parametrize("requests", [_NUMPY_BREAK_EVEN - 1, None])
+def test_simulate_below_the_break_even_count_loads_no_numpy(tmp_path, requests):
+    # It draws in pure Python: the poisson run just below the break-even
+    # count, and the 5,000-request trace replay.
+    scenario = SCENARIOS / "smobilebert_replay.json" if requests is None else poisson_scenario(
+        tmp_path, requests)
+    heavy, _ = footprint("simulate", "--scenario", scenario, "--format", "json")
+    assert heavy == []
+
+
+def test_simulate_at_the_break_even_count_loads_numpy(tmp_path):
+    # The control for the tests above and below: the footprint probe does see numpy.
+    heavy, _ = footprint("simulate", "--scenario", poisson_scenario(tmp_path, _NUMPY_BREAK_EVEN))
     assert "numpy" in heavy
+
+
+def test_bench_stub_loads_no_numpy():
+    heavy, _ = footprint("bench", "--stub", "--rate", "50", "--duration", "0.5", "--format", "json")
+    assert "numpy" not in heavy
+
+
+# Runs the CLI with numpy unimportable: any ``import numpy`` raises ImportError.
+NO_NUMPY = """\
+import sys
+sys.modules["numpy"] = None
+from faasplan.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def burst_scenario(tmp_path):
+    """An on/off burst of about 6,000 requests whose keep-alive is shorter than its off phase."""
+    return scenario_file(tmp_path, "smobilebert_replay.json", lambda doc: doc.update(
+        traffic={"kind": "burst", "high_rate": 400, "low_rate": 2, "period_s": 20, "duty": 0.25,
+                 "duration_s": 60},
+        simulation={"seed": 11, "memory_mb": 1024, "keep_alive_s": 5, "cold_start_ms": 300,
+                    "max_instances": None}))
+
+
+@pytest.mark.parametrize("scenario", ["smobilebert_replay.json", "memory_sweep.json", "burst"])
+def test_simulate_without_numpy_writes_the_same_bytes(tmp_path, capsys, scenario):
+    import numpy  # noqa: F401 - the in-process run draws with numpy, as it does once loaded
+
+    path = burst_scenario(tmp_path) if scenario == "burst" else SCENARIOS / scenario
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY, "simulate", "--scenario", str(path),
+                           "--out", str(tmp_path / "pure"), "--format", "json"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "numpy"),
+                 "--format", "json"]) == 0
+    assert proc.stdout == capsys.readouterr().out
+    written = sorted(p.name[len("pure"):] for p in tmp_path.glob("pure*"))
+    assert written == ([".csv", ".json"] if scenario != "memory_sweep.json" else ["_sweep.csv"])
+    for suffix in written:
+        assert (tmp_path / f"pure{suffix}").read_bytes() == (tmp_path / f"numpy{suffix}").read_bytes()

@@ -157,6 +157,13 @@ def test_run_bench_preflight_refuses_oversized_payload():
     assert exc_info.value.report.violations[0].limit_name == "request_size"
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_bench_run_rejects_a_bad_seed(seed):
+    with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+        BenchRun(target=BenchTarget(url="http://127.0.0.1:9/"),
+                 pattern=TrafficPattern.poisson(10, 1), seed=seed)
+
+
 def test_run_bench_tallies_connection_failures():
     # nothing listens on a fresh ephemeral port: every send is a transport error
     probe = socket.socket()

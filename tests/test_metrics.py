@@ -249,3 +249,14 @@ def test_nan_duration_rejected_everywhere():
     for bad in (math.inf, -1.0):
         with pytest.raises(DomainError):
             SampleSet.from_values([bad])
+
+
+@pytest.mark.parametrize("values", [
+    [math.nan, 1.0, 2.0], [1.0, math.nan], [-5.0, math.inf], [1.0, math.inf], [-math.inf, 1.0],
+    [2.0, -0.5],
+])
+def test_plain_sequences_with_bad_durations_are_rejected(values):
+    # summarize([nan, 1, 2]) once returned q95=nan, and quantile([-5, inf], 1) inf.
+    for call in (summarize, lambda v: quantile(v, 1.0), lambda v: quantile(v, 0.5)):
+        with pytest.raises(DomainError, match="durations must be finite and non-negative"):
+            call(values)

@@ -103,6 +103,16 @@ class TestTrafficPattern:
         with pytest.raises(DomainError, match="unknown traffic kind"):
             TrafficPattern(kind="sawtooth")
 
+    @pytest.mark.parametrize("pattern, expected", [
+        (TrafficPattern.poisson(10, 5), 50),
+        # Two whole periods of 5 s at 100 rps and 5 s at 2 rps, then 5 s that start high.
+        (TrafficPattern.burst(100, 2, period_s=10, duty=0.5, duration_s=25), 2 * 510 + 500),
+        (TrafficPattern.burst(100, 2, period_s=10, duty=0.5, duration_s=27), 2 * 510 + 504),
+        (TrafficPattern.trace([0.0, 1.0, 1.0]), 3),
+    ])
+    def test_expected_requests(self, pattern, expected):
+        assert pattern.expected_requests == pytest.approx(expected)
+
     @pytest.mark.parametrize("build, name", [
         (lambda v: TrafficPattern.poisson(v, 1), "rate_rps"),
         (lambda v: TrafficPattern.poisson(5, v), "duration_s"),
@@ -312,6 +322,13 @@ def test_config_validation():
     with pytest.raises(DomainError):
         SimulationConfig(seed=1, memory_bytes=GB, max_instances=0)
     SimulationConfig(seed=1, memory_bytes=GB, max_instances=UNLIMITED)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", None, 2.0])
+def test_config_rejects_a_bad_seed(seed):
+    # It once constructed, and the run failed at draw time with numpy's ValueError.
+    with pytest.raises(DomainError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        SimulationConfig(seed=seed, memory_bytes=GB)
 
 
 def test_export_csv_round_trips_latencies(tmp_path):
