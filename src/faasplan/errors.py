@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 
 class FaasPlanError(Exception):
     """Base class for every error raised by this package."""
@@ -43,11 +45,19 @@ class PreflightError(FaasPlanError):
         self.report = report
 
 
-def check_seed(seed) -> None:
-    """Reject a seed that is not a non-negative ``int``, the seeds a run's draws start from.
+def check_seed(seed) -> int:
+    """``seed`` as a plain ``int``, the seeds a run's draws start from.
+
+    Any integer type passes, numpy's included (``operator.index``), so long
+    as its value is non-negative.
 
     Raises:
         DomainError: naming the bad seed.
     """
-    if not isinstance(seed, int) or seed < 0:
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or value < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    return value

@@ -110,7 +110,7 @@ class BenchRun:
     seed: int = 0
 
     def __post_init__(self):
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.n_warmup < 0:
             raise DomainError("n_warmup must be non-negative")
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
@@ -72,25 +71,6 @@ def _as_values(samples: Samples) -> tuple[float, ...]:
     return samples.values if isinstance(samples, SampleSet) else _durations(samples)
 
 
-def _loaded_numpy():
-    """numpy if some module has imported it already, else None.
-
-    Sorts here, and the simulator's seeded draws, use numpy only once it is
-    loaded (the simulator also for a run large enough to be worth its import
-    of about 170 ms): a command that summarizes a few thousand samples
-    sorts them in Python faster than it could import numpy.
-    """
-    return sys.modules.get("numpy")
-
-
-def _ascending(values: tuple[float, ...]):
-    """``values`` sorted: by ``numpy.sort`` once numpy is loaded, by ``sorted`` otherwise."""
-    np = _loaded_numpy()
-    if np is None:
-        return sorted(values)
-    return np.sort(np.asarray(values, dtype=float))
-
-
 def nearest_rank_index(q: float, n: int) -> int:
     """1-based nearest-rank index: the smallest k with k >= q*n.
 
@@ -118,8 +98,8 @@ def quantile(samples: Samples, q: float) -> float:
     values = _as_values(samples)
     if not values:
         raise DomainError("quantile of an empty sample set")
-    ordered = _ascending(values)
-    return float(ordered[nearest_rank_index(q, len(ordered)) - 1])
+    ordered = sorted(values)
+    return ordered[nearest_rank_index(q, len(ordered)) - 1]
 
 
 @dataclass(frozen=True)
@@ -146,11 +126,11 @@ def summarize(samples: Samples) -> Summary:
     values = _as_values(samples)
     if not values:
         raise DomainError("cannot summarize an empty sample set")
-    ordered = _ascending(values)
+    ordered = sorted(values)
     n = len(ordered)
 
     def at(q: float) -> float:
-        return float(ordered[nearest_rank_index(q, n) - 1])
+        return ordered[nearest_rank_index(q, n) - 1]
 
     return Summary(
         count=n,

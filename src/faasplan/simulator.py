@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence, Union
 from ._record import dataclass
 from .cost import PricingModel, round_up
 from .errors import DomainError, check_seed
-from .metrics import SampleSet, _loaded_numpy, nearest_rank_index, summarize
+from .metrics import SampleSet, nearest_rank_index, summarize
 from .providers import CpuScaling, effective_cpu
 from .results import (  # noqa: F401 - re-exported
     InvocationRecord,
@@ -61,12 +61,16 @@ _MAX_BLOCK = 1 << 16
 # pattern may span. Arrivals are built as whole lists, so a larger count
 # would fill memory before a run could start.
 MAX_REQUESTS = 10**7
-# Expected requests from which a run imports numpy to draw when nothing has
-# imported it yet. On a shared 2-vCPU host `import numpy` took 169 ms, and
-# drawing in pure Python cost 2.2 us per request (1.34 us per arrival gap and
-# 0.89 us per service-time index, each timed over 100k draws) against about
-# 0.1 us in numpy: 169 ms / 2.1 us is about 80,000 requests.
-_NUMPY_BREAK_EVEN = 80_000
+# A run that finds numpy unloaded draws in pure Python, unless its draws
+# would cost more there than importing numpy. Measured on a shared 2-vCPU
+# host: `import numpy` took 141-169 ms, and pure Python 1.20-1.34 us per
+# arrival gap and 0.62-0.89 us per service-time index (each timed over 100k
+# draws; numpy makes either in about 0.1 us). With these rounded figures a
+# Poisson or burst run breaks even at 80,000 expected requests and a trace,
+# which draws no gaps, at 200,000.
+_IMPORT_NUMPY_NS = 160_000_000
+_GAP_NS = 1_200
+_INDEX_NS = 800
 
 
 @dataclass(frozen=True)
@@ -286,7 +290,7 @@ class SimulationConfig:
     max_instances: Union[int, Unlimited] = UNLIMITED
 
     def __post_init__(self):
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.memory_bytes <= 0:
             raise DomainError("memory_bytes must be positive")
         if math.isnan(self.keep_alive_s) or self.keep_alive_s < 0:
@@ -351,17 +355,20 @@ def _poisson_arrivals(rng: np.random.Generator, rate_rps: float, start_ms: float
         t = float(times[-1])
 
 
-def _draws_in_python(pattern: TrafficPattern, seed) -> bool:
+def _draws_in_python(pattern: TrafficPattern, seed, service_draws: bool) -> bool:
     """Whether ``seed``'s draws for ``pattern`` come from :mod:`._pcg64` rather than numpy.
 
     Both draw the same numbers. numpy draws once it is loaded, since its
-    draws then cost nothing to set up; for a run of at least
-    ``_NUMPY_BREAK_EVEN`` expected requests, whose draws in Python would
-    cost more than importing it; and for any seed but a non-negative int,
-    which only ``numpy.random.default_rng`` takes.
+    draws then cost nothing to set up; for a run whose draws (arrival gaps,
+    and one service index per request if ``service_draws``) would cost more
+    in Python than importing numpy; and for any seed but a non-negative
+    int, which only ``numpy.random.default_rng`` takes.
     """
     if isinstance(seed, int):
-        return seed >= 0 and _loaded_numpy() is None and pattern.expected_requests < _NUMPY_BREAK_EVEN
+        requests = pattern.expected_requests
+        gaps = 0 if pattern.kind == "trace_replay" else requests
+        cost_ns = gaps * _GAP_NS + (requests * _INDEX_NS if service_draws else 0)
+        return seed >= 0 and sys.modules.get("numpy") is None and cost_ns < _IMPORT_NUMPY_NS
     # A child seed of a run that draws in Python, which numpy does not take.
     # Only such a run loads _pcg64, so a run that draws with numpy never
     # compiles it.
@@ -373,14 +380,14 @@ def generate_arrivals(pattern: TrafficPattern, seed) -> list[float]:
     """Arrival timestamps in ms for one pattern, deterministic per seed.
 
     ``seed`` may be anything ``numpy.random.default_rng`` accepts, and the
-    arrivals are those its draws give. A non-negative int seed for fewer
-    than 80,000 expected requests draws them in pure Python, bit for bit
-    the same, unless numpy is loaded already. Traces replay verbatim and
+    arrivals are those its draws give. A non-negative int seed draws them in
+    pure Python, bit for bit the same, unless numpy is loaded already or
+    the pattern expects more than about 133,000 requests. Traces replay verbatim and
     ignore the seed.
     """
     if pattern.kind == "trace_replay":
         return list(pattern.timestamps)
-    if _draws_in_python(pattern, seed):
+    if _draws_in_python(pattern, seed, service_draws=False):
         from ._pcg64 import Generator
 
         poisson = Generator(seed).poisson_times
@@ -433,7 +440,7 @@ def simulate(
     ``SeedSequence(config.seed)``, drawn by numpy or, bit for bit the same,
     by :mod:`._pcg64` (see :func:`_draws_in_python`).
     """
-    in_python = _draws_in_python(pattern, config.seed)
+    in_python = _draws_in_python(pattern, config.seed, service_draws=True)
     if in_python:
         from ._pcg64 import Generator, SeedSequence
     else:
@@ -449,8 +456,10 @@ def simulate(
         1.0, profile.reference_memory_bytes, config.memory_bytes, config.scaling
     )
     base_values = profile.samples.values
-    draws = Generator(service_seed).integers(0, len(base_values), size=n)
-    draw_index = draws if in_python else draws.tolist()
+    if in_python:
+        draw_index = Generator(service_seed).integers(len(base_values), n)
+    else:
+        draw_index = Generator(service_seed).integers(0, len(base_values), size=n).tolist()
 
     keep_alive_us = math.inf if math.isinf(config.keep_alive_s) else round(config.keep_alive_s * 1e6)
     cold_us = round(config.cold_start_ms * 1000)

@@ -10,7 +10,7 @@ import pytest
 
 from faasplan import GB, SampleSet, load_pricing, serverless_cost_total, write_samples_csv
 from faasplan.cli import _finite_decimal, _finite_float, _megabytes, _ratio, build_parser, main
-from faasplan.simulator import _NUMPY_BREAK_EVEN, load_result_json
+from faasplan.simulator import load_result_json
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -987,7 +987,12 @@ def poisson_scenario(tmp_path, requests: float):
         traffic={"kind": "poisson", "rate_rps": requests / 100, "duration_s": 100}))
 
 
-@pytest.mark.parametrize("requests", [_NUMPY_BREAK_EVEN - 1, None])
+# Expected requests from which a Poisson run imports numpy to draw (simulator._IMPORT_NUMPY_NS
+# over _GAP_NS + _INDEX_NS).
+NUMPY_BREAK_EVEN = 80_000
+
+
+@pytest.mark.parametrize("requests", [NUMPY_BREAK_EVEN - 1, None])
 def test_simulate_below_the_break_even_count_loads_no_numpy(tmp_path, requests):
     # It draws in pure Python: the poisson run just below the break-even
     # count, and the 5,000-request trace replay.
@@ -999,7 +1004,7 @@ def test_simulate_below_the_break_even_count_loads_no_numpy(tmp_path, requests):
 
 def test_simulate_at_the_break_even_count_loads_numpy(tmp_path):
     # The control for the tests above and below: the footprint probe does see numpy.
-    heavy, _ = footprint("simulate", "--scenario", poisson_scenario(tmp_path, _NUMPY_BREAK_EVEN))
+    heavy, _ = footprint("simulate", "--scenario", poisson_scenario(tmp_path, NUMPY_BREAK_EVEN))
     assert "numpy" in heavy
 
 

@@ -17,6 +17,7 @@ import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
+import numpy as np
 import pytest
 
 from faasplan import (
@@ -162,6 +163,12 @@ def test_bench_run_rejects_a_bad_seed(seed):
     with pytest.raises(DomainError, match="seed must be a non-negative integer"):
         BenchRun(target=BenchTarget(url="http://127.0.0.1:9/"),
                  pattern=TrafficPattern.poisson(10, 1), seed=seed)
+
+
+def test_bench_run_takes_a_numpy_integer_seed_as_a_plain_int():
+    run = BenchRun(target=BenchTarget(url="http://127.0.0.1:9/"),
+                   pattern=TrafficPattern.poisson(10, 1), seed=np.int64(7))
+    assert type(run.seed) is int and run.seed == 7
 
 
 def test_run_bench_tallies_connection_failures():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from faasplan import (
@@ -329,6 +330,13 @@ def test_config_rejects_a_bad_seed(seed):
     # It once constructed, and the run failed at draw time with numpy's ValueError.
     with pytest.raises(DomainError, match=f"seed must be a non-negative integer, got {seed!r}"):
         SimulationConfig(seed=seed, memory_bytes=GB)
+
+
+@pytest.mark.parametrize("seed", [7, np.int64(7), np.uint8(7)])
+def test_config_takes_any_integer_seed_as_a_plain_int(seed):
+    # A sweep over np.arange(...) passes numpy integers, which numpy's seeding takes.
+    config = SimulationConfig(seed=seed, memory_bytes=GB)
+    assert type(config.seed) is int and config.seed == 7
 
 
 def test_export_csv_round_trips_latencies(tmp_path):
