@@ -51,8 +51,8 @@ def _result_table(result) -> str:
 
 def run(args, store) -> int:
     from ..scenario import load_scenario
-    from ..simulator import (export_result_csv, render_result_json, result_header, save_result_json,
-                             simulate)
+    from ..simulator import (_draw_requests, _run_requests, export_result_csv, render_result_json,
+                             result_header, save_result_json, simulate)
 
     scenario = load_scenario(args.scenario, store, seed_override=args.seed)
     for field_name in ("profile", "traffic", "sim_config"):
@@ -63,11 +63,14 @@ def run(args, store) -> int:
 
     sweep_mb = args.memory_sweep or scenario.memory_sweep_mb
     if sweep_mb:
+        # Only the service times depend on the memory size: every size replays the same draws.
+        draws = _draw_requests(scenario.traffic, scenario.sim_config.seed,
+                               len(scenario.profile.samples.values))
         rows = []
         for memory_mb in sweep_mb:
             config = replace(scenario.sim_config, memory_bytes=memory_mb * MB)
             row = {"memory_mb": memory_mb,
-                   **result_header(simulate(scenario.profile, scenario.traffic, config, pricing))}
+                   **result_header(_run_requests(scenario.profile, config, pricing, *draws))}
             del row["memory_bytes"]  # the row's memory_mb says it
             rows.append(row)
         emit(args, {"sweep": rows}, _sweep_table)

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import insort
 from fractions import Fraction
 from functools import partial
 from heapq import heappop, heappush
+from itertools import repeat
 from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 from ._record import dataclass
@@ -412,6 +414,30 @@ def generate_arrivals(pattern: TrafficPattern, seed) -> list[float]:
     return out
 
 
+def _draw_requests(
+    pattern: TrafficPattern, seed: int, n_values: int
+) -> tuple[list[float], list[int]]:
+    """A run's arrivals in ms and, per arrival, the index of its profile sample.
+
+    They come from the two children of ``SeedSequence(seed)``, drawn by
+    numpy or, bit for bit the same, by :mod:`._pcg64` (see
+    :func:`_draws_in_python`). They do not depend on the memory size, so a
+    memory sweep draws them once.
+    """
+    if _draws_in_python(pattern, seed, service_draws=True):
+        from ._pcg64 import Generator, SeedSequence
+
+        arrival_seed, service_seed = SeedSequence(seed).spawn(2)
+        arrivals_ms = generate_arrivals(pattern, arrival_seed)
+        return arrivals_ms, Generator(service_seed).integers(n_values, len(arrivals_ms))
+    import numpy as np
+
+    arrival_seed, service_seed = np.random.SeedSequence(seed).spawn(2)
+    arrivals_ms = generate_arrivals(pattern, arrival_seed)
+    rng = np.random.default_rng(service_seed)
+    return arrivals_ms, rng.integers(0, n_values, size=len(arrivals_ms)).tolist()
+
+
 def simulate(
     profile: LatencyProfile,
     pattern: TrafficPattern,
@@ -433,61 +459,58 @@ def simulate(
       the request waits FIFO for it, and is cold if that instance sat idle
       past keep-alive.
 
-    Instances live in three heaps (busy, idle, expired), so each arrival
-    costs O(log instances) amortized, however many instances exist.
+    Busy and expired instances live in heaps and idle ones in a list sorted
+    by free time, so each arrival costs O(log instances) amortized, however
+    many instances exist.
 
     Arrivals and service draws come from the two children of
-    ``SeedSequence(config.seed)``, drawn by numpy or, bit for bit the same,
-    by :mod:`._pcg64` (see :func:`_draws_in_python`).
+    ``SeedSequence(config.seed)`` (see :func:`_draw_requests`).
     """
-    in_python = _draws_in_python(pattern, config.seed, service_draws=True)
-    if in_python:
-        from ._pcg64 import Generator, SeedSequence
-    else:
-        import numpy as np
+    arrivals_ms, draw_index = _draw_requests(pattern, config.seed, len(profile.samples.values))
+    return _run_requests(profile, config, pricing, arrivals_ms, draw_index)
 
-        Generator, SeedSequence = np.random.default_rng, np.random.SeedSequence
-    arrival_seed, service_seed = SeedSequence(config.seed).spawn(2)
-    arrivals_ms = generate_arrivals(pattern, arrival_seed)
-    n = len(arrivals_ms)
 
+def _run_requests(
+    profile: LatencyProfile,
+    config: SimulationConfig,
+    pricing: PricingModel,
+    arrivals_ms: list[float],
+    draw_index: list[int],
+) -> SimulationResult:
+    """The event loop of :func:`simulate` over drawn arrivals and profile sample indices."""
     # One factor serves every draw; scale_duration(d) == d * factor for d > 0.
     factor = scale_duration(
         1.0, profile.reference_memory_bytes, config.memory_bytes, config.scaling
     )
     base_values = profile.samples.values
-    if in_python:
-        draw_index = Generator(service_seed).integers(len(base_values), n)
-    else:
-        draw_index = Generator(service_seed).integers(0, len(base_values), size=n).tolist()
+    t_us = [round(a * 1000) for a in arrivals_ms]
+    exec_us = [round(base_values[j] * 1000 * factor) for j in draw_index]
 
     keep_alive_us = math.inf if math.isinf(config.keep_alive_s) else round(config.keep_alive_s * 1e6)
     cold_us = round(config.cold_start_ms * 1000)
-    granularity_us = pricing.billing_granularity_ms * 1000
     cap = math.inf if isinstance(config.max_instances, Unlimited) else config.max_instances
 
-    busy: list[tuple[int, int]] = []     # (free_at_us, id) until an arrival at or after free_at
-    idle: list[tuple[int, int]] = []     # (-free_at_us, id): newest first, lowest id on ties
-    expired: list[tuple[int, int]] = []  # (free_at_us, id), idle past keep-alive
+    # Instances leave busy in ascending free time, none before an instance
+    # already idle, so insort appends them except on ties. idle[-1] is the
+    # most recently freed instance, lowest id on ties.
+    busy: list[tuple[int, int]] = []     # heap of (free_at_us, id) until an arrival reaches free_at
+    idle: list[tuple[int, int]] = []     # (free_at_us, -id), sorted
+    expired: list[tuple[int, int]] = []  # heap of (free_at_us, id), idle past keep-alive
     n_instances = 0
-    records: list[InvocationRecord] = []
-    latencies: list[float] = []
-    n_cold = 0
+    starts, ends, colds, ids = [], [], [], []  # per arrival: start_us, end_us, cold, id
 
-    for i in range(n):
-        t = round(arrivals_ms[i] * 1000)
-        exec_us = round(base_values[draw_index[i]] * 1000 * factor)
+    for t, e in zip(t_us, exec_us):
         while busy and busy[0][0] <= t:
             free_at, k = heappop(busy)
-            heappush(idle, (-free_at, k))
-        if idle and t + idle[0][0] <= keep_alive_us:
-            k = heappop(idle)[1]
+            insort(idle, (free_at, -k))
+        if idle and t - idle[-1][0] <= keep_alive_us:
+            k = -idle.pop()[1]
             start, cold = t, False
         else:
             # The newest idle instance sat past keep-alive, so every idle one
             # did, and arrivals only get later: none can serve warm again.
-            for neg_free_at, k in idle:
-                heappush(expired, (-neg_free_at, k))
+            for free_at, neg_k in idle:
+                heappush(expired, (free_at, -neg_k))
             idle.clear()
             if n_instances < cap:
                 k = n_instances
@@ -498,20 +521,25 @@ def simulate(
                 free_at, k = heappop(expired if expired else busy)
                 start = max(t, free_at)
                 cold = start - free_at > keep_alive_us
-        end = start + exec_us + (cold_us if cold else 0)
+        end = start + e + (cold_us if cold else 0)
         heappush(busy, (end, k))
-        billed_us = round_up(exec_us, granularity_us)
-        n_cold += cold
-        records.append(InvocationRecord(
-            t / 1000, start / 1000, end / 1000, cold, k, exec_us / 1000, billed_us / 1000,
-        ))
-        latencies.append((end - t) / 1000)
+        starts.append(start)
+        ends.append(end)
+        colds.append(cold)
+        ids.append(k)
 
-    memory_gb = config.memory_bytes / GB
+    granularity_us = pricing.billing_granularity_ms * 1000
+    billed_ms = [round_up(e, granularity_us) / 1000 for e in exec_us]
+    # tuple.__new__ skips the NamedTuple's Python-level __new__.
+    records = tuple(map(tuple.__new__, repeat(InvocationRecord), zip(
+        [t / 1000 for t in t_us], [s / 1000 for s in starts], [end / 1000 for end in ends],
+        colds, ids, [e / 1000 for e in exec_us], billed_ms,
+    )))
+    n = len(records)
     return SimulationResult(
-        records=tuple(records),
-        cold_fraction=n_cold / n if n else 0.0,
-        latency_summary=summarize(latencies) if latencies else None,
-        total_billed_gb_s=math.fsum(r.billed_ms for r in records) * memory_gb / 1000,
+        records=records,
+        cold_fraction=sum(colds) / n if n else 0.0,
+        latency_summary=summarize([(end - t) / 1000 for end, t in zip(ends, t_us)]) if n else None,
+        total_billed_gb_s=math.fsum(billed_ms) * (config.memory_bytes / GB) / 1000,
         memory_bytes=config.memory_bytes,
     )

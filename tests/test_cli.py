@@ -152,6 +152,29 @@ def test_simulate_memory_sweep(capsys):
     assert q50s == sorted(q50s, reverse=True)
 
 
+def test_simulate_memory_sweep_draws_once(monkeypatch, capsys):
+    """The sizes share one set of draws, and each row is the plain run at its size."""
+    from faasplan import MB, simulator
+    from faasplan._record import replace
+    from faasplan.cli import ProfileStore, load_scenario
+
+    draw, calls = simulator._draw_requests, []
+    monkeypatch.setattr(simulator, "_draw_requests", lambda *args: calls.append(args) or draw(*args))
+    code = run_cli("simulate", "--scenario", SCENARIOS / "memory_sweep.json", "--format", "json")
+    rows = json.loads(capsys.readouterr().out)["sweep"]
+    monkeypatch.undo()
+    assert code == 0
+    assert len(calls) == 1
+    assert len(rows) == 5
+    scenario = load_scenario(SCENARIOS / "memory_sweep.json", ProfileStore(None))
+    for row in rows:
+        config = replace(scenario.sim_config, memory_bytes=row.pop("memory_mb") * MB)
+        header = simulator.result_header(
+            simulator.simulate(scenario.profile, scenario.traffic, config, scenario.pricing))
+        del header["memory_bytes"]
+        assert row == header
+
+
 def test_simulate_sweep_csv(tmp_path, capsys):
     prefix = tmp_path / "sweep"
     code = run_cli("simulate", "--scenario", SCENARIOS / "memory_sweep.json",

@@ -165,6 +165,57 @@ def test_zero_length_exec_frees_at_its_own_arrival(max_instances, ids):
     assert result == scan_simulate(profile, pattern, config, PER_MS)
 
 
+def test_simultaneous_instances_serve_lowest_id_first():
+    """Two instances created at the same µs and freed at the same µs: id 0 serves before id 1."""
+    config = SimulationConfig(seed=1, memory_bytes=GB, keep_alive_s=600.0, cold_start_ms=5.0)
+    profile = LatencyProfile.constant(10.0, GB)
+    pattern = TrafficPattern.trace([0.0, 0.0, 30.0, 30.0, 60.0, 100.0])
+    result = simulate(profile, pattern, config, PER_MS)
+    assert [r.instance_id for r in result.records] == [0, 1, 0, 1, 0, 0]
+    assert [r.cold for r in result.records] == [True, True, False, False, False, False]
+    assert result == scan_simulate(profile, pattern, config, PER_MS)
+
+
+def test_equal_free_times_from_separate_drains():
+    """A zero-length run frees id 0 at the free time id 1 already idles with, one arrival later."""
+    config = SimulationConfig(seed=1, memory_bytes=GB, keep_alive_s=600.0, cold_start_ms=10.0)
+    profile = LatencyProfile.constant(0.0, GB)
+    pattern = TrafficPattern.trace([0.0, 0.0, 10.0, 10.0, 10.0, 20.0])
+    result = simulate(profile, pattern, config, PER_MS)
+    assert [r.instance_id for r in result.records] == [0, 1, 0, 0, 0, 0]
+    assert [r.end_ms for r in result.records] == [10.0, 10.0, 10.0, 10.0, 10.0, 20.0]
+    assert result == scan_simulate(profile, pattern, config, PER_MS)
+
+
+def test_records_are_invocation_records():
+    # Tuple equality ignores the type, so the oracle comparisons cannot see it.
+    config = SimulationConfig(seed=3, memory_bytes=GB, cold_start_ms=100.0)
+    result = simulate(ANCHORED, TrafficPattern.poisson(50, 1), config, PER_MS)
+    assert result.records
+    assert all(type(r) is InvocationRecord for r in result.records)
+    assert list(result.records[0]._asdict()) == list(InvocationRecord._fields)
+    assert result.records[0]._asdict()["instance_id"] == result.records[0].instance_id
+
+
+@settings(deadline=None, max_examples=4)
+@given(
+    profile=st.lists(st.floats(20.0, 300.0), min_size=1, max_size=6).map(
+        lambda values: LatencyProfile(GB, SampleSet.from_values(values))),
+    high_rate=st.floats(800.0, 2000.0),
+    seed=st.integers(0, 2**32 - 1),
+    max_instances=st.one_of(st.just(UNLIMITED), st.integers(100, 400)),
+    keep_alive_s=st.floats(0.0, 0.4),
+    cold_start_ms=st.floats(0.0, 300.0),
+)
+def test_simulate_matches_scan_oracle_on_a_large_pool(profile, high_rate, seed, max_instances,
+                                                      keep_alive_s, cold_start_ms):
+    """Hundreds of instances, and 0.5 s off phases that outlast keep-alive."""
+    config = SimulationConfig(seed=seed, memory_bytes=GB, keep_alive_s=keep_alive_s,
+                              cold_start_ms=cold_start_ms, max_instances=max_instances)
+    pattern = TrafficPattern.burst(high_rate, 2.0, 1.0, 0.5, 2.0)
+    assert simulate(profile, pattern, config, PER_MS) == scan_simulate(profile, pattern, config, PER_MS)
+
+
 def _replay_run():
     scenario = load_scenario(SCENARIOS / "smobilebert_replay.json", ProfileStore(None))
     return scenario.profile, scenario.traffic, scenario.sim_config, scenario.pricing
