@@ -34,7 +34,7 @@ _EXPORTS = {
                      "effective_cpu load_provider_limits validate_plan",
         "results": "InvocationRecord SimulationResult",
         "simulator": "LatencyProfile SimulationConfig TrafficPattern generate_arrivals "
-                     "scale_duration simulate",
+                     "scale_duration simulate simulate_sweep",
         "units": "GB MB UNLIMITED Unlimited",
     }.items()
     for name in names.split()

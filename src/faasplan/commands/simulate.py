@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextlib
 from pathlib import Path
 
-from .._record import replace
 from ..errors import FaasPlanError, ScenarioError
 from ..units import MB
 from . import emit, fields
@@ -51,8 +50,8 @@ def _result_table(result) -> str:
 
 def run(args, store) -> int:
     from ..scenario import load_scenario
-    from ..simulator import (_draw_requests, _run_requests, export_result_csv, render_result_json,
-                             result_header, save_result_json, simulate)
+    from ..simulator import (export_result_csv, render_result_json, result_header,
+                             save_result_json, simulate, simulate_sweep)
 
     scenario = load_scenario(args.scenario, store, seed_override=args.seed)
     for field_name in ("profile", "traffic", "sim_config"):
@@ -63,14 +62,12 @@ def run(args, store) -> int:
 
     sweep_mb = args.memory_sweep or scenario.memory_sweep_mb
     if sweep_mb:
-        # Only the service times depend on the memory size: every size replays the same draws.
-        draws = _draw_requests(scenario.traffic, scenario.sim_config.seed,
-                               len(scenario.profile.samples.values))
+        results = simulate_sweep(scenario.profile, scenario.traffic, scenario.sim_config, pricing,
+                                 [memory_mb * MB for memory_mb in sweep_mb])
         rows = []
         for memory_mb in sweep_mb:
-            config = replace(scenario.sim_config, memory_bytes=memory_mb * MB)
-            row = {"memory_mb": memory_mb,
-                   **result_header(_run_requests(scenario.profile, config, pricing, *draws))}
+            # next() in the row, so no result outlives its row.
+            row = {"memory_mb": memory_mb, **result_header(next(results))}
             del row["memory_bytes"]  # the row's memory_mb says it
             rows.append(row)
         emit(args, {"sweep": rows}, _sweep_table)

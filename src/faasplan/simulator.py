@@ -23,9 +23,9 @@ from fractions import Fraction
 from functools import partial
 from heapq import heappop, heappush
 from itertools import repeat
-from typing import TYPE_CHECKING, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
-from ._record import dataclass
+from ._record import dataclass, replace
 from .cost import PricingModel, round_up
 from .errors import DomainError, check_seed
 from .metrics import SampleSet, nearest_rank_index, summarize
@@ -421,8 +421,7 @@ def _draw_requests(
 
     They come from the two children of ``SeedSequence(seed)``, drawn by
     numpy or, bit for bit the same, by :mod:`._pcg64` (see
-    :func:`_draws_in_python`). They do not depend on the memory size, so a
-    memory sweep draws them once.
+    :func:`_draws_in_python`).
     """
     if _draws_in_python(pattern, seed, service_draws=True):
         from ._pcg64 import Generator, SeedSequence
@@ -470,6 +469,25 @@ def simulate(
     return _run_requests(profile, config, pricing, arrivals_ms, draw_index)
 
 
+def simulate_sweep(
+    profile: LatencyProfile,
+    pattern: TrafficPattern,
+    config: SimulationConfig,
+    pricing: PricingModel,
+    memory_sizes: Iterable[int],
+) -> Iterator[SimulationResult]:
+    """:func:`simulate` at each memory size in bytes, in order, from one set of draws.
+
+    The arrivals and profile draws do not depend on the memory size, so
+    they are drawn once; each result equals ``simulate`` with that size in
+    ``config``.
+    """
+    arrivals_ms, draw_index = _draw_requests(pattern, config.seed, len(profile.samples.values))
+    for memory_bytes in memory_sizes:
+        yield _run_requests(profile, replace(config, memory_bytes=memory_bytes), pricing,
+                            arrivals_ms, draw_index)
+
+
 def _run_requests(
     profile: LatencyProfile,
     config: SimulationConfig,
@@ -491,8 +509,8 @@ def _run_requests(
     cap = math.inf if isinstance(config.max_instances, Unlimited) else config.max_instances
 
     # Instances leave busy in ascending free time, none before an instance
-    # already idle, so insort appends them except on ties. idle[-1] is the
-    # most recently freed instance, lowest id on ties.
+    # already idle, so each lands at the end of idle except on ties. idle[-1]
+    # is the most recently freed instance, lowest id on ties.
     busy: list[tuple[int, int]] = []     # heap of (free_at_us, id) until an arrival reaches free_at
     idle: list[tuple[int, int]] = []     # (free_at_us, -id), sorted
     expired: list[tuple[int, int]] = []  # heap of (free_at_us, id), idle past keep-alive
@@ -502,7 +520,19 @@ def _run_requests(
     for t, e in zip(t_us, exec_us):
         while busy and busy[0][0] <= t:
             free_at, k = heappop(busy)
-            insort(idle, (free_at, -k))
+            if busy and busy[0][0] == free_at and not (idle and idle[-1][0] == free_at):
+                # A tie leaves busy in ascending id, and idle keeps the lowest id
+                # last. Appending the run reversed costs O(1) an entry, where
+                # insort would shift the whole run at each one.
+                tied = [(free_at, -k)]
+                while busy and busy[0][0] == free_at:
+                    tied.append((free_at, -heappop(busy)[1]))
+                tied.reverse()
+                idle += tied
+            else:
+                # A tie with idle[-1] comes from a zero-length run at this µs on
+                # idle[-1] itself, the lowest id of its tie: it goes back last.
+                insort(idle, (free_at, -k))
         if idle and t - idle[-1][0] <= keep_alive_us:
             k = -idle.pop()[1]
             start, cold = t, False
@@ -528,18 +558,28 @@ def _run_requests(
         colds.append(cold)
         ids.append(k)
 
+    n = len(colds)
+    latency_summary = summarize([(end - t) / 1000 for end, t in zip(ends, t_us)]) if n else None
     granularity_us = pricing.billing_granularity_ms * 1000
     billed_ms = [round_up(e, granularity_us) / 1000 for e in exec_us]
+    # Each µs column is dropped as soon as its ms column exists, so a large
+    # run never holds both in full.
+    arrival_ms = [t / 1000 for t in t_us]
+    del t_us
+    start_ms = [start / 1000 for start in starts]
+    del starts
+    end_ms = [end / 1000 for end in ends]
+    del ends
+    exec_ms = [e / 1000 for e in exec_us]
+    del exec_us
     # tuple.__new__ skips the NamedTuple's Python-level __new__.
     records = tuple(map(tuple.__new__, repeat(InvocationRecord), zip(
-        [t / 1000 for t in t_us], [s / 1000 for s in starts], [end / 1000 for end in ends],
-        colds, ids, [e / 1000 for e in exec_us], billed_ms,
+        arrival_ms, start_ms, end_ms, colds, ids, exec_ms, billed_ms,
     )))
-    n = len(records)
     return SimulationResult(
         records=records,
         cold_fraction=sum(colds) / n if n else 0.0,
-        latency_summary=summarize([(end - t) / 1000 for end, t in zip(ends, t_us)]) if n else None,
+        latency_summary=latency_summary,
         total_billed_gb_s=math.fsum(billed_ms) * (config.memory_bytes / GB) / 1000,
         memory_bytes=config.memory_bytes,
     )

@@ -21,8 +21,10 @@ from faasplan import (
     SimulationConfig,
     TrafficPattern,
     simulate,
+    simulate_sweep,
     summarize,
 )
+from faasplan._record import replace
 from faasplan.cli import ProfileStore, load_scenario, main
 from faasplan.cost import round_up
 from faasplan.simulator import (
@@ -185,6 +187,25 @@ def test_equal_free_times_from_separate_drains():
     assert [r.instance_id for r in result.records] == [0, 1, 0, 0, 0, 0]
     assert [r.end_ms for r in result.records] == [10.0, 10.0, 10.0, 10.0, 10.0, 20.0]
     assert result == scan_simulate(profile, pattern, config, PER_MS)
+
+
+def test_a_large_tie_leaves_idle_in_id_order():
+    """Hundreds of instances freed at the same µs serve later arrivals in ascending id."""
+    config = SimulationConfig(seed=1, memory_bytes=GB, keep_alive_s=600.0, cold_start_ms=5.0)
+    profile = LatencyProfile.constant(10.0, GB)
+    pattern = TrafficPattern.trace([0.0] * 500 + [50.0] * 500 + [200.0] * 3)
+    result = simulate(profile, pattern, config, PER_MS)
+    assert [r.instance_id for r in result.records] == [*range(500), *range(500), 0, 1, 2]
+    assert result == scan_simulate(profile, pattern, config, PER_MS)
+
+
+def test_simulate_sweep_is_simulate_at_each_size():
+    config = SimulationConfig(seed=11, memory_bytes=GB, keep_alive_s=0.5, cold_start_ms=100.0)
+    pattern = TrafficPattern.burst(200.0, 5.0, 2.0, 0.5, 4.0)
+    sizes = [512 * MB, GB, 3 * GB]
+    swept = list(simulate_sweep(ANCHORED, pattern, config, PER_MS, sizes))
+    assert swept == [simulate(ANCHORED, pattern, replace(config, memory_bytes=size), PER_MS)
+                     for size in sizes]
 
 
 def test_records_are_invocation_records():
