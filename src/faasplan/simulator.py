@@ -20,10 +20,9 @@ import math
 import sys
 from bisect import insort
 from fractions import Fraction
-from functools import partial
 from heapq import heappop, heappush
-from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from ._record import dataclass, replace
 from .cost import PricingModel, round_up
@@ -43,9 +42,6 @@ from .results import (  # noqa: F401 - re-exported
 )
 from .units import GB, UNLIMITED, Unlimited
 
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
 TRAFFIC_KINDS = ("poisson_constant", "on_off_burst", "trace_replay")
 
 DEFAULT_KEEP_ALIVE_S = 600.0
@@ -57,11 +53,12 @@ DEFAULT_COLD_START_MS = 1500.0
 # floats 0.8 and 1.05, which the seeded records depend on.
 _HEAD_FACTOR = Fraction(0.8)
 _TAIL_FACTOR = Fraction(1.05)
-# Most exponential gaps drawn at once for a Poisson segment.
-_MAX_BLOCK = 1 << 16
+# Standard exponentials numpy draws at once for an arrival walk.
+_BLOCK = 4096
 # Most requests a traffic pattern may expect, and most periods a burst
-# pattern may span. Arrivals are built as whole lists, so a larger count
-# would fill memory before a run could start.
+# pattern may span. A run holds about 450 B per request at its peak, most
+# of it the records (451-453 MiB above the interpreter's own at 10^6 Poisson
+# requests, 881 MiB at 2*10^6), so a run at this limit needs about 4.5 GB.
 MAX_REQUESTS = 10**7
 # A run that finds numpy unloaded draws in pure Python, unless its draws
 # would cost more there than importing numpy. Measured on a shared 2-vCPU
@@ -69,7 +66,9 @@ MAX_REQUESTS = 10**7
 # arrival gap and 0.62-0.89 us per service-time index (each timed over 100k
 # draws; numpy makes either in about 0.1 us). With these rounded figures a
 # Poisson or burst run breaks even at 80,000 expected requests and a trace,
-# which draws no gaps, at 200,000.
+# which draws no gaps, at 200,000. The pure-Python arrival walk over a
+# stream of exponentials measures 0.8-1.1 us per gap (timed the same way);
+# _GAP_NS keeps the higher figure, so those counts and the README's stand.
 _IMPORT_NUMPY_NS = 160_000_000
 _GAP_NS = 1_200
 _INDEX_NS = 800
@@ -207,7 +206,8 @@ class TrafficPattern:
                 raise DomainError("period_s and duration_s must be positive")
             if not 0 <= self.duty <= 1:
                 raise DomainError(f"duty must lie in [0, 1], got {self.duty}")
-            # generate_arrivals walks every period, even one where no request is expected.
+            # The arrival walk visits every period, even one where no request is
+            # expected: 0.5-1.0 us a period with numpy loaded, so 5-10 s at the limit.
             periods = self.duration_s / self.period_s
             if periods > MAX_REQUESTS:
                 raise DomainError(f"period count {periods:g} exceeds the limit of {MAX_REQUESTS:,}")
@@ -325,38 +325,6 @@ def scale_duration(
     )
 
 
-def _poisson_arrivals(rng: np.random.Generator, rate_rps: float, start_ms: float, end_ms: float) -> list[float]:
-    """Arrivals of ``t = start_ms; t += rng.exponential(1000 / rate_rps)`` while ``t < end_ms``.
-
-    Gaps are drawn in blocks and summed in order, which gives the scalar
-    loop's values bit for bit. The generator is left where that loop
-    leaves it, one draw past the last arrival: burst segments share it,
-    so a draw too many would shift every later segment.
-    """
-    out: list[float] = []
-    if rate_rps <= 0:
-        return out
-    scale = 1000.0 / rate_rps
-    t = start_ms
-    while True:
-        # Enough for the expected count plus several standard deviations,
-        # so one block nearly always reaches end_ms.
-        expected = max(end_ms - t, 0.0) * rate_rps / 1000
-        size = int(min(expected * 1.1 + 64, _MAX_BLOCK))
-        state = rng.bit_generator.state
-        gaps = rng.exponential(scale, size)
-        gaps[0] += t
-        times = gaps.cumsum()
-        inside = int(times.searchsorted(end_ms))  # times[inside] is the first >= end_ms
-        out.extend(times[:inside].tolist())
-        if inside < size:
-            # Replay only the draws the scalar loop makes: each arrival and the one past end_ms.
-            rng.bit_generator.state = state
-            rng.exponential(scale, inside + 1)
-            return out
-        t = float(times[-1])
-
-
 def _draws_in_python(pattern: TrafficPattern, seed, service_draws: bool) -> bool:
     """Whether ``seed``'s draws for ``pattern`` come from :mod:`._pcg64` rather than numpy.
 
@@ -366,52 +334,77 @@ def _draws_in_python(pattern: TrafficPattern, seed, service_draws: bool) -> bool
     in Python than importing numpy; and for any seed but a non-negative
     int, which only ``numpy.random.default_rng`` takes.
     """
-    if isinstance(seed, int):
-        requests = pattern.expected_requests
-        gaps = 0 if pattern.kind == "trace_replay" else requests
-        cost_ns = gaps * _GAP_NS + (requests * _INDEX_NS if service_draws else 0)
-        return seed >= 0 and sys.modules.get("numpy") is None and cost_ns < _IMPORT_NUMPY_NS
-    # A child seed of a run that draws in Python, which numpy does not take.
-    # Only such a run loads _pcg64, so a run that draws with numpy never
-    # compiles it.
-    pcg64 = sys.modules.get(f"{__package__}._pcg64")
-    return pcg64 is not None and isinstance(seed, pcg64.SeedSequence)
+    if not isinstance(seed, int) or seed < 0 or sys.modules.get("numpy") is not None:
+        return False
+    requests = pattern.expected_requests
+    gaps = 0 if pattern.kind == "trace_replay" else requests
+    return gaps * _GAP_NS + (requests * _INDEX_NS if service_draws else 0) < _IMPORT_NUMPY_NS
+
+
+def _exponentials(seed, in_python: bool) -> Iterator[float]:
+    """The standard exponentials of ``numpy.random.default_rng(seed)``, one by one.
+
+    :mod:`._pcg64` draws them if ``in_python``, else numpy, ``_BLOCK`` at a time.
+    """
+    if in_python:
+        from ._pcg64 import Generator
+
+        return iter(Generator(seed).standard_exponential, None)
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    return chain.from_iterable(iter(lambda: rng.standard_exponential(_BLOCK).tolist(), None))
+
+
+def _walk(pattern: TrafficPattern, exponentials: Iterator[float]) -> list[float]:
+    """Arrival timestamps in ms of ``pattern``, over a stream of standard exponentials.
+
+    Each stretch of positive rate walks ``t += (1000 / rate_rps) * e`` from
+    its start while ``t`` stays below its end: numpy's scalar loop
+    ``t += rng.exponential(1000 / rate_rps)``, as ``exponential(scale)`` is
+    ``scale * standard_exponential()``. It reads the draw that crosses the
+    end too, as that loop does, so each later stretch reads the loop's
+    draws; draws left after the last stretch do no harm. A Poisson pattern
+    is one period, all of it high; traces replay verbatim.
+    """
+    if pattern.kind == "trace_replay":
+        return list(pattern.timestamps)
+    duration_ms = pattern.duration_s * 1000.0
+    if pattern.kind == "poisson_constant":
+        period_ms, high_ms, high_rate, low_rate = duration_ms, duration_ms, pattern.rate_rps, 0.0
+    else:
+        period_ms = pattern.period_s * 1000.0
+        high_ms, high_rate, low_rate = pattern.duty * period_ms, pattern.high_rate, pattern.low_rate
+    out: list[float] = []
+    append = out.append
+    t0 = 0.0
+    while t0 < duration_ms:
+        high_end = min(t0 + high_ms, duration_ms)
+        low_end = min(t0 + period_ms, duration_ms)
+        for t, end_ms, rate_rps in (t0, high_end, high_rate), (high_end, low_end, low_rate):
+            if end_ms > t and rate_rps > 0:
+                scale = 1000.0 / rate_rps
+                for e in exponentials:  # resumes where the previous stretch stopped
+                    t += scale * e
+                    if not t < end_ms:  # a NaN t (infinite scale, zero draw) ends it too
+                        break
+                    append(t)
+        t0 += period_ms
+    return out
 
 
 def generate_arrivals(pattern: TrafficPattern, seed) -> list[float]:
     """Arrival timestamps in ms for one pattern, deterministic per seed.
 
     ``seed`` may be anything ``numpy.random.default_rng`` accepts, and the
-    arrivals are those its draws give. A non-negative int seed draws them in
-    pure Python, bit for bit the same, unless numpy is loaded already or
-    the pattern expects more than about 133,000 requests. Traces replay verbatim and
-    ignore the seed.
+    arrivals are one walk over its generator's standard exponentials. A
+    non-negative int seed draws them in pure Python, bit for bit the same,
+    unless numpy is loaded already or the pattern expects more than about
+    133,000 requests. Traces replay verbatim and ignore the seed.
     """
     if pattern.kind == "trace_replay":
         return list(pattern.timestamps)
-    if _draws_in_python(pattern, seed, service_draws=False):
-        from ._pcg64 import Generator
-
-        poisson = Generator(seed).poisson_times
-    else:
-        import numpy as np
-
-        poisson = partial(_poisson_arrivals, np.random.default_rng(seed))
-    if pattern.kind == "poisson_constant":
-        return poisson(pattern.rate_rps, 0.0, pattern.duration_s * 1000.0)
-    duration_ms = pattern.duration_s * 1000.0
-    period_ms = pattern.period_s * 1000.0
-    out: list[float] = []
-    t0 = 0.0
-    while t0 < duration_ms:
-        high_end = min(t0 + pattern.duty * period_ms, duration_ms)
-        if high_end > t0:
-            out.extend(poisson(pattern.high_rate, t0, high_end))
-        low_end = min(t0 + period_ms, duration_ms)
-        if low_end > high_end:
-            out.extend(poisson(pattern.low_rate, high_end, low_end))
-        t0 += period_ms
-    return out
+    return _walk(pattern, _exponentials(seed, _draws_in_python(pattern, seed, service_draws=False)))
 
 
 def _draw_requests(
@@ -427,12 +420,12 @@ def _draw_requests(
         from ._pcg64 import Generator, SeedSequence
 
         arrival_seed, service_seed = SeedSequence(seed).spawn(2)
-        arrivals_ms = generate_arrivals(pattern, arrival_seed)
+        arrivals_ms = _walk(pattern, _exponentials(arrival_seed, in_python=True))
         return arrivals_ms, Generator(service_seed).integers(n_values, len(arrivals_ms))
     import numpy as np
 
     arrival_seed, service_seed = np.random.SeedSequence(seed).spawn(2)
-    arrivals_ms = generate_arrivals(pattern, arrival_seed)
+    arrivals_ms = _walk(pattern, _exponentials(arrival_seed, in_python=False))
     rng = np.random.default_rng(service_seed)
     return arrivals_ms, rng.integers(0, n_values, size=len(arrivals_ms)).tolist()
 

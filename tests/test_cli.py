@@ -158,8 +158,8 @@ def test_simulate_memory_sweep_draws_once(monkeypatch, capsys):
     from faasplan._record import replace
     from faasplan.cli import ProfileStore, load_scenario
 
-    draw, calls = simulator.generate_arrivals, []
-    monkeypatch.setattr(simulator, "generate_arrivals", lambda *args: calls.append(args) or draw(*args))
+    walk, calls = simulator._walk, []
+    monkeypatch.setattr(simulator, "_walk", lambda *args: calls.append(args) or walk(*args))
     code = run_cli("simulate", "--scenario", SCENARIOS / "memory_sweep.json", "--format", "json")
     rows = json.loads(capsys.readouterr().out)["sweep"]
     monkeypatch.undo()

@@ -11,12 +11,17 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_simulator_oracles import PER_MS, scalar_generate_arrivals, scalar_poisson_arrivals
+from test_simulator_oracles import (
+    PER_MS,
+    duration_ending_at,
+    scalar_generate_arrivals,
+    scalar_poisson_arrivals,
+)
 
 from faasplan import GB, LatencyProfile, SimulationConfig, TrafficPattern, _pcg64
-from faasplan.simulator import _draws_in_python, generate_arrivals, simulate
+from faasplan.simulator import _BLOCK, _draws_in_python, generate_arrivals, simulate
 
 MASK64 = (1 << 64) - 1
 MASK128 = (1 << 128) - 1
@@ -206,30 +211,41 @@ def test_integers_rejection_matches_numpy():
 rates = st.one_of(st.just(0.0), st.floats(0.0, 5.0), st.floats(0.0, 3000.0))
 
 
+def arrivals_on_both_draw_paths(pattern, seed):
+    """``generate_arrivals(pattern, seed)`` drawn by numpy, and drawn in Python."""
+    with_numpy = generate_arrivals(pattern, seed)
+    with numpy_hidden():
+        assert _draws_in_python(pattern, seed, service_draws=False)
+        return with_numpy, generate_arrivals(pattern, seed)
+
+
 @settings(deadline=None, max_examples=200)
-@given(rate=rates, start_ms=st.floats(0.0, 1e4),
-       length_ms=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 5000.0)),
-       state=words128, inc=incs)
-def test_poisson_times_leave_the_generator_where_the_scalar_loop_does(rate, start_ms, length_ms,
-                                                                      state, inc):
-    rng, pure = pair(state, inc)
-    end_ms = start_ms + length_ms
-    assert pure.poisson_times(rate, start_ms, end_ms) == scalar_poisson_arrivals(
-        rng, rate, start_ms, end_ms)
-    assert numpy_state(pure) == rng.bit_generator.state
+@given(rate=st.one_of(rates, st.just(5e-324)),
+       duration_s=st.one_of(st.floats(1e-6, 1e-3), st.floats(1e-3, 5.0)), seed=seeds)
+def test_poisson_arrivals_on_both_draw_paths_match_the_scalar_loop(rate, duration_s, seed):
+    expected = scalar_poisson_arrivals(np.random.default_rng(seed), rate, 0.0, duration_s * 1000.0)
+    assert arrivals_on_both_draw_paths(TrafficPattern.poisson(rate, duration_s), seed) == (
+        expected, expected)
 
 
 @settings(deadline=None, max_examples=100)
 @given(seed=seeds, rate=st.floats(1.0, 3000.0), k=st.integers(0, 20), past=st.booleans())
-def test_poisson_times_at_and_just_past_an_arrival(seed, rate, k, past):
-    # end_ms exactly at arrival k excludes it; one ulp later includes it.
+def test_arrivals_at_and_just_past_an_arrival_on_both_draw_paths(seed, rate, k, past):
+    # A run that ends exactly at arrival k excludes it; one ulp later includes it.
     arrivals = scalar_poisson_arrivals(np.random.default_rng(seed), rate, 0.0, 2e5 / rate)
     end_ms = arrivals[k] if not past else math.nextafter(arrivals[k], math.inf)
-    rng, pure = np.random.default_rng(seed), _pcg64.Generator(seed)
-    times = pure.poisson_times(rate, 0.0, end_ms)
-    assert times == scalar_poisson_arrivals(rng, rate, 0.0, end_ms)
-    assert len(times) == k + past
-    assert numpy_state(pure) == rng.bit_generator.state
+    duration_s = duration_ending_at(end_ms)
+    assume(duration_s is not None)
+    expected = arrivals[:k + past]
+    assert arrivals_on_both_draw_paths(TrafficPattern.poisson(rate, duration_s), seed) == (
+        expected, expected)
+
+
+def test_poisson_arrivals_across_several_blocks_on_both_draw_paths():
+    pattern = TrafficPattern.poisson(5000, 5)
+    expected = scalar_generate_arrivals(pattern, 11)
+    assert len(expected) > 5 * _BLOCK
+    assert arrivals_on_both_draw_paths(pattern, 11) == (expected, expected)
 
 
 @settings(deadline=None, max_examples=200)
@@ -260,16 +276,14 @@ def test_burst_arrivals_without_numpy_match_the_scalar_loop(high, low, period_s,
 def test_draws_in_python_only_without_numpy_below_the_break_even_count(pattern, service_draws,
                                                                         break_even):
     small, large = pattern(break_even - 1, 1.0), pattern(break_even, 1.0)
-    child = _pcg64.SeedSequence(3).spawn(1)[0]
     # numpy is loaded: its draws cost nothing to set up
     assert not _draws_in_python(small, 3, service_draws)
-    # only the pure generator takes its own seeds
-    assert _draws_in_python(large, child, service_draws)
     with numpy_hidden():
         assert _draws_in_python(small, 3, service_draws)
         assert _draws_in_python(small, 2**70, service_draws)
         assert not _draws_in_python(large, 3, service_draws)
-        for seed in (-1, None, 1.5, [1, 2], np.random.SeedSequence(3)):
+        for seed in (-1, None, 1.5, [1, 2], np.random.SeedSequence(3),
+                     _pcg64.SeedSequence(3)):
             assert not _draws_in_python(small, seed, service_draws)
 
 

@@ -7,6 +7,7 @@ dict per record, and ``write_samples_csv`` of a ``SampleSet``.
 """
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from faasplan.metrics import nearest_rank_index, summary_to_dict, write_samples_
 from faasplan.simulator import (
     InvocationRecord,
     SimulationResult,
-    _poisson_arrivals,
+    _BLOCK,
     export_result_csv,
     generate_arrivals,
     load_result_json,
@@ -200,27 +201,44 @@ def test_block_arrivals_match_scalar_loop_on_bursts(high, low, period_s, duty, d
     assert generate_arrivals(pattern, seed) == scalar_generate_arrivals(pattern, seed)
 
 
-@settings(deadline=None, max_examples=200)
-@given(
-    rate=rates,
-    start_ms=st.floats(0.0, 1e4),
-    length_ms=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 5000.0)),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_block_arrivals_leave_the_generator_where_the_scalar_loop_does(rate, start_ms, length_ms, seed):
-    block, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-    end_ms = start_ms + length_ms
-    assert _poisson_arrivals(block, rate, start_ms, end_ms) == scalar_poisson_arrivals(
-        scalar, rate, start_ms, end_ms)
-    assert block.bit_generator.state == scalar.bit_generator.state
+def duration_ending_at(end_ms):
+    """A ``duration_s`` whose end in ms, ``duration_s * 1000.0``, is exactly ``end_ms``, or None."""
+    guess = end_ms / 1000
+    for candidate in (guess, math.nextafter(guess, 0), math.nextafter(guess, math.inf)):
+        if candidate * 1000.0 == end_ms:
+            return candidate
+    return None
 
 
 def test_block_arrivals_past_one_block():
-    # 1e5 arrivals take more than one block of gaps.
+    # 1e5 arrivals take many blocks of draws.
     pattern = TrafficPattern.poisson(50_000, 2)
     arrivals = generate_arrivals(pattern, 3)
-    assert len(arrivals) > 65_536
+    assert len(arrivals) > 20 * _BLOCK
     assert arrivals == scalar_generate_arrivals(pattern, 3)
+
+
+def test_tiny_period_bursts_draw_only_the_blocks_they_read(monkeypatch):
+    # Each stretch reads its arrivals and the draw past its end from one
+    # stream, so 10^4 one-ms periods draw a few blocks, not one per stretch.
+    pattern = TrafficPattern.burst(1000, 0, 0.001, 0.5, 10)
+    default_rng, blocks = np.random.default_rng, []
+
+    class Counting:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_exponential(self, size):
+            blocks.append(size)
+            return self.rng.standard_exponential(size)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    arrivals = generate_arrivals(pattern, 4)
+    monkeypatch.undo()
+    stretches = 10_000  # one high stretch a period; the low ones have rate 0 and read nothing
+    assert blocks == [_BLOCK] * len(blocks)
+    assert len(blocks) <= math.ceil((len(arrivals) + stretches) / _BLOCK)
+    assert arrivals == scalar_generate_arrivals(pattern, 4)
 
 
 # -- result writers ------------------------------------------------------------
@@ -306,11 +324,12 @@ def test_csv_rejects_a_negative_latency_as_before(tmp_path):
 @pytest.mark.parametrize("k", [0, 1, 17])
 def test_block_arrivals_stop_before_an_arrival_at_end_ms(k):
     # The scalar loop keeps t only while t < end_ms: an arrival exactly at end_ms is not one.
-    first = scalar_poisson_arrivals(np.random.default_rng(9), 100.0, 5.0, 1000.0)
-    block, scalar = np.random.default_rng(9), np.random.default_rng(9)
-    arrivals = _poisson_arrivals(block, 100.0, 5.0, first[k])
-    assert arrivals == first[:k] == scalar_poisson_arrivals(scalar, 100.0, 5.0, first[k])
-    assert block.bit_generator.state == scalar.bit_generator.state
+    first = scalar_poisson_arrivals(np.random.default_rng(9), 100.0, 0.0, 1000.0)
+    for end_ms, count in ((first[k], k), (math.nextafter(first[k], math.inf), k + 1)):
+        duration_s = duration_ending_at(end_ms)
+        assert duration_s is not None
+        arrivals = generate_arrivals(TrafficPattern.poisson(100.0, duration_s), 9)
+        assert arrivals == first[:count]
 
 
 def test_text_of_a_record_that_is_not_numbers_falls_back_to_the_dict_dump():
