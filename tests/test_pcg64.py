@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 from test_simulator_oracles import (
     PER_MS,
     duration_ending_at,
+    idle_then_poisson,
     scalar_generate_arrivals,
     scalar_poisson_arrivals,
+    scalar_walk,
 )
 
 from faasplan import GB, LatencyProfile, SimulationConfig, TrafficPattern, _pcg64
-from faasplan.simulator import _BLOCK, _draws_in_python, generate_arrivals, simulate
+from faasplan.simulator import _BLOCK, _draws_in_python, _walk, generate_arrivals, simulate
 
 MASK64 = (1 << 64) - 1
 MASK128 = (1 << 128) - 1
@@ -209,6 +211,20 @@ def test_integers_rejection_matches_numpy():
 # -- Poisson arrivals ----------------------------------------------------------
 
 rates = st.one_of(st.just(0.0), st.floats(0.0, 5.0), st.floats(0.0, 3000.0))
+
+
+@settings(deadline=None, max_examples=200)
+@given(rate=rates, start_ms=st.floats(0.0, 1e4),
+       length_ms=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 5000.0)),
+       state=words128, inc=incs)
+def test_poisson_times_leave_the_generator_where_the_scalar_loop_does(rate, start_ms, length_ms,
+                                                                      state, inc):
+    # The walk over the pure generator's draws, one at a time, reads exactly the scalar loop's.
+    pattern = idle_then_poisson(rate, start_ms, length_ms)
+    assume(pattern is not None)
+    rng, pure = pair(state, inc)
+    assert _walk(pattern, iter(pure.standard_exponential, None)) == scalar_walk(pattern, rng)
+    assert numpy_state(pure) == rng.bit_generator.state
 
 
 def arrivals_on_both_draw_paths(pattern, seed):

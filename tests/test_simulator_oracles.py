@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from faasplan import GB, MB, UNLIMITED, LatencyProfile, PricingModel, SampleSet, SimulationConfig, TrafficPattern
@@ -23,6 +23,8 @@ from faasplan.simulator import (
     InvocationRecord,
     SimulationResult,
     _BLOCK,
+    _exponentials,
+    _walk,
     export_result_csv,
     generate_arrivals,
     load_result_json,
@@ -95,7 +97,11 @@ def scalar_generate_arrivals(pattern, seed):
     """Oracle: ``generate_arrivals`` over :func:`scalar_poisson_arrivals`."""
     if pattern.kind == "trace_replay":
         return list(pattern.timestamps)
-    rng = np.random.default_rng(seed)
+    return scalar_walk(pattern, np.random.default_rng(seed))
+
+
+def scalar_walk(pattern, rng):
+    """Oracle: the Poisson or burst arrivals of ``pattern``, drawn from ``rng`` by the scalar loop."""
     if pattern.kind == "poisson_constant":
         return scalar_poisson_arrivals(rng, pattern.rate_rps, 0.0, pattern.duration_s * 1000.0)
     duration_ms = pattern.duration_s * 1000.0
@@ -199,6 +205,34 @@ def test_block_arrivals_match_scalar_loop_on_bursts(high, low, period_s, duty, d
     # Many short segments share one generator: any draw too many or too few shows later on.
     pattern = TrafficPattern.burst(high, low, period_s, duty, duration_s)
     assert generate_arrivals(pattern, seed) == scalar_generate_arrivals(pattern, seed)
+
+
+def idle_then_poisson(rate, start_ms, length_ms):
+    """One burst period: no arrivals for ``start_ms``, then Poisson at ``rate`` for ``length_ms``.
+
+    None if the period is too short to be a positive ``duration_s``.
+    """
+    duration_s = (start_ms + length_ms) / 1000
+    if duration_s == 0:
+        return None
+    return TrafficPattern.burst(0.0, rate, duration_s, start_ms / (start_ms + length_ms), duration_s)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    rate=rates,
+    start_ms=st.floats(0.0, 1e4),
+    length_ms=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 5000.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_arrivals_leave_the_generator_where_the_scalar_loop_does(rate, start_ms, length_ms, seed):
+    # The walk reads the draw that crosses the end and no more, so its stream
+    # of numpy blocks goes on where the scalar loop's generator stopped.
+    pattern = idle_then_poisson(rate, start_ms, length_ms)
+    assume(pattern is not None)
+    block, scalar = _exponentials(seed, in_python=False), np.random.default_rng(seed)
+    assert _walk(pattern, block) == scalar_walk(pattern, scalar)
+    assert [next(block) for _ in range(3)] == scalar.standard_exponential(3).tolist()
 
 
 def duration_ending_at(end_ms):
