@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import decimal
 import json
-from decimal import Decimal
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -21,6 +20,8 @@ def run(args, store) -> int:
 
     if bool(args.scenario) == bool(args.result):
         raise ScenarioError("cost needs exactly one of --scenario / --result")
+    if args.memory_mb is not None and (args.scenario or Path(args.result).suffix == ".json"):
+        raise ScenarioError("cost: --memory-mb applies only to a CSV --result")
     try:
         report = _cost_report(args, store)
         cost_mod.check_printable(report)
@@ -53,7 +54,7 @@ def _cost_report(args, store) -> CostReport:
         )
         baseline = baseline_override or scenario.vm or cost_mod.DEFAULT_VM_BASELINE
         block = scenario.cost_block
-        months = Decimal(str(args.months)) if args.months is not None else block["months"]
+        months = args.months if args.months is not None else block["months"]
         return cost_mod.build_cost_report(
             n_requests=block["n_requests"],
             billed_ms_per_request=block["billed_ms_per_request"],

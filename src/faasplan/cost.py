@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from decimal import Decimal, Underflow, localcontext
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 from . import _schema
 from ._record import dataclass
@@ -114,8 +115,8 @@ class CostReport:
 def round_up(value, step):
     """Smallest multiple of ``step`` at or above ``value``.
 
-    Exact for integers, which is how the simulator rounds billed
-    microseconds: durations already on a step boundary never move up.
+    Exact for integers, which is how the simulator bills microseconds and
+    :func:`ceil_ms` milliseconds: values on a step boundary never move up.
     """
     return -(-value // step) * step
 
@@ -123,11 +124,10 @@ def round_up(value, step):
 def ceil_ms(duration_ms: float, granularity_ms: int) -> int:
     """``duration_ms`` rounded up to a whole multiple of ``granularity_ms``.
 
-    Exact: the float's own integer ratio is rounded, so durations that
-    already sit on a granularity boundary are never pushed up a step.
+    Exact: multiples of an integer granularity are integers, so rounding up the
+    float's exact integer ceiling loses nothing, and boundaries never move up.
     """
-    p, q = duration_ms.as_integer_ratio()
-    return -(-p // (q * granularity_ms)) * granularity_ms
+    return round_up(math.ceil(duration_ms), granularity_ms)
 
 
 def billed_duration(exec_ms: float, granularity_ms: int) -> float:
@@ -275,12 +275,10 @@ def cost_from_simulation(
 ) -> CostReport:
     """Bill a finished simulation record by record and compare to the VM.
 
-    Uses each record's own billed duration rather than an average.
+    Each ``exec_ms`` is rounded up at ``pricing``'s granularity, as in :func:`cost_from_samples`;
+    the records' ``billed_ms`` state the simulation's own pricing and are not read.
     """
-    # Simulated billed_ms values are integral multiples of the granularity.
-    billed_total_ms = sum(round(r.billed_ms) for r in result.records)
-    return _report_from_billed(len(result.records), billed_total_ms, result.memory_bytes,
-                               pricing, baseline, months)
+    return _bill([r.exec_ms for r in result.records], result.memory_bytes, pricing, baseline, months)
 
 
 def cost_from_samples(
@@ -291,9 +289,14 @@ def cost_from_samples(
     months: Money = 1,
 ) -> CostReport:
     """Bill measured durations (one request each), rounding each up to the granularity."""
-    granularity = pricing.billing_granularity_ms
-    billed_total_ms = sum(ceil_ms(v, granularity) for v in samples.values)
-    return _report_from_billed(len(samples), billed_total_ms, memory_bytes, pricing, baseline, months)
+    return _bill(samples.values, memory_bytes, pricing, baseline, months)
+
+
+def _bill(durations_ms: Sequence[float], memory_bytes: int, pricing: PricingModel,
+          baseline: VmBaseline, months: Money) -> CostReport:
+    """Report for one request per duration, each rounded up to ``pricing``'s granularity."""
+    billed_ms = sum(map(ceil_ms, durations_ms, repeat(pricing.billing_granularity_ms)))
+    return _report_from_billed(len(durations_ms), billed_ms, memory_bytes, pricing, baseline, months)
 
 
 # Both formats write amounts in positional notation, and the table rounds

@@ -13,7 +13,7 @@ import math
 import operator
 import reprlib
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import _schema
 from ._record import dataclass
@@ -129,25 +129,6 @@ def render_result_json(result: SimulationResult) -> str:
     return header.removesuffix("[]\n}") + "[\n" + body + "\n  ]\n}"
 
 
-def result_from_dict(payload: Mapping) -> SimulationResult:
-    """Inverse of :func:`result_to_dict`."""
-    return _from_rows(payload, map(_RECORD_ROW, payload["records"]))
-
-
-def _from_rows(payload: Mapping, rows: Iterable[tuple]) -> SimulationResult:
-    """The result of ``payload`` whose records are ``rows``, in InvocationRecord's field order."""
-    return SimulationResult(
-        records=tuple(map(InvocationRecord._make, rows)),
-        cold_fraction=payload["cold_fraction"],
-        latency_summary=(
-            None if payload["latency_summary"] is None
-            else summary_from_dict(payload["latency_summary"])
-        ),
-        total_billed_gb_s=payload["total_billed_gb_s"],
-        memory_bytes=payload["memory_bytes"],
-    )
-
-
 def save_result_json(result: SimulationResult, path: str | Path) -> None:
     """Write :func:`render_result_json` and a final newline to ``path``."""
     Path(path).write_text(render_result_json(result) + "\n", "utf-8")
@@ -184,23 +165,36 @@ def _check_records(records: list, label: str) -> list[tuple]:
     return rows
 
 
-def load_result_json(path: str | Path) -> SimulationResult:
-    """Inverse of :func:`save_result_json`.
+def result_from_dict(payload: Mapping, source: str = "<result>") -> SimulationResult:
+    """Inverse of :func:`result_to_dict`.
 
     Raises:
-        ScenarioError: naming the file, when it is unreadable or any key
-            :func:`result_from_dict` reads is missing or of the wrong type.
+        ScenarioError: naming ``source``, when a key this reads is missing
+            or of the wrong type, or a record holds a bad value.
     """
-    payload, label = _schema.load(path, "result")
-    top = _schema.Block(payload, label)
-    rows = _check_records(top.get("records", list), label)
-    top.get("cold_fraction", float)
-    top.get("total_billed_gb_s", float)
-    if top.get("memory_bytes", int) <= 0:
-        raise ScenarioError(f"{label}: memory_bytes: must be positive")
+    top = _schema.Block(payload, source)
+    rows = _check_records(top.get("records", list), source)
+    cold_fraction = top.get("cold_fraction", float)
+    total_billed_gb_s = top.get("total_billed_gb_s", float)
+    memory_bytes = top.get("memory_bytes", int)
+    if memory_bytes <= 0:
+        raise ScenarioError(f"{source}: memory_bytes: must be positive")
+    latency_summary = None
     if top.get("latency_summary") is not None:
         summary = top.block("latency_summary")
         summary.get("count", int)
         for key in ("mean_ms", "q50_ms", "q95_ms", "q99_ms"):
             summary.get(key, float)
-    return _from_rows(payload, rows)
+        latency_summary = summary_from_dict(summary.raw)
+    return SimulationResult(tuple(map(InvocationRecord._make, rows)), cold_fraction, latency_summary,
+                            total_billed_gb_s, memory_bytes)
+
+
+def load_result_json(path: str | Path) -> SimulationResult:
+    """Inverse of :func:`save_result_json`.
+
+    Raises:
+        ScenarioError: naming the file, when it is unreadable or fails the
+            checks of :func:`result_from_dict`.
+    """
+    return result_from_dict(*_schema.load(path, "result"))

@@ -206,8 +206,8 @@ class TrafficPattern:
                 raise DomainError("period_s and duration_s must be positive")
             if not 0 <= self.duty <= 1:
                 raise DomainError(f"duty must lie in [0, 1], got {self.duty}")
-            # The arrival walk visits every period, even one where no request is
-            # expected: 0.5-1.0 us a period with numpy loaded, so 5-10 s at the limit.
+            # Once a stretch can draw, the arrival walk visits every period, even one where no
+            # request is expected: 0.5-1.0 us a period with numpy loaded, so 5-10 s at the limit.
             periods = self.duration_s / self.period_s
             if periods > MAX_REQUESTS:
                 raise DomainError(f"period count {periods:g} exceeds the limit of {MAX_REQUESTS:,}")
@@ -376,6 +376,8 @@ def _walk(pattern: TrafficPattern, exponentials: Iterator[float]) -> list[float]
         period_ms = pattern.period_s * 1000.0
         high_ms, high_rate, low_rate = pattern.duty * period_ms, pattern.high_rate, pattern.low_rate
     out: list[float] = []
+    if not (high_rate > 0 and high_ms > 0 or low_rate > 0 and period_ms > high_ms):
+        return out  # no stretch has both a positive rate and a positive length
     append = out.append
     t0 = 0.0
     while t0 < duration_ms:

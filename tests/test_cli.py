@@ -236,6 +236,24 @@ def test_cost_from_simulation_result(tmp_path, capsys):
     assert Decimal(payload["serverless_total"]) > 0
 
 
+@pytest.mark.parametrize("pricing, total, billed_ms", [
+    ("aws", "0.0057836929007", "57.4042"),
+    # The run was simulated at aws's 1 ms; gcp rounds each exec_ms up to 100 ms.
+    # Summing the records' billed_ms once priced it at 0.0067358465 and 57.4042.
+    ("gcp", "0.0103952", "101.76"),
+])
+def test_cost_from_simulation_result_bills_at_the_chosen_granularity(tmp_path, capsys, pricing,
+                                                                       total, billed_ms):
+    run_cli("simulate", "--scenario", SCENARIOS / "smobilebert_replay.json", "--out", tmp_path / "run")
+    capsys.readouterr()
+    code = run_cli("cost", "--result", tmp_path / "run.json", "--pricing", pricing,
+                   "--format", "json")
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["serverless_total"] == total
+    assert payload["assumptions"]["billed_ms_per_request"] == billed_ms
+
+
 def test_cost_from_samples_csv_rebills_durations(tmp_path, capsys):
     path = tmp_path / "samples.csv"
     write_samples_csv(SampleSet.from_values([100.0, 150.5]), path)
@@ -762,6 +780,17 @@ def test_cost_csv_result_at_zero_memory_exits_2(tmp_path, capsys):
     code, err = run_error(capsys, "cost", "--result", path, "--memory-mb", "0")
     assert code == 2
     assert err == "error: memory_bytes must be positive\n"
+
+
+@pytest.mark.parametrize("source", [
+    ("--scenario", SCENARIOS / "million_predictions.json"),
+    ("--result", "run.json"),
+])
+def test_cost_memory_flag_outside_csv_results_exits_2(capsys, source):
+    # It was once ignored: the scenario still priced its cost block's 1024 MB.
+    code, err = run_error(capsys, "cost", *source, "--memory-mb", "4096")
+    assert code == 2
+    assert err == "error: cost: --memory-mb applies only to a CSV --result\n"
 
 
 # Every float and Decimal flag. Each value once ended in a traceback or was

@@ -239,6 +239,28 @@ def test_samples_and_simulation_share_one_report(billed):
     assert from_samples == cost_from_simulation(synthetic_result(billed), AWS, DEFAULT_VM_BASELINE, 2)
 
 
+# Durations on, just below and just above a granularity boundary, and anywhere else.
+EXEC_MS = st.sampled_from([0.0, 5e-324, 0.001, 1.0, 10.0, 100.0, 1000.0]) | st.builds(
+    lambda k, g, side: math.nextafter(float(k * g), side),
+    st.integers(0, 10**4), st.sampled_from([1, 10, 100, 1000]), st.sampled_from([0.0, math.inf]),
+) | st.floats(0, 10**7, allow_nan=False, allow_infinity=False)
+
+
+@given(exec_ms=st.lists(EXEC_MS, max_size=40), granularity=st.sampled_from([1, 10, 100, 1000]),
+       memory_bytes=st.integers(1, 10 * GB), months=st.decimals("0", "36", places=2))
+def test_simulation_bills_exec_ms_at_the_chosen_granularity(exec_ms, granularity, memory_bytes, months):
+    # Whatever the records' billed_ms say, each exec_ms is rounded afresh.
+    result = synthetic_result(exec_ms, memory_bytes)
+    pricing = PricingModel(AWS.per_million_requests, AWS.per_gb_second, granularity)
+    report = cost_from_simulation(result, pricing, DEFAULT_VM_BASELINE, months)
+    billed = sum(math.ceil(Fraction(e) / granularity) * granularity for e in exec_ms)
+    expected = (len(exec_ms) * Fraction(pricing.per_million_requests) / 10**6
+                + Fraction(billed, 1000) * Fraction(memory_bytes, GB) * Fraction(pricing.per_gb_second))
+    assert Fraction(report.serverless_total) == expected
+    assert report == cost_from_samples(SampleSet.from_values(exec_ms), pricing, DEFAULT_VM_BASELINE,
+                                       memory_bytes, months)
+
+
 @given(n=st.integers(1, 300), billed=st.integers(0, 10**6), memory_bytes=st.integers(1, 10 * GB),
        months=st.decimals("0", "36", places=2))
 def test_uniform_report_equals_billing_each_request(n, billed, memory_bytes, months):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from faasplan import (
     DomainError,
     LatencyProfile,
     PricingModel,
+    ScenarioError,
     SimulationConfig,
     TrafficPattern,
     generate_arrivals,
@@ -151,6 +153,15 @@ class TestGenerateArrivals:
         assert len(arrivals) > 100
         for t in arrivals:
             assert (0 <= t < 1000) or (2000 <= t < 3000)
+
+    @pytest.mark.parametrize("high, low, duty", [(0, 0, 0.5), (5, 0, 0.0), (0, 5, 1.0)])
+    def test_burst_that_cannot_draw_returns_at_once(self, high, low, duty):
+        # 10^7 periods, none with a positive rate over a positive length: the
+        # walk once stepped through every one of them, about 1 s, to return [].
+        p = TrafficPattern.burst(high, low, period_s=0.001, duty=duty, duration_s=10_000)
+        started = time.perf_counter()
+        assert generate_arrivals(p, 1) == []
+        assert time.perf_counter() - started < 0.25
 
 
 class TestScaleDuration:
@@ -359,3 +370,14 @@ def test_result_json_round_trip(tmp_path):
     path = tmp_path / "run.json"
     save_result_json(result, path)
     assert load_result_json(path) == result
+
+
+def test_result_from_dict_checks_records():
+    record = {"arrival_ms": 0.0, "start_ms": 0.0, "end_ms": 12.0, "cold": False, "instance_id": 0,
+              "exec_ms": math.nan, "billed_ms": 12.0}
+    payload = {"records": [record], "cold_fraction": 0.0, "latency_summary": None,
+               "total_billed_gb_s": 0.0, "memory_bytes": GB}
+    with pytest.raises(ScenarioError, match=r"^<result>: records\[0\]: exec_ms: must be a finite"):
+        result_from_dict(payload)
+    with pytest.raises(ScenarioError, match=r"^run\.json: records\[0\]: exec_ms: "):
+        result_from_dict(payload, "run.json")
