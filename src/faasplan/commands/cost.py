@@ -20,7 +20,7 @@ def run(args, store) -> int:
 
     if bool(args.scenario) == bool(args.result):
         raise ScenarioError("cost needs exactly one of --scenario / --result")
-    if args.memory_mb is not None and (args.scenario or Path(args.result).suffix == ".json"):
+    if args.memory_mb is not None and (args.scenario or _is_json(args.result)):
         raise ScenarioError("cost: --memory-mb applies only to a CSV --result")
     try:
         report = _cost_report(args, store)
@@ -68,7 +68,7 @@ def _cost_report(args, store) -> CostReport:
         baseline = baseline_override or cost_mod.DEFAULT_VM_BASELINE
         months = args.months if args.months is not None else 1
         result_path = Path(args.result)
-        if result_path.suffix == ".json":
+        if _is_json(result_path):
             from ..results import load_result_json
             result = load_result_json(result_path)
             return cost_mod.cost_from_simulation(result, pricing, baseline, months)
@@ -80,3 +80,8 @@ def _cost_report(args, store) -> CostReport:
             except (OSError, UnicodeDecodeError) as exc:
                 raise ScenarioError(f"cannot read result {result_path}: {exc}") from exc
             return cost_mod.cost_from_samples(samples, pricing, baseline, memory_bytes, months)
+
+
+def _is_json(result) -> bool:
+    """Whether ``result`` names a saved simulation (``.json``, any case) rather than a sample CSV."""
+    return Path(result).suffix.lower() == ".json"

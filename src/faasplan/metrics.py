@@ -59,11 +59,16 @@ Samples = Union[SampleSet, Sequence[float]]
 
 
 def _durations(values: Iterable[float]) -> tuple[float, ...]:
-    """``values`` as floats, each checked to be a finite, non-negative duration."""
+    """``values`` as floats, each checked to be a finite, non-negative duration.
+
+    The check runs as C-level passes. min and max are exact once no value
+    is NaN; only a failed check walks the values, to name the first bad one.
+    """
     values = tuple(map(float, values))
-    for v in values:
-        if not 0.0 <= v < math.inf:
-            raise DomainError(f"durations must be finite and non-negative, got {v}")
+    if values and (any(map(math.isnan, values)) or min(values) < 0.0 or max(values) == math.inf):
+        for v in values:
+            if not 0.0 <= v < math.inf:
+                raise DomainError(f"durations must be finite and non-negative, got {v}")
     return values
 
 

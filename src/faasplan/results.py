@@ -17,8 +17,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import _schema
 from ._record import dataclass
-from .errors import DomainError, ScenarioError
-from .metrics import CSV_HEADER, Summary, summary_from_dict, summary_to_dict
+from .errors import ScenarioError
+from .metrics import CSV_HEADER, Summary, _durations, summary_from_dict, summary_to_dict
 
 
 class InvocationRecord(NamedTuple):
@@ -70,10 +70,7 @@ def export_result_csv(result: SimulationResult, path: str | Path) -> None:
         DomainError: when a latency is negative or not finite.
     """
     columns = _transpose(result.records)
-    latencies = tuple(map(float, map(operator.sub, columns.end_ms, columns.arrival_ms)))
-    for value in latencies:
-        if not 0 <= value < math.inf:
-            raise DomainError(f"durations must be finite and non-negative, got {value}")
+    latencies = _durations(map(operator.sub, columns.end_ms, columns.arrival_ms))
     rows = map(_CSV_ROW.format, map(float, columns.arrival_ms), latencies,
                map(int, columns.cold), columns.instance_id)
     with open(path, "w", newline="") as fh:

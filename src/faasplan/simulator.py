@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import insort
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain, repeat
@@ -56,9 +55,10 @@ _TAIL_FACTOR = Fraction(1.05)
 # Standard exponentials numpy draws at once for an arrival walk.
 _BLOCK = 4096
 # Most requests a traffic pattern may expect, and most periods a burst
-# pattern may span. A run holds about 450 B per request at its peak, most
-# of it the records (451-453 MiB above the interpreter's own at 10^6 Poisson
-# requests, 881 MiB at 2*10^6), so a run at this limit needs about 4.5 GB.
+# pattern may span. A run holds about 470 B per request at its peak, most
+# of it the records: in a fresh process with numpy loaded, 446 MiB above the
+# imports at 10^6 Poisson requests (89 MiB of it the draws) and 881 MiB at
+# 2*10^6. So a run at this limit needs about 4.7 GB.
 MAX_REQUESTS = 10**7
 # A run that finds numpy unloaded draws in pure Python, unless its draws
 # would cost more there than importing numpy. Measured on a shared 2-vCPU
@@ -453,9 +453,13 @@ def simulate(
       the request waits FIFO for it, and is cold if that instance sat idle
       past keep-alive.
 
-    Busy and expired instances live in heaps and idle ones in a list sorted
-    by free time, so each arrival costs O(log instances) amortized, however
-    many instances exist.
+    Each instance is one int, its free time and id packed as
+    ``free_at_us << S | id`` with ``S`` the bit length of the arrival
+    count, so instances compare in one int comparison. Busy instances live
+    in a heap, idle ones in a list sorted by free time (appended to as they
+    free up, a tie of simultaneous frees in one reversed run), and, under a
+    cap, expired ones in a heap; each arrival costs O(log instances)
+    amortized, however many instances exist.
 
     Arrivals and service draws come from the two children of
     ``SeedSequence(config.seed)`` (see :func:`_draw_requests`).
@@ -501,53 +505,64 @@ def _run_requests(
 
     keep_alive_us = math.inf if math.isinf(config.keep_alive_s) else round(config.keep_alive_s * 1e6)
     cold_us = round(config.cold_start_ms * 1000)
-    cap = math.inf if isinstance(config.max_instances, Unlimited) else config.max_instances
+    capped = not isinstance(config.max_instances, Unlimited)
+    cap = config.max_instances if capped else math.inf
 
-    # Instances leave busy in ascending free time, none before an instance
-    # already idle, so each lands at the end of idle except on ties. idle[-1]
-    # is the most recently freed instance, lowest id on ties.
-    busy: list[tuple[int, int]] = []     # heap of (free_at_us, id) until an arrival reaches free_at
-    idle: list[tuple[int, int]] = []     # (free_at_us, -id), sorted
-    expired: list[tuple[int, int]] = []  # heap of (free_at_us, id), idle past keep-alive
+    # Each pool entry is one int, free_at_us << S | id: ids stay below
+    # 2**S, so ints order as (free_at_us, id) and the free time is key >> S.
+    # An idle entry is its key ^ M, ordered as (free_at_us, -id). idle[-1]
+    # is the most recently freed instance, lowest id on ties. Instances
+    # leave busy in ascending free time, none before an instance already
+    # idle, so each lands at the end of idle. On a tie with idle[-1] too:
+    # only a zero-length run at this µs on idle[-1] itself, the lowest id
+    # of its tie, can free an instance at a time idle already holds.
+    S = max(len(t_us), 1).bit_length()
+    M = (1 << S) - 1
+    busy: list[int] = []     # heap of keys until an arrival reaches free_at
+    idle: list[int] = []     # key ^ M, sorted
+    expired: list[int] = []  # heap of keys idle past keep-alive, kept only under a cap
     n_instances = 0
     starts, ends, colds, ids = [], [], [], []  # per arrival: start_us, end_us, cold, id
 
     for t, e in zip(t_us, exec_us):
-        while busy and busy[0][0] <= t:
-            free_at, k = heappop(busy)
-            if busy and busy[0][0] == free_at and not (idle and idle[-1][0] == free_at):
+        while busy and busy[0] >> S <= t:
+            key = heappop(busy)
+            free_at = key >> S
+            if busy and busy[0] >> S == free_at:
                 # A tie leaves busy in ascending id, and idle keeps the lowest id
                 # last. Appending the run reversed costs O(1) an entry, where
-                # insort would shift the whole run at each one.
-                tied = [(free_at, -k)]
-                while busy and busy[0][0] == free_at:
-                    tied.append((free_at, -heappop(busy)[1]))
+                # inserting each in order would shift the whole run.
+                tied = [key ^ M]
+                while busy and busy[0] >> S == free_at:
+                    tied.append(heappop(busy) ^ M)
                 tied.reverse()
                 idle += tied
             else:
-                # A tie with idle[-1] comes from a zero-length run at this µs on
-                # idle[-1] itself, the lowest id of its tie: it goes back last.
-                insort(idle, (free_at, -k))
-        if idle and t - idle[-1][0] <= keep_alive_us:
-            k = -idle.pop()[1]
+                idle.append(key ^ M)
+        if idle and t - (idle[-1] >> S) <= keep_alive_us:
+            k = (idle.pop() ^ M) & M
             start, cold = t, False
         else:
-            # The newest idle instance sat past keep-alive, so every idle one
-            # did, and arrivals only get later: none can serve warm again.
-            for free_at, neg_k in idle:
-                heappush(expired, (free_at, -neg_k))
-            idle.clear()
+            if idle:
+                # The newest idle instance sat past keep-alive, so every idle
+                # one did, and arrivals only get later: none can serve warm
+                # again. Only a capped pool reuses them, cold.
+                if capped:
+                    for entry in idle:
+                        heappush(expired, entry ^ M)
+                idle.clear()
             if n_instances < cap:
                 k = n_instances
                 n_instances += 1
                 start, cold = t, True
             else:
                 # Expired instances were freed by t, busy ones after it.
-                free_at, k = heappop(expired if expired else busy)
-                start = max(t, free_at)
+                key = heappop(expired if expired else busy)
+                free_at, k = key >> S, key & M
+                start = free_at if free_at > t else t
                 cold = start - free_at > keep_alive_us
         end = start + e + (cold_us if cold else 0)
-        heappush(busy, (end, k))
+        heappush(busy, end << S | k)
         starts.append(start)
         ends.append(end)
         colds.append(cold)

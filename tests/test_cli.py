@@ -254,6 +254,18 @@ def test_cost_from_simulation_result_bills_at_the_chosen_granularity(tmp_path, c
     assert payload["assumptions"]["billed_ms_per_request"] == billed_ms
 
 
+def test_cost_reads_a_json_result_whatever_the_suffix_case(tmp_path, capsys):
+    # run.JSON was once read as a sample CSV and exited 2 with a header error.
+    run_cli("simulate", "--scenario", SCENARIOS / "smobilebert_replay.json", "--out", tmp_path / "run")
+    (tmp_path / "run.JSON").write_bytes((tmp_path / "run.json").read_bytes())
+    outputs = []
+    for name in ("run.json", "run.JSON"):
+        capsys.readouterr()
+        assert run_cli("cost", "--result", tmp_path / name, "--format", "json") == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_cost_from_samples_csv_rebills_durations(tmp_path, capsys):
     path = tmp_path / "samples.csv"
     write_samples_csv(SampleSet.from_values([100.0, 150.5]), path)
@@ -785,6 +797,7 @@ def test_cost_csv_result_at_zero_memory_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("source", [
     ("--scenario", SCENARIOS / "million_predictions.json"),
     ("--result", "run.json"),
+    ("--result", "run.JSON"),
 ])
 def test_cost_memory_flag_outside_csv_results_exits_2(capsys, source):
     # It was once ignored: the scenario still priced its cost block's 1024 MB.

@@ -22,6 +22,8 @@ from faasplan.metrics import (
     summary_from_dict,
     summary_to_dict,
 )
+from faasplan.results import InvocationRecord, SimulationResult, export_result_csv
+from faasplan.units import GB
 
 
 def oracle_quantile(values, q):
@@ -260,3 +262,27 @@ def test_plain_sequences_with_bad_durations_are_rejected(values):
     for call in (summarize, lambda v: quantile(v, 1.0), lambda v: quantile(v, 0.5)):
         with pytest.raises(DomainError, match="durations must be finite and non-negative"):
             call(values)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.one_of(
+    st.floats(0.0, 1e300), st.sampled_from([0.0, -0.0, -1.0, -1e-300, math.nan, math.inf, -math.inf]),
+), max_size=12))
+def test_durations_name_the_first_bad_value_on_every_path(tmp_path_factory, values):
+    """SampleSet and the result CSV share one check: the first bad value is named, -0.0 passes."""
+    first_bad = next((v for v in values if math.isnan(v) or not 0.0 <= v < math.inf), None)
+    # A record from arrival 0.0 to end v has latency v - 0.0 == v, -0.0 and NaN included.
+    result = SimulationResult(
+        records=tuple(InvocationRecord(0.0, 0.0, v, False, 0, 0.0, 0.0) for v in values),
+        cold_fraction=0.0, latency_summary=None, total_billed_gb_s=0.0, memory_bytes=GB)
+    path = tmp_path_factory.mktemp("csv") / "run.csv"
+    checks = (lambda: SampleSet.from_values(values), lambda: export_result_csv(result, path))
+    for check in checks:
+        if first_bad is None:
+            check()
+        else:
+            with pytest.raises(DomainError) as exc_info:
+                check()
+            assert str(exc_info.value) == f"durations must be finite and non-negative, got {first_bad}"
+    if first_bad is None:
+        assert list(map(str, SampleSet.from_values(values).values)) == list(map(str, values))

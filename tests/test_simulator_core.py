@@ -199,6 +199,46 @@ def test_a_large_tie_leaves_idle_in_id_order():
     assert result == scan_simulate(profile, pattern, config, PER_MS)
 
 
+def _edge(profile_ms, timestamps, max_instances=UNLIMITED, keep_alive_s=600.0, cold_start_ms=5.0):
+    config = SimulationConfig(seed=5, memory_bytes=GB, keep_alive_s=keep_alive_s,
+                              cold_start_ms=cold_start_ms, max_instances=max_instances)
+    profile = LatencyProfile(GB, SampleSet.from_values(profile_ms))
+    return profile, TrafficPattern.trace(timestamps), config
+
+
+# A pool entry is the int free_at_us << S | id, S = len(arrivals).bit_length().
+_TIES_AT_ONE_US = [0.0, 0.0, 0.0, 0.0006, 0.001, 0.001, 0.0014]  # the last four round to 1 µs
+KEY_EDGES = [
+    # S grows by one between 2**k - 1 and 2**k arrivals. All but the last overlap, 1 µs
+    # apart, so an uncapped pool's ids reach n - 2 and the last arrival reuses that
+    # newest instance; a capped pool queues.
+    *(pytest.param(*_edge([3.0], [i / 1000 for i in range(n - 1)] + [20.0], max_instances=cap),
+                   id=f"{n}-arrivals-cap-{cap}")
+      for n in (2**k + d for k in (1, 4, 8) for d in (-1, 0, 1))
+      for cap in (UNLIMITED, max(1, n // 2))),
+    # Arrival times past 2**64 µs, so every key is wider than 64 bits.
+    *(pytest.param(*_edge([10.0], [1e16, 1e16, 1e16 + 30, 2e16, 2e16, 2e16 + 32, 2e16 + 100],
+                          max_instances=cap, keep_alive_s=keep_alive_s),
+                   id=f"past-2**64-us-cap-{cap}-keep-alive-{keep_alive_s}")
+      for cap in (UNLIMITED, 1) for keep_alive_s in (0.01, math.inf)),
+    # Keep-alive 0 and infinite, on equal arrival and free times.
+    *(pytest.param(*_edge([0.0, 0.5, 3.0], [0.0, 0.0, 0.5, 3.0, 3.0, 3.5, 20.0, 20.0],
+                          max_instances=cap, keep_alive_s=keep_alive_s, cold_start_ms=0.5),
+                   id=f"keep-alive-{keep_alive_s}-cap-{cap}")
+      for keep_alive_s in (0.0, math.inf) for cap in (UNLIMITED, 2)),
+    # Zero-length runs freeing instances at 1 µs: a drained tie, then a run on idle[-1].
+    *(pytest.param(*_edge([0.0], _TIES_AT_ONE_US, max_instances=cap, keep_alive_s=keep_alive_s,
+                          cold_start_ms=0.001),
+                   id=f"ties-at-1-us-cap-{cap}-keep-alive-{keep_alive_s}")
+      for cap in (UNLIMITED, 2) for keep_alive_s in (0.0, 600.0)),
+]
+
+
+@pytest.mark.parametrize("profile, pattern, config", KEY_EDGES)
+def test_packed_keys_match_scan_oracle_at_their_edges(profile, pattern, config):
+    assert simulate(profile, pattern, config, PER_MS) == scan_simulate(profile, pattern, config, PER_MS)
+
+
 def test_simulate_sweep_is_simulate_at_each_size():
     config = SimulationConfig(seed=11, memory_bytes=GB, keep_alive_s=0.5, cold_start_ms=100.0)
     pattern = TrafficPattern.burst(200.0, 5.0, 2.0, 0.5, 4.0)
