@@ -2,9 +2,11 @@
 
 All of them fail the same way on malformed input: ``cannot read <what>
 <path>: ...`` for an unreadable file, ``<path>:<line>: ...`` for invalid
-JSON, and ``<path>: <block>: <key>: ...`` for a value of the wrong shape.
-Unknown keys are errors, never silently ignored, and JSON ``null`` stands
-for a key's default.
+JSON, ``<path>: <block>: <key>: ...`` for a value of the wrong shape, and
+``<path>: <block>: ...`` for a value that the class built from it rejects
+(``with block:``, see :class:`.errors.Where`), a fixture name that does
+not resolve included. Unknown keys are errors, never silently ignored, and
+JSON ``null`` stands for a key's default.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-from .errors import ScenarioError
+from .errors import ScenarioError, Where
 from .units import mb_bytes
 
 REQUIRED = object()
@@ -66,10 +68,12 @@ def _check(value, kind: type, where: str, error: type[Exception]):
     return value
 
 
-class Block:
+class Block(Where):
     """One JSON object, read through typed getters that name ``context`` in errors.
 
     ``keys`` is the set of keys the object may hold; None allows any.
+    ``with block:`` names a value check that fails inside by ``context``,
+    raised as ``error``.
     """
 
     def __init__(self, raw, context: str, keys=None, error: type[Exception] = ScenarioError):
@@ -78,7 +82,8 @@ class Block:
         unknown = set(raw) - set(keys) if keys is not None else ()
         if unknown:
             raise error(f"{context}: unknown keys {reprlib.repr(sorted(unknown))}")
-        self.raw, self.context, self.error = raw, context, error
+        super().__init__(context, error)
+        self.raw = raw
 
     def get(self, key: str, kind: type = object, default=REQUIRED):
         """``raw[key]`` checked to be of ``kind`` (float and Decimal accept any number)."""

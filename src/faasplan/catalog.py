@@ -45,19 +45,17 @@ class ModelArtifact:
         if not self.name:
             raise DomainError("model name must be non-empty")
         if self.size_bytes <= 0:
-            raise DomainError(f"model {self.name}: size_bytes must be positive")
+            raise DomainError("size_bytes must be positive")
         if not self.format:
-            raise DomainError(f"model {self.name}: format must be non-empty")
+            raise DomainError("format must be non-empty")
         object.__setattr__(self, "metrics", dict(self.metrics))
         for metric, score in self.metrics.items():
             if not isinstance(score, (int, float)) or isinstance(score, bool) or not math.isfinite(score):
-                raise DomainError(f"model {self.name}: score for {metric!r} must be finite")
+                raise DomainError(f"score for {metric!r} must be finite")
             if "f1" in metric.lower() and not 0.0 <= score <= 1.0:
-                raise DomainError(
-                    f"model {self.name}: {metric} = {score} is outside [0, 1]"
-                )
+                raise DomainError(f"{metric} = {score} is outside [0, 1]")
         if self.embedding_dim is not None and self.embedding_dim <= 0:
-            raise DomainError(f"model {self.name}: embedding_dim must be positive")
+            raise DomainError("embedding_dim must be positive")
 
     def score(self, metric: str) -> float | None:
         return self.metrics.get(metric)
@@ -182,7 +180,7 @@ def parse_catalog(payload, source: str = "<catalog>") -> list[ModelArtifact]:
         keys={"name", "size_bytes", "size_mb", "format", "metrics", "embedding_dim"},
     ):
         metrics = entry.block("metrics", default={})
-        try:
+        with entry:
             models.append(ModelArtifact(
                 name=name,
                 size_bytes=entry.size("size_mb", "size_bytes"),
@@ -190,8 +188,6 @@ def parse_catalog(payload, source: str = "<catalog>") -> list[ModelArtifact]:
                 metrics={metric: metrics.get(metric, float) for metric in metrics.raw},
                 embedding_dim=entry.get("embedding_dim", int, None),
             ))
-        except DomainError as exc:
-            raise CatalogError(f"{source}: {exc}") from exc
     return models
 
 

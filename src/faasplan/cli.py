@@ -23,7 +23,7 @@ from decimal import Decimal
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import FaasPlanError, PreflightError, ScenarioError
+from .errors import DomainError, FaasPlanError, PreflightError
 from .units import mb_bytes
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,7 +49,8 @@ def __getattr__(name: str):
 class ProfileStore:
     """Resolves named fixtures, preferring files in ``--profile-dir``.
 
-    Each fixture file is read at most once per store.
+    Each fixture file is read at most once per store. A name that does not
+    resolve is a bad value (DomainError), which a scenario names by its key.
     """
 
     def __init__(self, profile_dir: Path | None = None):
@@ -68,7 +69,7 @@ class ProfileStore:
             self._tables[filename] = loader(self._override(filename))
         table = self._tables[filename]
         if name not in table:
-            raise ScenarioError(f"unknown {kind} {name!r}; available: {', '.join(table)}")
+            raise DomainError(f"unknown {kind} {name!r}; available: {', '.join(table)}")
         return table[name]
 
     def provider(self, name: str) -> ProviderLimits:
@@ -84,16 +85,35 @@ class ProfileStore:
         return self._lookup("runtimes.json", load_runtime_libraries, "runtime", name)
 
     def catalog(self, source: str) -> list[ModelArtifact]:
-        from .catalog import BUILTIN_CATALOGS, load_catalog
-        if source not in BUILTIN_CATALOGS:
-            override = self._override(source)
-            if override is not None:
-                return load_catalog(override)
-        return load_catalog(source)
+        """A built-in catalog, else the file ``source`` in ``--profile-dir``, else ``source``."""
+        from . import _schema
+        from .catalog import BUILTIN_CATALOGS, load_catalog, parse_catalog
+        if source in BUILTIN_CATALOGS:
+            return load_catalog(source)
+        path = self._override(source) or source
+        return parse_catalog(*_schema.load(path, "catalog", DomainError))
+
+
+def _integer(minimum: int, rule: str):
+    """argparse ``type=`` for an integer flag of at least ``minimum``, which ``rule`` states."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+    return parse
+
+
+# --seed as a run's SeedSequence requires it; --memory-mb, a size in MB.
+_seed = _integer(0, "must be a non-negative integer")
+_mb = _integer(1, "must be positive")
 
 
 def _mb_list(text: str) -> list[int]:
-    """``--memory-sweep`` value: comma-separated integer MB sizes, at least one."""
+    """``--memory-sweep`` value: comma-separated positive integer MB sizes, at least one."""
     try:
         sizes = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
@@ -101,10 +121,12 @@ def _mb_list(text: str) -> list[int]:
     if not sizes:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integer MB sizes, got {text!r}")
+    if min(sizes) <= 0:
+        raise argparse.ArgumentTypeError(f"sizes must be positive, got {text!r}")
     return sizes
 
 
-def _finite(kind: type):
+def _finite(kind: type, non_negative: bool = False):
     """argparse ``type=`` for a float or Decimal flag that rejects NaN and ±inf (exit 2)."""
     def parse(text: str):
         try:
@@ -113,12 +135,14 @@ def _finite(kind: type):
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
         if not (value.is_finite() if kind is Decimal else math.isfinite(value)):
             raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+        if non_negative and value < 0:
+            raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
         return value
     return parse
 
 
 _finite_float = _finite(float)
-_finite_decimal = _finite(Decimal)
+_finite_decimal = _finite(Decimal, non_negative=True)  # --vm and --months: a price, a horizon
 
 
 def _megabytes(text: str) -> float:
@@ -139,17 +163,6 @@ def _ratio(text: str) -> float:
     return value
 
 
-def _seed(text: str) -> int:
-    """``--seed`` value: a non-negative integer, as a run's ``SeedSequence`` requires."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return seed
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("table", "json"), default="table",
                         help="output format (default: table)")
@@ -168,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--scenario", required=True, help="scenario JSON with a package block")
     p.add_argument("--provider", help="override the scenario provider")
-    p.add_argument("--memory-mb", type=int, default=None, help="override the plan memory")
+    p.add_argument("--memory-mb", type=_mb, default=None, help="override the plan memory")
 
     p = sub.add_parser("select", help="pick the best model that fits a size budget")
     _add_common(p)
@@ -201,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pricing", default=None, help="pricing profile name (default: aws)")
     p.add_argument("--vm", type=_finite_decimal, default=None, help="override the VM monthly price")
     p.add_argument("--months", type=_finite_decimal, default=None, help="billing horizon (default: 1)")
-    p.add_argument("--memory-mb", type=int, default=None,
+    p.add_argument("--memory-mb", type=_mb, default=None,
                    help="memory for CSV results (default: 1024)")
 
     p = sub.add_parser("bench", help="open-loop load generation against a live endpoint")

@@ -7,7 +7,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..errors import FaasPlanError, ScenarioError
+from ..errors import FaasPlanError, ScenarioError, Where
 from ..units import MB
 from . import emit
 
@@ -55,14 +55,16 @@ def _cost_report(args, store) -> CostReport:
         baseline = baseline_override or scenario.vm or cost_mod.DEFAULT_VM_BASELINE
         block = scenario.cost_block
         months = args.months if args.months is not None else block["months"]
-        return cost_mod.build_cost_report(
-            n_requests=block["n_requests"],
-            billed_ms_per_request=block["billed_ms_per_request"],
-            memory_bytes=block["memory_bytes"],
-            pricing=pricing,
-            baseline=baseline,
-            months=months,
-        )
+        # The flags are non-negative already, so a bad amount is the cost block's.
+        with Where(f"{scenario.path}: cost"):
+            return cost_mod.build_cost_report(
+                n_requests=block["n_requests"],
+                billed_ms_per_request=block["billed_ms_per_request"],
+                memory_bytes=block["memory_bytes"],
+                pricing=pricing,
+                baseline=baseline,
+                months=months,
+            )
     else:
         pricing = store.pricing_profile(args.pricing or "aws")
         baseline = baseline_override or cost_mod.DEFAULT_VM_BASELINE

@@ -5,7 +5,7 @@ from __future__ import annotations
 import contextlib
 from pathlib import Path
 
-from ..errors import FaasPlanError, ScenarioError
+from ..errors import FaasPlanError, ScenarioError, Where
 from ..units import MB
 from . import emit, fields
 
@@ -62,8 +62,10 @@ def run(args, store) -> int:
 
     sweep_mb = args.memory_sweep or scenario.memory_sweep_mb
     if sweep_mb:
-        results = simulate_sweep(scenario.profile, scenario.traffic, scenario.sim_config, pricing,
-                                 [memory_mb * MB for memory_mb in sweep_mb])
+        # --memory-sweep sizes are positive already, so a bad size is the scenario's.
+        with Where(f"{scenario.path}: memory_sweep_mb"):
+            results = simulate_sweep(scenario.profile, scenario.traffic, scenario.sim_config,
+                                     pricing, [memory_mb * MB for memory_mb in sweep_mb])
         rows = []
         for memory_mb in sweep_mb:
             # next() in the row, so no result outlives its row.

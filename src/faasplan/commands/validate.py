@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..errors import ScenarioError
+from ..errors import ScenarioError, Where
 from ..units import MB, mb_text
 from . import emit, fields, violation_line
 
@@ -31,7 +31,9 @@ def run(args, store) -> int:
     if scenario.package is None:
         raise ScenarioError(f"{scenario.path}: validate needs a 'package' block")
     memory_bytes = scenario.memory_bytes if args.memory_mb is None else args.memory_mb * MB
-    plan = DeploymentPlan(provider=provider.name, package=scenario.package, memory_bytes=memory_bytes)
+    with Where(f"{scenario.path}: memory_mb"):  # a --memory-mb flag is positive already
+        plan = DeploymentPlan(provider=provider.name, package=scenario.package,
+                              memory_bytes=memory_bytes)
     report = {
         **validation_report_to_dict(validate_plan(plan, provider)),
         "provider": provider.name,

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 from . import _schema
 from ._record import dataclass
-from .errors import DomainError, ScenarioError
+from .errors import DomainError
 from .units import GB, mb_text
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -395,15 +395,13 @@ def parse_pricing(payload: Mapping, source: str = "<pricing>") -> dict[str, Pric
         payload, "profiles", PRICING_SCHEMA_VERSION, source,
         keys={"name", "per_million_requests", "per_gb_second", "billing_granularity_ms", "currency"},
     ):
-        try:
+        with entry:
             out[name] = PricingModel(
                 per_million_requests=entry.get("per_million_requests", Decimal),
                 per_gb_second=entry.get("per_gb_second", Decimal),
                 billing_granularity_ms=entry.get("billing_granularity_ms", int, 1),
                 currency=entry.get("currency", str, "USD"),
             )
-        except DomainError as exc:
-            raise ScenarioError(f"{source}: profile {name!r}: {exc}") from exc
     return out
 
 

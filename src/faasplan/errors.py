@@ -13,7 +13,7 @@ class DomainError(FaasPlanError, ValueError):
     """An argument or field value lies outside its valid domain."""
 
 
-class IncompatibleFormatError(FaasPlanError):
+class IncompatibleFormatError(DomainError):
     """A model's serialization format cannot be executed by the chosen runtime."""
 
 
@@ -35,6 +35,24 @@ class NoFeasibleModelError(FaasPlanError):
 
 class ScenarioError(FaasPlanError):
     """A scenario, profile or fixture file cannot be loaded or resolved."""
+
+
+class Where:
+    """``with Where(context):`` re-raises a DomainError from inside as ``error("<context>: ...")``.
+
+    The only code that names a failed value check by where its value was
+    read, such as ``<path>: <block>``; ``_schema.Block`` is a Where.
+    """
+
+    def __init__(self, context: str, error: type[Exception] = ScenarioError):
+        self.context, self.error = context, error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, DomainError):
+            raise self.error(f"{self.context}: {exc}") from exc
 
 
 class PreflightError(FaasPlanError):

@@ -180,10 +180,11 @@ def _tokens(value: str) -> set[str]:
     return {token.strip().lower() for token in value.split(",")}
 
 
-def _by_send_time(pairs: list[tuple[float, float]]) -> SampleSet:
-    """Samples from ``(sent_ms, value)`` pairs, by send time; completion order breaks ties."""
-    pairs = sorted(pairs, key=lambda pair: pair[0])
-    return SampleSet(values=[v for _, v in pairs], timestamps=[t for t, _ in pairs] if pairs else None)
+def _in_send_order(values: list[float | None], sent_ms: list[float]) -> SampleSet:
+    """Samples of the requests with a value, by request index, each stamped with its send time."""
+    kept = [i for i, v in enumerate(values) if v is not None]
+    return SampleSet(values=[values[i] for i in kept],
+                     timestamps=[sent_ms[i] for i in kept] if kept else None)
 
 
 def run_bench(run: BenchRun) -> BenchResult:
@@ -195,8 +196,10 @@ def run_bench(run: BenchRun) -> BenchResult:
     back, so every attempt lands in exactly one accounting bucket.
     Successful responses are timed from the send to the end of the body;
     the first ``n_warmup`` successes are excluded from the returned
-    samples but still counted. Must not be called from inside a running
-    event loop.
+    samples but still counted. Samples are in request index order.
+    Requests leave in index order, so ``sent_ms`` never decreases along
+    it: this is send order, and requests with the same ``sent_ms`` keep
+    index order too. Must not be called from inside a running event loop.
 
     A request takes the most recently idled HTTP/1.1 connection of the
     run, or opens a new one when none is idle, so a send never waits for
@@ -247,9 +250,9 @@ def run_bench(run: BenchRun) -> BenchResult:
     head_request = target.method.upper() == "HEAD"
     offsets_ms = generate_arrivals(run.pattern, run.seed)
     n = len(offsets_ms)
-    # (sent_ms, ms) of each success, and of each server time, in completion order.
-    latencies: list[tuple[float, float]] = []
-    server_times: list[tuple[float, float]] = []
+    # Per request index: the latency of a success and the server's own time, else None.
+    latencies: list[float | None] = [None] * n
+    server_times: list[float | None] = [None] * n
     errors: Counter = Counter()
     sent_ms = [0.0] * n
 
@@ -319,9 +322,8 @@ def run_bench(run: BenchRun) -> BenchResult:
         except Exception as exc:  # noqa: BLE001 - every failure is tallied, not raised
             errors[_classify(exc)] += 1
             return
-        latencies.append((sent_ms[index], (end - send) * 1000.0))
-        if server_ms is not None:
-            server_times.append((sent_ms[index], server_ms))
+        latencies[index] = (end - send) * 1000.0
+        server_times[index] = server_ms
 
     async def pace() -> None:
         tasks = []
@@ -346,7 +348,8 @@ def run_bench(run: BenchRun) -> BenchResult:
     start = time.perf_counter() + _START_LEAD_S
     asyncio.run(pace())
 
-    raw = _by_send_time(latencies)
+    raw = _in_send_order(latencies, sent_ms)
+    server_exec = _in_send_order(server_times, sent_ms)
     samples = warmup_filter(raw, run.n_warmup)
     return BenchResult(
         attempts=n,
@@ -355,7 +358,7 @@ def run_bench(run: BenchRun) -> BenchResult:
         errors=dict(errors),
         scheduled_ms=tuple(offsets_ms),
         sent_ms=tuple(sent_ms),
-        server_exec=_by_send_time(server_times) if server_times else None,
+        server_exec=server_exec if len(server_exec) else None,
     )
 
 

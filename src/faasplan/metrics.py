@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
 from ._record import dataclass
-from .errors import DomainError
+from .errors import DomainError, Where
 
 CSV_HEADER = ("timestamp_ms", "duration_ms", "cold", "instance")
 
@@ -208,7 +208,11 @@ def write_samples_csv(samples: SampleSet, path: str | Path) -> None:
 
 
 def read_samples_csv(path: str | Path) -> SampleSet:
-    """Read a sample CSV written by :func:`write_samples_csv`."""
+    """Read a sample CSV written by :func:`write_samples_csv`.
+
+    Raises:
+        DomainError: ``<path>: ...`` (``<path>:<line>: ...`` for a bad row).
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -228,12 +232,13 @@ def read_samples_csv(path: str | Path) -> SampleSet:
                 raise DomainError(f"{path}:{lineno}: {exc}") from exc
             cold.append(None if row[2] == "" else row[2] == "1")
             instances.append(row[3] if row[3] else None)
-    return SampleSet(
-        values=tuple(values),
-        timestamps=None if all(t is None for t in timestamps) else tuple(timestamps),
-        cold=None if all(c is None for c in cold) else tuple(cold),
-        instances=None if all(i is None for i in instances) else tuple(instances),
-    )
+    with Where(str(path), DomainError):
+        return SampleSet(
+            values=tuple(values),
+            timestamps=None if all(t is None for t in timestamps) else tuple(timestamps),
+            cold=None if all(c is None for c in cold) else tuple(cold),
+            instances=None if all(i is None for i in instances) else tuple(instances),
+        )
 
 
 def summary_to_dict(summary: Summary) -> dict:

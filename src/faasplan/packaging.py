@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import _schema
 from ._record import dataclass
-from .errors import DomainError, IncompatibleFormatError, ScenarioError
+from .errors import DomainError, IncompatibleFormatError
 from .providers import ProviderLimits
 from .units import MB, Limit, Unlimited
 
@@ -39,10 +39,10 @@ class RuntimeLibrary:
         if not self.name:
             raise DomainError("runtime name must be non-empty")
         if self.size_bytes <= 0:
-            raise DomainError(f"runtime {self.name}: size_bytes must be positive")
+            raise DomainError("size_bytes must be positive")
         object.__setattr__(self, "model_formats", frozenset(self.model_formats))
         if not self.model_formats:
-            raise DomainError(f"runtime {self.name}: must support at least one model format")
+            raise DomainError("must support at least one model format")
 
     def supports(self, model_format: str) -> bool:
         return model_format in self.model_formats
@@ -124,14 +124,12 @@ def parse_runtime_libraries(payload: Mapping, source: str = "<runtimes>") -> dic
     out: dict[str, RuntimeLibrary] = {}
     for name, entry in _schema.entries(payload, "runtimes", RUNTIMES_SCHEMA_VERSION, source,
                                        keys={"name", "size_bytes", "size_mb", "model_formats"}):
-        try:
+        with entry:
             out[name] = RuntimeLibrary(
                 name=name,
                 size_bytes=entry.size("size_mb", "size_bytes"),
                 model_formats=frozenset(entry.get_list("model_formats", str, [])),
             )
-        except DomainError as exc:
-            raise ScenarioError(f"{source}: {exc}") from exc
     return out
 
 

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from . import _schema
 from ._record import asdict, dataclass
-from .errors import DomainError, ScenarioError
+from .errors import DomainError
 from .units import MB, UNLIMITED, Limit, Unlimited
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,15 +50,13 @@ class ProviderLimits:
             value = getattr(self, field)
             if isinstance(value, Unlimited):
                 if field in _FINITE_FIELDS:
-                    raise DomainError(f"{self.name}: {field} must be a finite byte count")
+                    raise DomainError(f"{field} must be a finite byte count")
                 continue
             if isinstance(value, bool) or not isinstance(value, int):
-                raise DomainError(
-                    f"{self.name}: {field} must be an integer or UNLIMITED, got {value!r}"
-                )
+                raise DomainError(f"{field} must be an integer or UNLIMITED, got {value!r}")
             if value <= 0:
                 raise DomainError(
-                    f"{self.name}: {field} must be strictly positive, got {value}; "
+                    f"{field} must be strictly positive, got {value}; "
                     "an absent limit is UNLIMITED, never 0"
                 )
 
@@ -154,10 +152,8 @@ def parse_provider_limits(payload: Mapping, source: str = "<providers>") -> dict
     fields = {"name", *_LIMIT_FIELDS}
     for name, entry in _schema.entries(payload, "providers", PROVIDERS_SCHEMA_VERSION, source,
                                        keys=fields, required=fields):
-        try:
+        with entry:
             out[name] = ProviderLimits(name, **{f: entry.get(f, int, UNLIMITED) for f in _LIMIT_FIELDS})
-        except DomainError as exc:
-            raise ScenarioError(f"{source}: {exc}") from exc
     return out
 
 

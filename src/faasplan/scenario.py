@@ -9,7 +9,6 @@ scenario without a simulation never loads the simulator.
 
 from __future__ import annotations
 
-import functools
 from decimal import Decimal
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -17,7 +16,7 @@ from typing import TYPE_CHECKING
 from . import _schema
 from ._record import dataclass
 from ._schema import Block
-from .errors import DomainError, ScenarioError
+from .errors import ScenarioError, Where
 from .units import MB, UNLIMITED
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,18 +73,6 @@ class Scenario:
     vm: VmBaseline | None
 
 
-def _naming_block(parse):
-    """Re-raise a value check's DomainError from ``parse(block, ...)`` as ``<path>: <block>: ...``."""
-    @functools.wraps(parse)
-    def wrapped(block: Block, *args):
-        try:
-            return parse(block, *args)
-        except DomainError as exc:
-            raise ScenarioError(f"{block.context}: {exc}") from exc
-    return wrapped
-
-
-@_naming_block
 def _parse_profile(block: Block, scenario_dir: Path) -> LatencyProfile:
     from .simulator import LatencyProfile
 
@@ -115,7 +102,6 @@ def _parse_profile(block: Block, scenario_dir: Path) -> LatencyProfile:
     return LatencyProfile(reference, samples)
 
 
-@_naming_block
 def _parse_traffic(block: Block) -> TrafficPattern:
     from .simulator import TrafficPattern
 
@@ -129,7 +115,6 @@ def _parse_traffic(block: Block) -> TrafficPattern:
     return getattr(TrafficPattern, kind)(*(block.get(key, float) for key in _TRAFFIC_KEYS[kind]))
 
 
-@_naming_block
 def _parse_simulation(block: Block, seed_override: int | None) -> SimulationConfig:
     from .providers import CpuScaling
     from .simulator import DEFAULT_COLD_START_MS, DEFAULT_KEEP_ALIVE_S, SimulationConfig
@@ -153,6 +138,25 @@ def _parse_simulation(block: Block, seed_override: int | None) -> SimulationConf
         ),
         cold_start_ms=block.get("cold_start_ms", float, DEFAULT_COLD_START_MS),
         max_instances=block.get("max_instances", int, UNLIMITED),
+    )
+
+
+def _parse_package(block: Block, store: ProfileStore, models) -> DeploymentPackage:
+    from .packaging import DEFAULT_CODE_BYTES, DeploymentPackage
+
+    with Where(f"{block.context}: runtime"):
+        runtime = store.runtime(block.get("runtime", str))
+    model = _resolve_model(block.get("model"), models, block.context)
+    code_bytes = block.size("code_mb", "code_bytes", DEFAULT_CODE_BYTES)
+    return DeploymentPackage(code_bytes=code_bytes, runtime=runtime, model=model)
+
+
+def _parse_vm(block: Block) -> VmBaseline:
+    from .cost import VmBaseline
+
+    return VmBaseline(
+        monthly_price=block.get("monthly_price", Decimal),
+        memory_bytes=block.size("memory_mb", "memory_bytes", 1024 * MB),
     )
 
 
@@ -186,31 +190,32 @@ def load_scenario(path: str | Path, store: ProfileStore, seed_override: int | No
     if top.get("version", int) != SCENARIO_SCHEMA_VERSION:
         raise ScenarioError(f"{context}: scenario version must be {SCENARIO_SCHEMA_VERSION}")
 
-    provider_name = top.get("provider", str, None)
-    pricing_name = top.get("pricing", str, None)
-    catalog_source = top.get("catalog", str, None)
-    provider = store.provider(provider_name) if provider_name is not None else None
-    pricing = store.pricing_profile(pricing_name) if pricing_name is not None else None
-    models = store.catalog(catalog_source) if catalog_source is not None else None
+    def lookup(key: str, find):
+        """The fixture that the name at top-level ``key`` resolves to, None if absent."""
+        name = top.get(key, str, None)
+        if name is None:
+            return None
+        with Where(f"{context}: {key}"):
+            return find(name)
 
-    package = None
-    block = top.block("package", _PACKAGE_KEYS, default=None)
-    if block is not None:
-        from .packaging import DEFAULT_CODE_BYTES, DeploymentPackage
-        runtime = store.runtime(block.get("runtime", str))
-        model = _resolve_model(block.get("model"), models, block.context)
-        code_bytes = block.size("code_mb", "code_bytes", DEFAULT_CODE_BYTES)
-        package = DeploymentPackage(code_bytes=code_bytes, runtime=runtime, model=model)
+    def parse(key: str, keys, parse_block, *args):
+        """What ``parse_block`` builds from the block at ``key``, None if absent."""
+        block = top.block(key, keys, default=None)
+        if block is None:
+            return None
+        with block:
+            return parse_block(block, *args)
 
+    provider = lookup("provider", store.provider)
+    pricing = lookup("pricing", store.pricing_profile)
+    models = lookup("catalog", store.catalog)
+    package = parse("package", _PACKAGE_KEYS, _parse_package, store, models)
     memory_bytes = top.megabytes("memory_mb", 1024 * MB)
+    profile = parse("profile", _PROFILE_KEYS, _parse_profile, path.parent)
+    traffic = parse("traffic", None, _parse_traffic)
+    sim_config = parse("simulation", _SIMULATION_KEYS, _parse_simulation, seed_override)
 
-    block = top.block("profile", _PROFILE_KEYS, default=None)
-    profile = _parse_profile(block, path.parent) if block is not None else None
-    block = top.block("traffic", default=None)
-    traffic = _parse_traffic(block) if block is not None else None
-    block = top.block("simulation", _SIMULATION_KEYS, default=None)
-    sim_config = _parse_simulation(block, seed_override) if block is not None else None
-
+    # Priced, and so checked, only by `cost` (as ``<path>: cost: ...``).
     cost_block = None
     block = top.block("cost", _COST_KEYS, default=None)
     if block is not None:
@@ -220,15 +225,7 @@ def load_scenario(path: str | Path, store: ProfileStore, seed_override: int | No
             "memory_bytes": block.size("memory_mb", "memory_bytes", 1024 * MB),
             "months": block.get("months", Decimal, Decimal(1)),
         }
-
-    vm = None
-    block = top.block("vm", _VM_KEYS, default=None)
-    if block is not None:
-        from .cost import VmBaseline
-        vm = VmBaseline(
-            monthly_price=block.get("monthly_price", Decimal),
-            memory_bytes=block.size("memory_mb", "memory_bytes", 1024 * MB),
-        )
+    vm = parse("vm", _VM_KEYS, _parse_vm)
 
     return Scenario(
         path=path,

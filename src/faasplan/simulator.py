@@ -332,13 +332,25 @@ def _draws_in_python(pattern: TrafficPattern, seed, service_draws: bool) -> bool
     draws then cost nothing to set up; for a run whose draws (arrival gaps,
     and one service index per request if ``service_draws``) would cost more
     in Python than importing numpy; and for any seed but a non-negative
-    int, which only ``numpy.random.default_rng`` takes.
+    int, which only ``numpy.random.default_rng`` takes. Where numpy cannot
+    be imported, Python draws them all.
+
+    Raises:
+        DomainError: for a seed that only numpy takes, when it cannot be imported.
     """
-    if not isinstance(seed, int) or seed < 0 or sys.modules.get("numpy") is not None:
+    if sys.modules.get("numpy") is not None:
         return False
-    requests = pattern.expected_requests
-    gaps = 0 if pattern.kind == "trace_replay" else requests
-    return gaps * _GAP_NS + (requests * _INDEX_NS if service_draws else 0) < _IMPORT_NUMPY_NS
+    if isinstance(seed, int) and seed >= 0:
+        requests = pattern.expected_requests
+        gaps = 0 if pattern.kind == "trace_replay" else requests
+        if gaps * _GAP_NS + (requests * _INDEX_NS if service_draws else 0) < _IMPORT_NUMPY_NS:
+            return True
+    from importlib.util import find_spec
+
+    if find_spec("numpy") is not None:
+        return False
+    check_seed(seed)
+    return True
 
 
 def _exponentials(seed, in_python: bool) -> Iterator[float]:
@@ -402,7 +414,8 @@ def generate_arrivals(pattern: TrafficPattern, seed) -> list[float]:
     arrivals are one walk over its generator's standard exponentials. A
     non-negative int seed draws them in pure Python, bit for bit the same,
     unless numpy is loaded already or the pattern expects more than about
-    133,000 requests. Traces replay verbatim and ignore the seed.
+    133,000 requests and numpy can be imported. Without numpy, any other
+    seed raises DomainError. Traces replay verbatim and ignore the seed.
     """
     if pattern.kind == "trace_replay":
         return list(pattern.timestamps)
@@ -479,12 +492,11 @@ def simulate_sweep(
 
     The arrivals and profile draws do not depend on the memory size, so
     they are drawn once; each result equals ``simulate`` with that size in
-    ``config``.
+    ``config``. Every size is checked before anything is drawn or run.
     """
+    configs = [replace(config, memory_bytes=memory_bytes) for memory_bytes in memory_sizes]
     arrivals_ms, draw_index = _draw_requests(pattern, config.seed, len(profile.samples.values))
-    for memory_bytes in memory_sizes:
-        yield _run_requests(profile, replace(config, memory_bytes=memory_bytes), pricing,
-                            arrivals_ms, draw_index)
+    return (_run_requests(profile, c, pricing, arrivals_ms, draw_index) for c in configs)
 
 
 def _run_requests(

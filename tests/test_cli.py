@@ -550,6 +550,36 @@ BAD_SCENARIO_VALUES = {
     "vm-price-infinite": (
         "cost", "million_predictions.json", lambda d: d["vm"].update(monthly_price=-math.inf),
         "vm: monthly_price: must be a finite number, got -inf"),
+    # Each of these once named no file at all.
+    "code-bytes-negative": (
+        "validate", "tinybert_aws.json",
+        lambda d: d.update(package={**d["package"], "code_mb": None, "code_bytes": -1}),
+        "package: code_bytes must be non-negative, got -1"),
+    "vm-price-negative": (
+        "cost", "million_predictions.json", lambda d: d["vm"].update(monthly_price=-1),
+        "vm: monthly_price must be non-negative"),
+    "n-requests-negative": (
+        "cost", "million_predictions.json", lambda d: d["cost"].update(n_requests=-1),
+        "cost: n_requests must be non-negative"),
+    "months-negative": (
+        "cost", "million_predictions.json", lambda d: d["cost"].update(months=-1),
+        "cost: months must be non-negative"),
+    "memory-mb-negative": (
+        "validate", "tinybert_aws.json", lambda d: d.update(memory_mb=-5),
+        "memory_mb: memory_bytes must be positive, got -5242880"),
+    "memory-sweep-negative": (
+        "simulate", "memory_sweep.json", lambda d: d.update(memory_sweep_mb=[512, -1]),
+        "memory_sweep_mb: memory_bytes must be positive"),
+    "runtime-cannot-run-model": (
+        "validate", "tinybert_aws.json", lambda d: d["package"].update(runtime="tflite"),
+        "package: model 'TinyBERT' is 'onnx', which runtime 'tflite' cannot execute "
+        "(supports: tflite)"),
+    "provider-unknown": (
+        "validate", "tinybert_aws.json", lambda d: d.update(provider="x"),
+        "provider: unknown provider 'x'; available: aws, aws-container, azure, gcp"),
+    "catalog-unreadable": (
+        "validate", "tinybert_aws.json", lambda d: d.update(catalog="sentimnet"),
+        "catalog: cannot read catalog sentimnet: [Errno 2] No such file or directory: 'sentimnet'"),
 }
 
 
@@ -655,6 +685,33 @@ BAD_FIXTURE_VALUES = {
         {"version": 1, "models": [{"name": "big", "size_mb": 1e308, "format": "onnx"}]},
         ("select", "--catalog", "models.json", "--provider", "aws", "--metric", "f1_macro"),
         "model 'big': size_mb: too large for a size in bytes, got 1e+308"),
+    # The value classes' own checks, named by file and entry.
+    "provider-memory-zero": (
+        "providers.json",
+        {"version": 1, "providers": [
+            {"name": "aws", "max_package_bytes": 262144000, "max_memory_bytes": 0,
+             "max_request_bytes": 6291456}]},
+        ("validate", "--scenario", SCENARIOS / "tinybert_aws.json"),
+        "provider 'aws': max_memory_bytes must be strictly positive, got 0; "
+        "an absent limit is UNLIMITED, never 0"),
+    "pricing-rate-negative": (
+        "pricing.json",
+        {"version": 1, "profiles": [
+            {"name": "aws", "per_million_requests": 0.2, "per_gb_second": -1}]},
+        ("cost", "--scenario", SCENARIOS / "million_predictions.json"),
+        "profile 'aws': pricing rates must be non-negative"),
+    "runtime-size-zero": (
+        "runtimes.json",
+        {"version": 1, "runtimes": [
+            {"name": "onnxruntime", "size_mb": 0, "model_formats": ["onnx"]}]},
+        ("validate", "--scenario", SCENARIOS / "tinybert_aws.json"),
+        "runtime 'onnxruntime': size_bytes must be positive"),
+    "catalog-f1-above-1": (
+        "models.json",
+        {"version": 1, "models": [
+            {"name": "big", "size_mb": 10, "format": "onnx", "metrics": {"f1_macro": 2}}]},
+        ("select", "--catalog", "models.json", "--provider", "aws", "--metric", "f1_macro"),
+        "model 'big': f1_macro = 2.0 is outside [0, 1]"),
 }
 
 
@@ -754,10 +811,17 @@ RECORD = {"arrival_ms": 0.0, "start_ms": 0.0, "end_ms": 12.0, "cold": False, "in
     ({"records": [RECORD, dict(RECORD, start_ms=-1)]},
      "records[1]: start_ms: must be a finite non-negative number, got -1"),
     ({"records": [RECORD, 5]}, "records[1]: must be an object, got 5"),
+    # A sample CSV: this once named no file.
+    ("timestamp_ms,duration_ms,cold,instance\n,12.0,,\n,-3.0,,\n",
+     "durations must be finite and non-negative, got -3.0"),
 ])
 def test_cost_malformed_result_exits_2(tmp_path, capsys, edit, message):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({**SAVED_RESULT, **edit}))
+    if isinstance(edit, str):
+        path = tmp_path / "samples.csv"
+        path.write_text(edit)
+    else:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**SAVED_RESULT, **edit}))
     code, err = run_error(capsys, "cost", "--result", path)
     assert code == 2
     assert err == f"error: {path}: {message}\n"
@@ -789,9 +853,10 @@ def test_cost_csv_result_at_zero_memory_exits_2(tmp_path, capsys):
     # 0 MB once priced the run at the 1024 MB default.
     path = tmp_path / "samples.csv"
     write_samples_csv(SampleSet.from_values([12.0, 15.0]), path)
-    code, err = run_error(capsys, "cost", "--result", path, "--memory-mb", "0")
-    assert code == 2
-    assert err == "error: memory_bytes must be positive\n"
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("cost", "--result", path, "--memory-mb", "0")
+    assert exc_info.value.code == 2
+    assert "argument --memory-mb: must be positive, got '0'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", [
@@ -881,7 +946,17 @@ def test_error_ratio_outside_unit_interval_is_a_usage_error(capsys, value):
     (("cost", "--scenario", SCENARIOS / "million_predictions.json", "--vm", "abc"),
      "argument --vm: invalid Decimal value: 'abc'"),
     (("bench", "--stub", "--rate", "abc"), "argument --rate: invalid float value: 'abc'"),
-], ids=["months-snan", "vm-not-a-number", "rate-not-a-number"])
+    # Sizes, prices and horizons below their range once exited 2 naming no flag.
+    (("validate", "--scenario", SCENARIOS / "tinybert_aws.json", "--memory-mb", "-5"),
+     "argument --memory-mb: must be positive, got '-5'"),
+    (("simulate", "--scenario", SCENARIOS / "memory_sweep.json", "--memory-sweep", "512,-1"),
+     "argument --memory-sweep: sizes must be positive, got '512,-1'"),
+    (("cost", "--scenario", SCENARIOS / "million_predictions.json", "--months", "-1"),
+     "argument --months: must be non-negative, got '-1'"),
+    (("cost", "--scenario", SCENARIOS / "million_predictions.json", "--vm", "-1"),
+     "argument --vm: must be non-negative, got '-1'"),
+], ids=["months-snan", "vm-not-a-number", "rate-not-a-number", "memory-mb-negative",
+        "memory-sweep-negative", "months-negative", "vm-negative"])
 def test_unparsable_number_flag_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc_info:
         run_cli(*argv)
@@ -1096,19 +1171,30 @@ def burst_scenario(tmp_path):
                     "max_instances": None}))
 
 
-@pytest.mark.parametrize("scenario", ["smobilebert_replay.json", "memory_sweep.json", "burst"])
+# The last two draw at and above the count from which a run with numpy installed imports it.
+@pytest.mark.parametrize("scenario", ["smobilebert_replay.json", "memory_sweep.json", "burst",
+                                      "poisson-break-even", "sweep-above-break-even"])
 def test_simulate_without_numpy_writes_the_same_bytes(tmp_path, capsys, scenario):
     import numpy  # noqa: F401 - the in-process run draws with numpy, as it does once loaded
 
-    path = burst_scenario(tmp_path) if scenario == "burst" else SCENARIOS / scenario
+    sweep = ["--memory-sweep", "512,2048"] if scenario == "sweep-above-break-even" else []
+    if scenario == "burst":
+        path = burst_scenario(tmp_path)
+    elif scenario == "poisson-break-even":
+        path = poisson_scenario(tmp_path, NUMPY_BREAK_EVEN)
+    elif sweep:
+        path = poisson_scenario(tmp_path, NUMPY_BREAK_EVEN * 5 // 4)
+    else:
+        path = SCENARIOS / scenario
     proc = subprocess.run([sys.executable, "-c", NO_NUMPY, "simulate", "--scenario", str(path),
-                           "--out", str(tmp_path / "pure"), "--format", "json"],
+                           *sweep, "--out", str(tmp_path / "pure"), "--format", "json"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "numpy"),
+    assert main(["simulate", "--scenario", str(path), *sweep, "--out", str(tmp_path / "numpy"),
                  "--format", "json"]) == 0
     assert proc.stdout == capsys.readouterr().out
     written = sorted(p.name[len("pure"):] for p in tmp_path.glob("pure*"))
-    assert written == ([".csv", ".json"] if scenario != "memory_sweep.json" else ["_sweep.csv"])
+    swept = sweep or scenario == "memory_sweep.json"
+    assert written == (["_sweep.csv"] if swept else [".csv", ".json"])
     for suffix in written:
         assert (tmp_path / f"pure{suffix}").read_bytes() == (tmp_path / f"numpy{suffix}").read_bytes()

@@ -2,9 +2,9 @@
 
 Each example drops, renames or retypes a few keys anywhere in a bundled
 scenario and runs ``validate``, ``simulate`` and ``cost`` on it: every
-run must end in exit code 0, 1 or 2, never in an exception. Mutated
-saved simulation results go through ``cost --result`` the same way and
-must end in exit code 0 or 2.
+run must end in exit code 0, 1 or 2, never in an exception, and an exit 2
+must name the scenario file first. Mutated saved simulation results go
+through ``cost --result`` the same way and must end in exit code 0 or 2.
 """
 
 import contextlib
@@ -33,6 +33,7 @@ RETYPES = {
     "bool": lambda value: True,
     "nan": lambda value: math.nan,
     "inf": lambda value: math.inf,
+    "negative": lambda value: -1,
 }
 
 
@@ -99,18 +100,19 @@ def test_mutated_scenarios_exit_cleanly(doc):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([command, "--scenario", str(path), "--format", "json"])
             assert code in (0, 1, 2), (command, doc, err.getvalue())
+            if code == 2:
+                assert err.getvalue().startswith(f"error: {path}: "), (command, doc, err.getvalue())
 
 
 RESULT = result_to_dict(simulate(
     LatencyProfile.from_quantile_anchors({0.5: 20.0, 0.99: 80.0}, 100, GB),
     TrafficPattern.poisson(5, 1), SimulationConfig(seed=1, memory_bytes=GB), load_pricing()["aws"]))
-RESULT_RETYPES = {**RETYPES, "negative": lambda value: -1}
 RESULT_KEYS = sorted({path[-1] for path in _paths(RESULT)})
 
 
 @st.composite
 def mutated_results(draw):
-    return mutate(draw, copy.deepcopy(RESULT), RESULT_RETYPES, RESULT_KEYS)
+    return mutate(draw, copy.deepcopy(RESULT), RETYPES, RESULT_KEYS)
 
 
 @settings(max_examples=150, deadline=None)

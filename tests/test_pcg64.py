@@ -7,6 +7,7 @@ generator directly, or hide numpy while a run draws.
 
 import contextlib
 import math
+import re
 import sys
 
 import numpy as np
@@ -22,7 +23,7 @@ from test_simulator_oracles import (
     scalar_walk,
 )
 
-from faasplan import GB, LatencyProfile, SimulationConfig, TrafficPattern, _pcg64
+from faasplan import GB, DomainError, LatencyProfile, SimulationConfig, TrafficPattern, _pcg64
 from faasplan.simulator import _BLOCK, _draws_in_python, _walk, generate_arrivals, simulate
 
 MASK64 = (1 << 64) - 1
@@ -42,6 +43,16 @@ def numpy_hidden():
     """As if numpy were never imported: ``import numpy`` raises ImportError meanwhile."""
     saved = sys.modules["numpy"]
     sys.modules["numpy"] = None
+    try:
+        yield
+    finally:
+        sys.modules["numpy"] = saved
+
+
+@contextlib.contextmanager
+def numpy_unloaded():
+    """As if numpy were installed but not imported yet: it is missing from ``sys.modules``."""
+    saved = sys.modules.pop("numpy")
     try:
         yield
     finally:
@@ -292,15 +303,22 @@ def test_burst_arrivals_without_numpy_match_the_scalar_loop(high, low, period_s,
 def test_draws_in_python_only_without_numpy_below_the_break_even_count(pattern, service_draws,
                                                                         break_even):
     small, large = pattern(break_even - 1, 1.0), pattern(break_even, 1.0)
+    numpy_seeds = (-1, None, 1.5, [1, 2], np.random.SeedSequence(3), _pcg64.SeedSequence(3))
     # numpy is loaded: its draws cost nothing to set up
     assert not _draws_in_python(small, 3, service_draws)
-    with numpy_hidden():
+    with numpy_unloaded():
         assert _draws_in_python(small, 3, service_draws)
         assert _draws_in_python(small, 2**70, service_draws)
         assert not _draws_in_python(large, 3, service_draws)
-        for seed in (-1, None, 1.5, [1, 2], np.random.SeedSequence(3),
-                     _pcg64.SeedSequence(3)):
+        for seed in numpy_seeds:
             assert not _draws_in_python(small, seed, service_draws)
+    # numpy cannot be imported: Python draws at any count, and a seed only numpy takes is named
+    with numpy_hidden():
+        assert _draws_in_python(large, 3, service_draws)
+        for seed in (-1, None, 1.5, [1, 2], _pcg64.SeedSequence(3)):
+            message = f"seed must be a non-negative integer, got {seed!r}"
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                _draws_in_python(small, seed, service_draws)
 
 
 PROFILE = LatencyProfile.from_quantile_anchors({0.5: 40.0, 0.95: 70.0, 0.99: 120.0}, 997, GB)
