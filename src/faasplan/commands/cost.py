@@ -32,8 +32,14 @@ def run(args, store) -> int:
         # check_printable refuses (Underflow when too close to 0), or that
         # overflow the Decimal arithmetic.
         size = "small" if isinstance(exc, decimal.Underflow) else "large"
-        raise FaasPlanError(f"cost: amounts too {size} to price; check --vm, --months and the "
-                            f"scenario's cost and vm blocks ({type(exc).__name__})") from exc
+        if args.scenario:
+            source, inputs = f"{args.scenario}: cost", " and the scenario's cost and vm blocks"
+        elif _is_json(args.result):
+            source, inputs = args.result, " and the result's exec_ms and memory_bytes"
+        else:
+            source, inputs = args.result, ", --memory-mb and the samples"
+        raise FaasPlanError(f"{source}: amounts too {size} to price; check --vm, --months"
+                            f"{inputs} ({type(exc).__name__})") from exc
     return 0
 
 

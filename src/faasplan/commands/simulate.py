@@ -40,8 +40,8 @@ def _result_table(result) -> str:
     if result.latency_summary is not None:
         lines.append(format_summary_table({"latency_ms": result.latency_summary}))
     lines += ["", fields([
-        ("requests", len(result.records)),
-        ("instances", len({r.instance_id for r in result.records})),
+        ("requests", len(result.arrival_ms)),
+        ("instances", len(set(result.instance_id))),
         ("cold fraction", f"{result.cold_fraction:.4f}"),
         ("billed GB-seconds", f"{result.total_billed_gb_s:.6f}"),
     ], gap=" ")]

@@ -278,7 +278,7 @@ def cost_from_simulation(
     Each ``exec_ms`` is rounded up at ``pricing``'s granularity, as in :func:`cost_from_samples`;
     the records' ``billed_ms`` state the simulation's own pricing and are not read.
     """
-    return _bill([r.exec_ms for r in result.records], result.memory_bytes, pricing, baseline, months)
+    return _bill(result.exec_ms, result.memory_bytes, pricing, baseline, months)
 
 
 def cost_from_samples(

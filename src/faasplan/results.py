@@ -12,6 +12,8 @@ import json
 import math
 import operator
 import reprlib
+import sys
+from array import array
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -38,26 +40,52 @@ class InvocationRecord(NamedTuple):
     billed_ms: float
 
 
-def _transpose(records: Sequence[InvocationRecord]) -> InvocationRecord:
-    """The records as columns: each field holds that field of every record, in order."""
-    if not records:
-        return InvocationRecord._make(() for _ in InvocationRecord._fields)
-    return InvocationRecord._make(zip(*records))
+# Each column's array type code: a column holds every record's value of that field.
+# ``cold`` has none; it stays a tuple of bools, so a record's ``cold`` is a bool.
+_TYPECODES = {"arrival_ms": "d", "start_ms": "d", "end_ms": "d", "cold": None, "instance_id": "q",
+              "exec_ms": "d", "billed_ms": "d"}
+_COLUMNS = operator.attrgetter(*_TYPECODES)
 
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Everything a finished run produced, in arrival order."""
+    """Everything a finished run produced: one column per record field, in arrival order.
 
-    records: tuple[InvocationRecord, ...]
+    The constructor takes any iterable for a column and stores it typed:
+    the ms columns as ``array('d')``, ``instance_id`` as ``array('q')``
+    and ``cold`` as a tuple of bools. So a value of another kind raises
+    TypeError (OverflowError for an id outside ``[-2**63, 2**63)``) when
+    the result is built, and columns of different lengths ValueError.
+    """
+
+    arrival_ms: Sequence[float]
+    start_ms: Sequence[float]
+    end_ms: Sequence[float]
+    cold: Sequence[bool]
+    instance_id: Sequence[int]
+    exec_ms: Sequence[float]
+    billed_ms: Sequence[float]
     cold_fraction: float
     latency_summary: Summary | None
     total_billed_gb_s: float
     memory_bytes: int
 
+    def __post_init__(self):
+        for name, typecode in _TYPECODES.items():
+            column = getattr(self, name)
+            object.__setattr__(self, name, tuple(map(bool, column)) if typecode is None
+                               else array(typecode, column))
+        if len(set(map(len, _COLUMNS(self)))) > 1:
+            raise ValueError("SimulationResult columns differ in length")
+
+    @property
+    def records(self) -> tuple[InvocationRecord, ...]:
+        """The columns as one record per request, built on each access."""
+        return tuple(map(InvocationRecord._make, zip(*_COLUMNS(self))))
+
     @property
     def latencies_ms(self) -> tuple[float, ...]:
-        return tuple(r.end_ms - r.arrival_ms for r in self.records)
+        return tuple(map(operator.sub, self.end_ms, self.arrival_ms))
 
 
 def export_result_csv(result: SimulationResult, path: str | Path) -> None:
@@ -69,21 +97,23 @@ def export_result_csv(result: SimulationResult, path: str | Path) -> None:
     Raises:
         DomainError: when a latency is negative or not finite.
     """
-    columns = _transpose(result.records)
-    latencies = _durations(map(operator.sub, columns.end_ms, columns.arrival_ms))
-    rows = map(_CSV_ROW.format, map(float, columns.arrival_ms), latencies,
-               map(int, columns.cold), columns.instance_id)
+    rows = map(_CSV_ROW.format, result.arrival_ms, _durations(result.latencies_ms),
+               map(int, result.cold), result.instance_id)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
         fh.writelines(rows)
 
 
-_NUMBER = (int, float)
+_NUMBER, _BOOL, _ID = (int, float), (bool,), (int,)
 # The fields of a saved record, in InvocationRecord's order, and the types each may load as.
-_RECORD_KINDS = {"arrival_ms": _NUMBER, "start_ms": _NUMBER, "end_ms": _NUMBER, "cold": (bool,),
-                 "instance_id": (int,), "exec_ms": _NUMBER, "billed_ms": _NUMBER}
+_RECORD_KINDS = {"arrival_ms": _NUMBER, "start_ms": _NUMBER, "end_ms": _NUMBER, "cold": _BOOL,
+                 "instance_id": _ID, "exec_ms": _NUMBER, "billed_ms": _NUMBER}
 _RECORD_ROW = operator.itemgetter(*_RECORD_KINDS)
-_KIND_TEXT = {_NUMBER: "a finite non-negative number", (bool,): "true or false", (int,): "an integer"}
+# The least and greatest value of each kind that has bounds: a number must
+# convert to a finite float, and an id must fit the instance_id column.
+_BOUNDS = {_NUMBER: (0, sys.float_info.max), _ID: (0, 2**63 - 1)}
+_KIND_TEXT = {_NUMBER: "a finite non-negative number", _BOOL: "true or false", _ID: "an integer"}
+_BOUNDS_TEXT = {**_KIND_TEXT, _ID: "an integer in [0, 2**63)"}
 # One record as json.dumps(..., indent=2) lays it out inside the "records" list.
 _JSON_RECORD = "    {\n" + ",\n".join(f'      "{key}": %s' for key in InvocationRecord._fields) + "\n    }"
 # One row of the sample CSV, as csv.writer writes it: no cell here ever needs quoting.
@@ -104,7 +134,8 @@ def result_header(result: SimulationResult) -> dict:
 
 def result_to_dict(result: SimulationResult) -> dict:
     """JSON-ready dict carrying the full result, including billing detail."""
-    return {**result_header(result), "records": [r._asdict() for r in result.records]}
+    records = [dict(zip(_TYPECODES, values)) for values in zip(*_COLUMNS(result))]
+    return {**result_header(result), "records": records}
 
 
 def render_result_json(result: SimulationResult) -> str:
@@ -116,12 +147,10 @@ def render_result_json(result: SimulationResult) -> str:
     faster. Only the header goes through the indented encoder.
     """
     header = json.dumps({**result_header(result), "records": []}, indent=2)
-    if not result.records:
+    if not result.arrival_ms:
         return header
     # A compact dump of a column of numbers and booleans is "[a, b, ...]".
-    cells = [json.dumps(column)[1:-1].split(", ") for column in _transpose(result.records)]
-    if any(len(column) != len(result.records) for column in cells):  # a value of another kind
-        return json.dumps(result_to_dict(result), indent=2)
+    cells = [json.dumps(list(column))[1:-1].split(", ") for column in _COLUMNS(result)]
     body = ",\n".join(map(_JSON_RECORD.__mod__, zip(*cells)))
     return header.removesuffix("[]\n}") + "[\n" + body + "\n  ]\n}"
 
@@ -132,12 +161,13 @@ def save_result_json(result: SimulationResult, path: str | Path) -> None:
 
 
 def _check_records(records: list, label: str) -> list[tuple]:
-    """The saved records as rows in InvocationRecord's field order.
+    """The saved records as columns, in InvocationRecord's field order.
 
-    Raises naming a record that lacks a field or holds a bad value. Numbers
-    must be finite and non-negative. Each field is checked over all
-    records at once, in passes that run in C: a Python-level check per
-    record added a few percent to ``cost --result`` on a 5k-record result.
+    Raises naming a record that lacks a field or holds a bad value: a
+    number must be finite and non-negative, an id in ``[0, 2**63)``. Each
+    field is checked over all records at once, in passes that run in C: a
+    Python-level check per record added a few percent to ``cost --result``
+    on a 5k-record result.
     """
     try:
         rows = list(map(_RECORD_ROW, records))
@@ -150,16 +180,22 @@ def _check_records(records: list, label: str) -> list[tuple]:
                 missing = sorted(_RECORD_KINDS.keys() - record.keys())
                 raise ScenarioError(f"{label}: records[{i}]: missing keys {missing}") from None
         raise
-    for (key, types), column in zip(_RECORD_KINDS.items(), zip(*rows)):
+    columns = list(zip(*rows))
+    for (key, types), column in zip(_RECORD_KINDS.items(), columns):
         sound = set(map(type, column)) <= set(types)
-        if sound and types is _NUMBER:  # with no NaN, min and max compare every value
-            sound = not any(map(math.isnan, column)) and 0 <= min(column) and max(column) < math.inf
+        low, high = _BOUNDS.get(types, (None, None))
+        if sound and low is not None:
+            try:  # with no NaN, min and max compare every value
+                sound = not any(map(math.isnan, column)) and low <= min(column) and max(column) <= high
+            except OverflowError:  # an int past the float range
+                sound = False
         if not sound:
             i, value = next((i, v) for i, v in enumerate(column) if type(v) not in types
-                            or (types is _NUMBER and not 0 <= v < math.inf))
+                            or (low is not None and not low <= v <= high))
+            text = (_KIND_TEXT if type(value) not in types else _BOUNDS_TEXT)[types]
             raise ScenarioError(
-                f"{label}: records[{i}]: {key}: must be {_KIND_TEXT[types]}, got {reprlib.repr(value)}")
-    return rows
+                f"{label}: records[{i}]: {key}: must be {text}, got {reprlib.repr(value)}")
+    return columns or [()] * len(_RECORD_KINDS)
 
 
 def result_from_dict(payload: Mapping, source: str = "<result>") -> SimulationResult:
@@ -170,7 +206,7 @@ def result_from_dict(payload: Mapping, source: str = "<result>") -> SimulationRe
             or of the wrong type, or a record holds a bad value.
     """
     top = _schema.Block(payload, source)
-    rows = _check_records(top.get("records", list), source)
+    columns = _check_records(top.get("records", list), source)
     cold_fraction = top.get("cold_fraction", float)
     total_billed_gb_s = top.get("total_billed_gb_s", float)
     memory_bytes = top.get("memory_bytes", int)
@@ -183,8 +219,7 @@ def result_from_dict(payload: Mapping, source: str = "<result>") -> SimulationRe
         for key in ("mean_ms", "q50_ms", "q95_ms", "q99_ms"):
             summary.get(key, float)
         latency_summary = summary_from_dict(summary.raw)
-    return SimulationResult(tuple(map(InvocationRecord._make, rows)), cold_fraction, latency_summary,
-                            total_billed_gb_s, memory_bytes)
+    return SimulationResult(*columns, cold_fraction, latency_summary, total_billed_gb_s, memory_bytes)
 
 
 def load_result_json(path: str | Path) -> SimulationResult:

@@ -20,7 +20,7 @@ import math
 import sys
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from ._record import dataclass, replace
@@ -55,10 +55,12 @@ _TAIL_FACTOR = Fraction(1.05)
 # Standard exponentials numpy draws at once for an arrival walk.
 _BLOCK = 4096
 # Most requests a traffic pattern may expect, and most periods a burst
-# pattern may span. A run holds about 470 B per request at its peak, most
-# of it the records: in a fresh process with numpy loaded, 446 MiB above the
-# imports at 10^6 Poisson requests (89 MiB of it the draws) and 881 MiB at
-# 2*10^6. So a run at this limit needs about 4.7 GB.
+# pattern may span. A run holds about 390 B per request at its peak, most
+# of it the event loop's per-request lists; the result keeps 57 B of it in
+# typed columns. In a fresh process with numpy loaded, simulate() raised
+# the peak RSS 370 MiB above the imports at 10^6 Poisson requests and
+# 729 MiB at 2*10^6. So a run at this limit needs about 3.9 GB; writing its
+# JSON file takes about 800 B per request more.
 MAX_REQUESTS = 10**7
 # A run that finds numpy unloaded draws in pure Python, unless its draws
 # would cost more there than importing numpy. Measured on a shared 2-vCPU
@@ -594,12 +596,14 @@ def _run_requests(
     del ends
     exec_ms = [e / 1000 for e in exec_us]
     del exec_us
-    # tuple.__new__ skips the NamedTuple's Python-level __new__.
-    records = tuple(map(tuple.__new__, repeat(InvocationRecord), zip(
-        arrival_ms, start_ms, end_ms, colds, ids, exec_ms, billed_ms,
-    )))
     return SimulationResult(
-        records=records,
+        arrival_ms=arrival_ms,
+        start_ms=start_ms,
+        end_ms=end_ms,
+        cold=colds,
+        instance_id=ids,
+        exec_ms=exec_ms,
+        billed_ms=billed_ms,
         cold_fraction=sum(colds) / n if n else 0.0,
         latency_summary=latency_summary,
         total_billed_gb_s=math.fsum(billed_ms) * (config.memory_bytes / GB) / 1000,

@@ -580,6 +580,11 @@ BAD_SCENARIO_VALUES = {
     "catalog-unreadable": (
         "validate", "tinybert_aws.json", lambda d: d.update(catalog="sentimnet"),
         "catalog: cannot read catalog sentimnet: [Errno 2] No such file or directory: 'sentimnet'"),
+    # Amounts past what prints once named no file.
+    "n-requests-unpriceable": (
+        "cost", "million_predictions.json", lambda d: d["cost"].update(n_requests=10**40),
+        "cost: amounts too large to price; check --vm, --months and the scenario's cost and vm "
+        "blocks (OverflowError)"),
 }
 
 
@@ -811,6 +816,25 @@ RECORD = {"arrival_ms": 0.0, "start_ms": 0.0, "end_ms": 12.0, "cold": False, "in
     ({"records": [RECORD, dict(RECORD, start_ms=-1)]},
      "records[1]: start_ms: must be a finite non-negative number, got -1"),
     ({"records": [RECORD, 5]}, "records[1]: must be an object, got 5"),
+    # A number past the float range once read as amounts too large to price,
+    # and an id outside the instance_id column once loaded.
+    ({"records": [dict(RECORD, arrival_ms=10**400)]},
+     "records[0]: arrival_ms: must be a finite non-negative number, got "
+     "100000000000000000...0000000000000000000"),
+    ({"records": [RECORD, dict(RECORD, exec_ms=10**400)]},
+     "records[1]: exec_ms: must be a finite non-negative number, got "
+     "100000000000000000...0000000000000000000"),
+    ({"records": [dict(RECORD, instance_id=2**63)]},
+     "records[0]: instance_id: must be an integer in [0, 2**63), got 9223372036854775808"),
+    ({"records": [RECORD, dict(RECORD, instance_id=-1)]},
+     "records[1]: instance_id: must be an integer in [0, 2**63), got -1"),
+    # Amounts past what prints once named no file.
+    ({"records": [RECORD], "memory_bytes": 10**40},
+     "amounts too large to price; check --vm, --months and the result's exec_ms and memory_bytes "
+     "(OverflowError)"),
+    ("timestamp_ms,duration_ms,cold,instance\n,1e300,,\n",
+     "amounts too large to price; check --vm, --months, --memory-mb and the samples "
+     "(OverflowError)"),
     # A sample CSV: this once named no file.
     ("timestamp_ms,duration_ms,cold,instance\n,12.0,,\n,-3.0,,\n",
      "durations must be finite and non-negative, got -3.0"),
@@ -911,14 +935,15 @@ MILLION = ("cost", "--scenario", SCENARIOS / "million_predictions.json")
 @pytest.mark.parametrize("argv, message", [
     (("select", "--catalog", "sentiment", "--metric", "f1_macro", "--max-package-mb", "1e308"),
      "argument --max-package-mb: too large for a size in bytes, got '1e308'"),
-    ((*MILLION, "--vm", "1e999999"), "error: cost: amounts too large to price"),
-    ((*MILLION, "--months", "1e999999"), "error: cost: amounts too large to price"),
-    ((*MILLION, "--vm", "1e999999", "--format", "json"), "error: cost: amounts too large to price"),
+    ((*MILLION, "--vm", "1e999999"), f"error: {MILLION[2]}: cost: amounts too large to price"),
+    ((*MILLION, "--months", "1e999999"), f"error: {MILLION[2]}: cost: amounts too large to price"),
+    ((*MILLION, "--vm", "1e999999", "--format", "json"),
+     f"error: {MILLION[2]}: cost: amounts too large to price"),
     ((*MILLION, "--months", "1e999999", "--format", "json"),
-     "error: cost: amounts too large to price"),
-    ((*MILLION, "--months", "1e-999999"), "error: cost: amounts too small to price"),
+     f"error: {MILLION[2]}: cost: amounts too large to price"),
+    ((*MILLION, "--months", "1e-999999"), f"error: {MILLION[2]}: cost: amounts too small to price"),
     ((*MILLION, "--months", "1e-999999", "--format", "json"),
-     "error: cost: amounts too small to price"),
+     f"error: {MILLION[2]}: cost: amounts too small to price"),
 ], ids=["select-max-package-mb", "cost-vm", "cost-months", "cost-vm-json", "cost-months-json",
         "cost-months-tiny", "cost-months-tiny-json"])
 def test_huge_finite_flag_exits_2(capsys, argv, message):

@@ -4,7 +4,9 @@ Each example drops, renames or retypes a few keys anywhere in a bundled
 scenario and runs ``validate``, ``simulate`` and ``cost`` on it: every
 run must end in exit code 0, 1 or 2, never in an exception, and an exit 2
 must name the scenario file first. Mutated saved simulation results go
-through ``cost --result`` the same way and must end in exit code 0 or 2.
+through ``cost --result`` the same way and must end in exit code 0 or 2,
+an exit 2 naming the result file first; there a retype may also grow a
+number, since no run length depends on a saved result.
 """
 
 import contextlib
@@ -108,11 +110,12 @@ RESULT = result_to_dict(simulate(
     LatencyProfile.from_quantile_anchors({0.5: 20.0, 0.99: 80.0}, 100, GB),
     TrafficPattern.poisson(5, 1), SimulationConfig(seed=1, memory_bytes=GB), load_pricing()["aws"]))
 RESULT_KEYS = sorted({path[-1] for path in _paths(RESULT)})
+RESULT_RETYPES = {**RETYPES, "huge": lambda value: 10**400}
 
 
 @st.composite
 def mutated_results(draw):
-    return mutate(draw, copy.deepcopy(RESULT), RETYPES, RESULT_KEYS)
+    return mutate(draw, copy.deepcopy(RESULT), RESULT_RETYPES, RESULT_KEYS)
 
 
 @settings(max_examples=150, deadline=None)
@@ -126,3 +129,5 @@ def test_mutated_results_exit_cleanly(doc):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(["cost", "--result", str(path), "--format", fmt])
             assert code in (0, 2), (doc, err.getvalue())
+            if code == 2:
+                assert err.getvalue().startswith(f"error: {path}: "), (doc, err.getvalue())

@@ -33,7 +33,7 @@ from faasplan.cost import (
     round_up,
 )
 from faasplan.metrics import SampleSet
-from faasplan.simulator import InvocationRecord, SimulationResult
+from faasplan.simulator import SimulationResult
 
 AWS = load_pricing()["aws"]
 GCP = load_pricing()["gcp"]
@@ -201,15 +201,12 @@ def test_render_handles_free_request_pricing():
 
 
 def synthetic_result(billed_list, memory_bytes=GB):
-    records = tuple(
-        InvocationRecord(
-            arrival_ms=float(i), start_ms=float(i), end_ms=float(i) + b,
-            cold=False, instance_id=0, exec_ms=b, billed_ms=b,
-        )
-        for i, b in enumerate(billed_list)
-    )
+    n = len(billed_list)
+    arrivals = [float(i) for i in range(n)]
     return SimulationResult(
-        records=records, cold_fraction=0.0, latency_summary=None,
+        arrival_ms=arrivals, start_ms=arrivals, end_ms=[a + b for a, b in zip(arrivals, billed_list)],
+        cold=[False] * n, instance_id=[0] * n, exec_ms=billed_list, billed_ms=billed_list,
+        cold_fraction=0.0, latency_summary=None,
         total_billed_gb_s=sum(billed_list) / 1000 * memory_bytes / GB,
         memory_bytes=memory_bytes,
     )

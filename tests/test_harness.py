@@ -14,11 +14,15 @@ import time
 import urllib.error
 import urllib.request
 import warnings
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from unittest import mock
 from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faasplan import (
     GB,
@@ -566,6 +570,66 @@ def test_run_bench_opens_a_connection_for_each_request_in_flight(stub_connection
     assert result.errors == {}
     assert 4 <= len(stub_connections) < 10
     assert result.max_schedule_error_ms < 100.0
+
+
+@contextlib.contextmanager
+def _open_stub_connections():
+    """A list whose length is the number of connections the stubs hold open."""
+    held = []
+    setup, finish = _StubHandler.setup, _StubHandler.finish
+
+    def counting_setup(self):
+        setup(self)
+        held.append(self)
+
+    def counting_finish(self):
+        try:
+            finish(self)
+        finally:
+            held.remove(self)
+
+    with mock.patch.object(_StubHandler, "setup", counting_setup), \
+            mock.patch.object(_StubHandler, "finish", counting_finish):
+        yield held
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    delay_ms=st.sampled_from([0.0, 2.0, 15.0, 40.0]),
+    jitter_ms=st.sampled_from([0.0, 5.0, 30.0]),
+    fail_every=st.one_of(st.none(), st.integers(1, 4)),
+    timeout_ms=st.sampled_from([1.0, 10.0, 30.0, 2000.0]),
+    n_warmup=st.integers(0, 6),
+    pattern=st.one_of(
+        st.builds(TrafficPattern.steady, st.sampled_from([20.0, 50.0, 100.0]),
+                  st.sampled_from([0.1, 0.2, 0.3])),
+        st.builds(TrafficPattern.poisson, st.sampled_from([20.0, 50.0, 100.0]),
+                  st.sampled_from([0.1, 0.2, 0.3])),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_bench_accounts_for_every_attempt(delay_ms, jitter_ms, fail_every, timeout_ms,
+                                              n_warmup, pattern, seed):
+    # Timeouts below the stub's delay mix with successes and HTTP errors. No
+    # timing is asserted: a shared host may be late with any send.
+    with _open_stub_connections() as held:
+        with StubServer(delay_ms=delay_ms, jitter_ms=jitter_ms, fail_every=fail_every,
+                        seed=seed) as stub:
+            result = run_bench(BenchRun(target=BenchTarget(url=stub.url, timeout_ms=timeout_ms),
+                                        pattern=pattern, n_warmup=n_warmup, seed=seed))
+            # A timed-out request's handler is still sleeping; it ends once it answers.
+            deadline = time.monotonic() + 10.0
+            while held and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert held == []
+    n = result.attempts
+    assert len(result.samples) + result.warmup_excluded + result.error_total == n
+    assert len(result.scheduled_ms) == len(result.sent_ms) == n
+    assert all(a <= b for a, b in zip(result.sent_ms, result.sent_ms[1:]))
+    # Each sample is stamped with the send time of a request of its own.
+    assert not Counter(result.samples.timestamps or ()) - Counter(result.sent_ms)
+    if fail_every == 1:
+        assert len(result.samples) == result.warmup_excluded == 0
 
 
 def test_stub_answers_a_reused_connection_without_nagle_delay():

@@ -22,7 +22,7 @@ from faasplan.metrics import (
     summary_from_dict,
     summary_to_dict,
 )
-from faasplan.results import InvocationRecord, SimulationResult, export_result_csv
+from faasplan.results import SimulationResult, export_result_csv
 from faasplan.units import GB
 
 
@@ -272,8 +272,10 @@ def test_durations_name_the_first_bad_value_on_every_path(tmp_path_factory, valu
     """SampleSet and the result CSV share one check: the first bad value is named, -0.0 passes."""
     first_bad = next((v for v in values if math.isnan(v) or not 0.0 <= v < math.inf), None)
     # A record from arrival 0.0 to end v has latency v - 0.0 == v, -0.0 and NaN included.
+    zeros = [0.0] * len(values)
     result = SimulationResult(
-        records=tuple(InvocationRecord(0.0, 0.0, v, False, 0, 0.0, 0.0) for v in values),
+        arrival_ms=zeros, start_ms=zeros, end_ms=values, cold=[False] * len(values),
+        instance_id=[0] * len(values), exec_ms=zeros, billed_ms=zeros,
         cold_fraction=0.0, latency_summary=None, total_billed_gb_s=0.0, memory_bytes=GB)
     path = tmp_path_factory.mktemp("csv") / "run.csv"
     checks = (lambda: SampleSet.from_values(values), lambda: export_result_csv(result, path))

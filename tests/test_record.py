@@ -40,7 +40,6 @@ from faasplan.metrics import SampleSet, Summary
 from faasplan.packaging import DeploymentPackage, DeploymentPlan, FitRow, RuntimeLibrary
 from faasplan.providers import CpuScaling, ProviderLimits, ValidationReport, Violation
 from faasplan.simulator import (
-    InvocationRecord,
     LatencyProfile,
     SimulationConfig,
     SimulationResult,
@@ -173,10 +172,12 @@ EXAMPLES = {
              cold_start_ms=0.0, max_instances=4),
     ),
     SimulationResult: (
-        dict(records=(), cold_fraction=0.0, latency_summary=None, total_billed_gb_s=0.0,
+        dict(arrival_ms=(), start_ms=(), end_ms=(), cold=(), instance_id=(), exec_ms=(),
+             billed_ms=(), cold_fraction=0.0, latency_summary=None, total_billed_gb_s=0.0,
              memory_bytes=GB),
-        dict(records=(InvocationRecord(0.0, 0.0, 2.0, True, 0, 1.0, 1.0),), cold_fraction=1.0,
-             latency_summary=SUMMARY, total_billed_gb_s=0.001, memory_bytes=GB),
+        dict(arrival_ms=(0.0,), start_ms=(0.0,), end_ms=(2.0,), cold=(True,), instance_id=(0,),
+             exec_ms=(1.0,), billed_ms=(1.0,), cold_fraction=1.0, latency_summary=SUMMARY,
+             total_billed_gb_s=0.001, memory_bytes=GB),
     ),
 }
 

@@ -107,8 +107,9 @@ def scan_simulate(profile, pattern, config, pricing) -> SimulationResult:
         latencies.append((end - t) / 1000)
 
     memory_gb = config.memory_bytes / GB
+    columns = zip(*records) if records else [()] * len(InvocationRecord._fields)
     return SimulationResult(
-        records=tuple(records),
+        *columns,
         cold_fraction=n_cold / n if n else 0.0,
         latency_summary=summarize(latencies) if latencies else None,
         total_billed_gb_s=math.fsum(r.billed_ms for r in records) * memory_gb / 1000,

@@ -285,7 +285,7 @@ def _trace(gaps_ms):
     return TrafficPattern.trace(timestamps)
 
 
-EMPTY = SimulationResult(records=(), cold_fraction=0.0, latency_summary=None,
+EMPTY = SimulationResult((), (), (), (), (), (), (), cold_fraction=0.0, latency_summary=None,
                          total_billed_gb_s=0.0, memory_bytes=GB)
 # Hand-written: integer times, which a simulation never produces.
 HAND_WRITTEN = {
@@ -346,7 +346,7 @@ def test_writers_match_on_simulated_results(tmp_path_factory, gaps, profile_valu
 
 def test_csv_rejects_a_negative_latency_as_before(tmp_path):
     bad = SimulationResult(
-        records=(InvocationRecord(10.0, 10.0, 5.0, True, 0, 1.0, 1.0),),
+        (10.0,), (10.0,), (5.0,), (True,), (0,), (1.0,), (1.0,),
         cold_fraction=1.0, latency_summary=None, total_billed_gb_s=0.0, memory_bytes=GB)
     with pytest.raises(DomainError, match="durations must be finite and non-negative, got -5.0"):
         sample_set_csv(bad, tmp_path / "old.csv")
@@ -366,9 +366,31 @@ def test_block_arrivals_stop_before_an_arrival_at_end_ms(k):
         assert arrivals == first[:count]
 
 
-def test_text_of_a_record_that_is_not_numbers_falls_back_to_the_dict_dump():
-    # Splitting a column's dump on ", " only works for numbers and booleans.
-    result = SimulationResult(
-        records=(InvocationRecord(1.0, 1.0, 2.0, True, "a, b", 1.0, 1.0),),
-        cold_fraction=1.0, latency_summary=None, total_billed_gb_s=0.0, memory_bytes=GB)
-    assert render_result_json(result) == dict_result_text(result)
+ONE_REQUEST = dict(arrival_ms=(1.0,), start_ms=(1.0,), end_ms=(2.0,), cold=(True,),
+                   instance_id=(0,), exec_ms=(1.0,), billed_ms=(1.0,))
+
+
+# The JSON text splits each column's compact dump on ", ", which works only
+# for numbers and booleans; the typed columns refuse anything else up front.
+@pytest.mark.parametrize("columns, error", [
+    (dict(instance_id=("a, b",)), TypeError),
+    (dict(instance_id=(1.5,)), TypeError),
+    (dict(instance_id=(2**63,)), OverflowError),
+    (dict(arrival_ms=("1.0",)), TypeError),
+    (dict(exec_ms=(None,)), TypeError),
+    (dict(billed_ms=([1.0],)), TypeError),
+    (dict(end_ms=(2.0, 3.0)), ValueError),
+])
+def test_a_column_of_another_kind_is_refused_when_the_result_is_built(columns, error):
+    with pytest.raises(error):
+        SimulationResult(**{**ONE_REQUEST, **columns}, cold_fraction=1.0, latency_summary=None,
+                         total_billed_gb_s=0.0, memory_bytes=GB)
+
+
+def test_a_result_keeps_typed_columns_and_builds_records_from_them():
+    result = SimulationResult(**dict(ONE_REQUEST, cold=[1], instance_id=[3]), cold_fraction=1.0,
+                              latency_summary=None, total_billed_gb_s=0.0, memory_bytes=GB)
+    assert [(result.arrival_ms.typecode, result.instance_id.typecode)] == [("d", "q")]
+    assert result.cold == (True,) and result.records[0].cold is True
+    assert result.records == (InvocationRecord(1.0, 1.0, 2.0, True, 3, 1.0, 1.0),)
+    assert '"cold": true' in render_result_json(result)
