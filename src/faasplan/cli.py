@@ -94,22 +94,41 @@ class ProfileStore:
         return parse_catalog(*_schema.load(path, "catalog", DomainError))
 
 
-def _integer(minimum: int, rule: str):
-    """argparse ``type=`` for an integer flag of at least ``minimum``, which ``rule`` states."""
-    def parse(text: str) -> int:
+def _number(kind: type, rule: str = "", ok=lambda value: True, size: bool = False):
+    """argparse ``type=`` for a number flag: a ``kind`` value for which ``ok`` holds.
+
+    Text that is no ``kind``, a float or Decimal that is not finite, a value
+    outside ``ok`` (worded ``rule``) and a ``size`` in MB that is not finite
+    in bytes are usage errors (exit 2), which argparse prefixes with the flag.
+    A size's range holds for its whole bytes too: 1e-9 MB is 0 bytes.
+    """
+    def parse(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+            value = kind(text)
+        except (ValueError, ArithmeticError):  # Decimal signals InvalidOperation
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        try:
+            if not (value.is_finite() if kind is Decimal else kind is int or math.isfinite(value)):
+                raise ValueError("must be a finite number")
+            if not ok(value) or size and not ok(mb_bytes(value)):
+                raise ValueError(rule)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
         return value
     return parse
 
 
+# The ranges of most number flags: (rule, ok).
+_POSITIVE = "must be positive", lambda value: value > 0
+_NON_NEGATIVE = "must be non-negative", lambda value: value >= 0
+
 # --seed as a run's SeedSequence requires it; --memory-mb, a size in MB.
-_seed = _integer(0, "must be a non-negative integer")
-_mb = _integer(1, "must be positive")
+_seed = _number(int, "must be a non-negative integer", lambda value: value >= 0)
+_mb = _number(int, *_POSITIVE)
+_finite_float = _number(float)
+_finite_decimal = _number(Decimal, *_NON_NEGATIVE)  # --vm and --months: a price, a horizon
+_megabytes = _number(float, *_POSITIVE, size=True)  # --max-package-mb: a budget
+_ratio = _number(float, "must lie in [0, 1]", lambda value: 0 <= value <= 1)
 
 
 def _mb_list(text: str) -> list[int]:
@@ -124,43 +143,6 @@ def _mb_list(text: str) -> list[int]:
     if min(sizes) <= 0:
         raise argparse.ArgumentTypeError(f"sizes must be positive, got {text!r}")
     return sizes
-
-
-def _finite(kind: type, non_negative: bool = False):
-    """argparse ``type=`` for a float or Decimal flag that rejects NaN and ±inf (exit 2)."""
-    def parse(text: str):
-        try:
-            value = kind(text)
-        except (ValueError, ArithmeticError):  # Decimal signals InvalidOperation
-            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
-        if not (value.is_finite() if kind is Decimal else math.isfinite(value)):
-            raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-        if non_negative and value < 0:
-            raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
-        return value
-    return parse
-
-
-_finite_float = _finite(float)
-_finite_decimal = _finite(Decimal, non_negative=True)  # --vm and --months: a price, a horizon
-
-
-def _megabytes(text: str) -> float:
-    """A size flag in MB: a finite float that stays finite in bytes."""
-    value = _finite_float(text)
-    try:
-        mb_bytes(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
-    return value
-
-
-def _ratio(text: str) -> float:
-    """A share flag: a float in [0, 1]."""
-    value = _finite_float(text)
-    if not 0 <= value <= 1:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
-    return value
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -192,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", required=True, help="objective metric name")
     p.add_argument("--min-score", type=_finite_float, default=None, help="minimum acceptable score")
     p.add_argument("--runtime", default="onnxruntime", help="runtime library (default: onnxruntime)")
-    p.add_argument("--code-mb", type=_megabytes, default=1.0,
+    p.add_argument("--code-mb", type=_number(float, *_NON_NEGATIVE, size=True), default=1.0,
                    help="function code size (default: 1 MB)")
 
     p = sub.add_parser("simulate", help="run a seeded deployment simulation")
@@ -222,15 +204,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--url", default=None, help="endpoint to hit")
     p.add_argument("--payload-file", default=None, help="request body file")
     p.add_argument("--method", default="POST", help="HTTP method (default: POST)")
-    p.add_argument("--rate", type=_finite_float, default=1.0, help="requests per second (default: 1)")
-    p.add_argument("--duration", type=_finite_float, default=10.0,
+    p.add_argument("--rate", type=_number(float, *_NON_NEGATIVE), default=1.0,
+                   help="requests per second (default: 1)")
+    p.add_argument("--duration", type=_number(float, *_POSITIVE), default=10.0,
                    help="run length in seconds (default: 10)")
     p.add_argument("--pattern", choices=("steady", "poisson"), default="steady",
                    help="send schedule (default: steady)")
     p.add_argument("--seed", type=_seed, default=0, help="seed of the poisson schedule, a non-negative integer (default: 0)")
-    p.add_argument("--warmup", type=int, default=10,
+    p.add_argument("--warmup", type=_number(int, *_NON_NEGATIVE), default=10,
                    help="successful responses to exclude up front (default: 10)")
-    p.add_argument("--timeout-ms", type=_finite_float, default=10_000.0,
+    p.add_argument("--timeout-ms", type=_number(float, *_POSITIVE), default=10_000.0,
                    help="per-request timeout (default: 10000)")
     p.add_argument("--limits-profile", default=None,
                    help="provider whose request cap the payload must pass")
@@ -239,11 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write post-warmup samples to this CSV")
     p.add_argument("--stub", action="store_true",
                    help="bench the built-in stub server instead of a real endpoint")
-    p.add_argument("--stub-delay-ms", type=_finite_float, default=50.0,
+    p.add_argument("--stub-delay-ms", type=_number(float, *_NON_NEGATIVE), default=50.0,
                    help="stub response delay (default: 50)")
-    p.add_argument("--stub-jitter-ms", type=_finite_float, default=0.0,
+    p.add_argument("--stub-jitter-ms", type=_number(float, *_NON_NEGATIVE), default=0.0,
                    help="uniform extra stub delay (default: 0)")
-    p.add_argument("--stub-fail-every", type=int, default=None,
+    p.add_argument("--stub-fail-every", type=_number(int, *_POSITIVE), default=None,
                    help="stub fails every k-th request with HTTP 500")
 
     return parser

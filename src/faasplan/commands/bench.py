@@ -40,7 +40,7 @@ def run(args, store) -> int:
         try:
             payload = Path(args.payload_file).read_bytes()
         except OSError as exc:
-            raise ScenarioError(f"cannot read payload file: {exc}") from exc
+            raise ScenarioError(f"cannot read payload file {args.payload_file}: {exc}") from exc
     if args.pattern == "steady":
         pattern = TrafficPattern.steady(args.rate, args.duration)
     else:

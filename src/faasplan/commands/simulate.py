@@ -2,21 +2,11 @@
 
 from __future__ import annotations
 
-import contextlib
 from pathlib import Path
 
-from ..errors import FaasPlanError, ScenarioError, Where
+from ..errors import ScenarioError, Where, writing
 from ..units import MB
 from . import emit, fields
-
-
-@contextlib.contextmanager
-def _writing(path: Path):
-    """Report a failed write of ``path`` as ``<path>: cannot write: <reason>`` (exit 2)."""
-    try:
-        yield
-    except OSError as exc:
-        raise FaasPlanError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
 
 # Columns of the sweep CSV: a sweep row's keys, its latency summary's keys in between.
@@ -75,7 +65,7 @@ def run(args, store) -> int:
         emit(args, {"sweep": rows}, _sweep_table)
         if args.out:
             out = Path(f"{args.out}_sweep.csv")
-            with _writing(out), open(out, "w") as fh:
+            with writing(out), open(out, "w") as fh:
                 fh.write(",".join(_SWEEP_CSV) + "\n")
                 for row in rows:
                     cells = {**row, **(row["latency_summary"] or {"count": 0})}
@@ -86,8 +76,8 @@ def run(args, store) -> int:
     emit(args, result, _result_table, render_result_json)
     if args.out:
         csv_path, json_path = Path(f"{args.out}.csv"), Path(f"{args.out}.json")
-        with _writing(csv_path):
+        with writing(csv_path):
             export_result_csv(result, csv_path)
-        with _writing(json_path):
+        with writing(json_path):
             save_result_json(result, json_path)
     return 0

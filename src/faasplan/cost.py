@@ -101,8 +101,9 @@ class CostAssumptions:
 class CostReport:
     """Serverless total vs VM baseline, with the break-even point.
 
-    ``breakeven_requests_per_month`` is None when requests cost nothing
-    (no volume ever reaches the VM price).
+    ``breakeven_requests_per_month`` is None when no volume ever reaches the
+    VM price (requests cost nothing) or when there is no billed duration per
+    request to derive it from (a cost of zero requests).
     """
 
     serverless_total: Decimal
@@ -244,7 +245,7 @@ def _report_from_billed(
 
     The break-even column uses ``billed_ms_per_request``, by default the
     mean billed duration, which matches the exact answer whenever every
-    request bills the same. No requests cost exactly zero.
+    request bills the same. No requests cost exactly zero and have no break-even.
     """
     if billed_ms_per_request is None and n:
         with localcontext() as ctx:
@@ -362,7 +363,9 @@ def render_cost_table(report: CostReport) -> str:
     """Aligned text comparison, money at up to four decimal places."""
     assumptions = report.assumptions
     be = report.breakeven_requests_per_month
-    if be is None:
+    if be is None and assumptions.billed_ms_per_request is None:
+        be_text = "unknown (no requests to derive it from)"
+    elif be is None:
         be_text = "never (requests are free)"
     elif be == 0:
         be_text = "0 (VM is free)"

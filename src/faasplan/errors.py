@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import operator
 
 
@@ -53,6 +54,15 @@ class Where:
     def __exit__(self, kind, exc, traceback):
         if isinstance(exc, DomainError):
             raise self.error(f"{self.context}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def writing(path):
+    """Re-raise a failed write of ``path`` as ``FaasPlanError("<path>: cannot write: <reason>")``."""
+    try:
+        yield
+    except OSError as exc:
+        raise FaasPlanError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
 
 class PreflightError(FaasPlanError):

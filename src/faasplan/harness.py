@@ -12,6 +12,7 @@ A built-in stub responder makes fully offline runs possible.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 import threading
@@ -23,7 +24,7 @@ from typing import TYPE_CHECKING, Mapping
 from urllib.parse import urlsplit
 
 from ._record import dataclass, field
-from .errors import DomainError, FaasPlanError, PreflightError, check_seed
+from .errors import DomainError, PreflightError, check_seed, writing
 from .metrics import DEFAULT_WARMUP, SampleSet, warmup_filter, write_samples_csv
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,8 +61,8 @@ class BenchTarget:
             raise DomainError("payload must be bytes")
         object.__setattr__(self, "payload", bytes(self.payload))
         object.__setattr__(self, "headers", dict(self.headers))
-        if self.timeout_ms <= 0:
-            raise DomainError("timeout_ms must be positive")
+        if not self.timeout_ms > 0:  # NaN too
+            raise DomainError(f"timeout_ms must be positive, got {self.timeout_ms}")
 
     @property
     def payload_bytes(self) -> int:
@@ -363,11 +364,12 @@ def run_bench(run: BenchRun) -> BenchResult:
 
 
 def export_run(result: BenchResult, path: str | Path) -> None:
-    """Write the post-warmup samples in the shared CSV format."""
-    try:
+    """Write the post-warmup samples in the shared CSV format.
+
+    A failed write raises ``FaasPlanError("<path>: cannot write: <reason>")``.
+    """
+    with writing(path):
         write_samples_csv(result.samples, path)
-    except OSError as exc:
-        raise FaasPlanError(f"cannot write samples to {path}: {exc}") from exc
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -446,8 +448,9 @@ class StubServer:
         fail_every: int | None = None,
         seed: int = 0,
     ):
-        if delay_ms < 0 or jitter_ms < 0:
-            raise DomainError("delay_ms and jitter_ms must be non-negative")
+        if not (0 <= delay_ms < math.inf and 0 <= jitter_ms < math.inf):  # NaN too
+            raise DomainError(f"delay_ms and jitter_ms must be finite and non-negative, "
+                              f"got {delay_ms} and {jitter_ms}")
         if fail_every is not None and fail_every < 1:
             raise DomainError("fail_every must be at least 1")
         self._server = _StubHTTPServer(

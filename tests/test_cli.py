@@ -1,5 +1,9 @@
+import argparse
+import contextlib
+import io
 import json
 import math
+import re
 import resource
 import subprocess
 import sys
@@ -7,6 +11,8 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faasplan import GB, SampleSet, load_pricing, serverless_cost_total, write_samples_csv
 from faasplan.cli import _finite_decimal, _finite_float, _megabytes, _ratio, build_parser, main
@@ -278,6 +284,18 @@ def test_cost_from_samples_csv_rebills_durations(tmp_path, capsys):
     assert payload["assumptions"]["billed_ms_per_request"] == "125.5"
 
 
+@pytest.mark.parametrize("fmt, line", [
+    ("table", "break-even               unknown (no requests to derive it from)"),
+    ("json", '  "breakeven_requests_per_month": null,'),
+])
+def test_cost_of_a_header_only_csv_derives_no_break_even(tmp_path, capsys, fmt, line):
+    path = tmp_path / "samples.csv"
+    write_samples_csv(SampleSet.from_values([]), path)
+    code = run_cli("cost", "--result", path, "--format", fmt)
+    assert code == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_cost_needs_exactly_one_source(capsys):
     code = run_cli("cost", "--scenario", SCENARIOS / "million_predictions.json",
                    "--result", "x.json")
@@ -331,6 +349,23 @@ def test_bench_needs_url_or_stub(capsys):
     code = run_cli("bench", "--rate", "1", "--duration", "1")
     assert code == 2
     assert "bench needs --url" in capsys.readouterr().err
+
+
+def test_bench_out_into_missing_directory_exits_2(tmp_path, capsys):
+    # The form simulate --out uses; bench once wrote "cannot write samples to <path>: [Errno 2] ...".
+    out = tmp_path / "nodir" / "bench.csv"
+    code = run_cli("bench", "--stub", "--stub-delay-ms", "1", "--rate", "10",
+                   "--duration", "0.2", "--warmup", "0", "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {out}: cannot write: No such file or directory\n"
+
+
+def test_bench_missing_payload_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "body.json"
+    code = run_cli("bench", "--stub", "--payload-file", missing)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read payload file {missing}: ")
 
 
 TABLES = {
@@ -919,12 +954,81 @@ def test_non_finite_flag_is_a_usage_error(capsys, argv, flag, value):
     assert f"argument {flag}: must be a finite number, got {value!r}" in capsys.readouterr().err
 
 
-def test_every_number_flag_rejects_non_finite_values():
+def number_flags() -> list[tuple[str, str]]:
+    """``(command, flag)`` of every flag of ``build_parser()`` that converts its text, but to a path."""
     subcommands = build_parser()._subparsers._group_actions[0].choices
-    flags = {(name, action.option_strings[0])
-             for name, sub in subcommands.items() for action in sub._actions
-             if action.type in (float, Decimal, _finite_float, _finite_decimal, _megabytes, _ratio)}
-    assert flags == {(argv[0], flag) for argv, flag in FINITE_FLAGS}
+    return [(name, action.option_strings[0])
+            for name, sub in subcommands.items() for action in sub._actions
+            if action.type is not None and action.type is not Path]
+
+
+def parse_flag(command: str, flag: str, text: str):
+    """``flag=text`` parsed on ``command``, its required flags given: the value, or SystemExit.
+
+    Returns ``(value, exit, stdout, stderr)``; ``exit`` is None when the text parsed.
+    """
+    parser = build_parser()
+    sub = parser._subparsers._group_actions[0].choices[command]
+    required = [arg for action in sub._actions if action.required
+                for arg in (action.option_strings[0], "x")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parser.parse_args([command, *required, f"{flag}={text}"])
+        except SystemExit as exc:
+            return None, exc.code, out.getvalue(), err.getvalue()
+    dest = next(a.dest for a in sub._actions if flag in a.option_strings)
+    return getattr(args, dest), None, out.getvalue(), err.getvalue()
+
+
+def test_every_number_flag_rejects_non_finite_values():
+    # A flag that parses "0.5" to a number takes floats or Decimals; each must refuse nan.
+    fractional = {(command, flag) for command, flag in number_flags()
+                  if isinstance(parse_flag(command, flag, "0.5")[0], (float, Decimal))}
+    assert fractional == {(argv[0], flag) for argv, flag in FINITE_FLAGS}
+    for command, flag in fractional:
+        _, code, out, err = parse_flag(command, flag, "nan")
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: must be a finite number, got 'nan'" in err
+
+
+# One row per check of the number-flag parser: the type, finiteness, the
+# range, and a size's range in whole bytes.
+@pytest.mark.parametrize("parse, text, message", [
+    (_finite_decimal, "abc", "invalid Decimal value: 'abc'"),
+    (_finite_float, "-inf", "must be a finite number, got '-inf'"),
+    (_ratio, "2", "must lie in [0, 1], got '2'"),
+    (_megabytes, "1e-9", "must be positive, got '1e-9'"),  # 0 bytes; once refused naming no flag
+])
+def test_number_flag_parsers_word_the_rule(parse, text, message):
+    with pytest.raises(argparse.ArgumentTypeError, match=re.escape(message)):
+        parse(text)
+
+
+# Text a number flag may be given: finite and non-finite floats in several
+# spellings, negatives, zero, huge values and junk.
+FLAG_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.3e}"),
+    st.integers(-10**30, 10**30).map(str),
+    st.sampled_from(["0", "-0", "-0.0", "1e308", "-1e308", "1e999999", "1e-999999", "nan",
+                     "-nan", "sNaN", "inf", "-Infinity", "1_000", "0x10", "", " ", "1,2", ",",
+                     "abc", "1e", "5e-324", "2.5"]),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flag=st.sampled_from(number_flags()), text=FLAG_TEXT)
+def test_number_flag_text_parses_or_names_the_flag(flag, text):
+    command, option = flag
+    value, code, out, err = parse_flag(command, option, text)
+    if code is None:
+        values = value if isinstance(value, list) else [value]
+        assert all(v.is_finite() if isinstance(v, Decimal) else math.isfinite(v) for v in values)
+    else:
+        assert (code, out) == (2, "")
+        assert f"argument {option}: " in err
 
 
 MILLION = ("cost", "--scenario", SCENARIOS / "million_predictions.json")
@@ -980,8 +1084,25 @@ def test_error_ratio_outside_unit_interval_is_a_usage_error(capsys, value):
      "argument --months: must be non-negative, got '-1'"),
     (("cost", "--scenario", SCENARIOS / "million_predictions.json", "--vm", "-1"),
      "argument --vm: must be non-negative, got '-1'"),
+    # Each of these once exited 2 through a value class, naming no flag.
+    (("bench", "--stub", "--rate", "-1"), "argument --rate: must be non-negative, got '-1'"),
+    (("bench", "--stub", "--duration", "0"), "argument --duration: must be positive, got '0'"),
+    (("bench", "--stub", "--timeout-ms", "0"), "argument --timeout-ms: must be positive, got '0'"),
+    (("bench", "--stub", "--stub-delay-ms", "-1"),
+     "argument --stub-delay-ms: must be non-negative, got '-1'"),
+    (("bench", "--stub", "--stub-jitter-ms", "-0.5"),
+     "argument --stub-jitter-ms: must be non-negative, got '-0.5'"),
+    (("bench", "--stub", "--warmup", "-1"), "argument --warmup: must be non-negative, got '-1'"),
+    (("bench", "--stub", "--stub-fail-every", "0"),
+     "argument --stub-fail-every: must be positive, got '0'"),
+    (("select", "--catalog", "sentiment", "--metric", "f1_macro", "--max-package-mb", "-1"),
+     "argument --max-package-mb: must be positive, got '-1'"),
+    (("select", "--catalog", "sentiment", "--provider", "aws", "--metric", "f1_macro",
+      "--code-mb", "-1"), "argument --code-mb: must be non-negative, got '-1'"),
 ], ids=["months-snan", "vm-not-a-number", "rate-not-a-number", "memory-mb-negative",
-        "memory-sweep-negative", "months-negative", "vm-negative"])
+        "memory-sweep-negative", "months-negative", "vm-negative", "rate-negative",
+        "duration-zero", "timeout-ms-zero", "stub-delay-ms-negative", "stub-jitter-ms-negative",
+        "warmup-negative", "stub-fail-every-zero", "max-package-mb-negative", "code-mb-negative"])
 def test_unparsable_number_flag_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc_info:
         run_cli(*argv)

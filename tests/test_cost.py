@@ -229,6 +229,12 @@ def test_cost_from_simulation_empty_is_free():
     assert report.assumptions.billed_ms_per_request is None
 
 
+def test_render_zero_requests_derives_no_break_even():
+    # aws charges a request fee, so "never (requests are free)" was false here.
+    table = render_cost_table(cost_from_simulation(synthetic_result([]), AWS))
+    assert table.splitlines()[-1].split(None, 1)[1] == "unknown (no requests to derive it from)"
+
+
 @pytest.mark.parametrize("billed", [[100.0, 150.0, 151.0], [1.0] * 7, []])
 def test_samples_and_simulation_share_one_report(billed):
     # The mean of 401 / 3 or 7 / 7 billed ms must not depend on which file it came from.

@@ -2,6 +2,7 @@ import asyncio
 import contextlib
 import gc
 import http.client
+import math
 import shutil
 import socket
 import ssl
@@ -80,6 +81,12 @@ def test_stub_validation():
         StubServer(delay_ms=-1.0)
     with pytest.raises(DomainError):
         StubServer(fail_every=0)
+    # A NaN delay once answered at once with "X-Exec-Time-Ms: nan", and an
+    # infinite jitter turned every request into a transport error.
+    for delay_ms, jitter_ms in ((math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan),
+                                (0.0, math.inf), (0.0, -math.inf)):
+        with pytest.raises(DomainError, match="must be finite and non-negative"):
+            StubServer(delay_ms=delay_ms, jitter_ms=jitter_ms)
 
 
 def test_preflight_checks_request_size():
@@ -709,6 +716,11 @@ def test_bench_target_validation():
         BenchTarget(url="http://x/", payload="not-bytes")
     with pytest.raises(DomainError):
         BenchTarget(url="http://x/", timeout_ms=0)
+    # A NaN timeout once passed, then counted a spurious timeout.
+    for timeout_ms in (math.nan, -math.inf):
+        with pytest.raises(DomainError, match="timeout_ms must be positive"):
+            BenchTarget(url="http://x/", timeout_ms=timeout_ms)
+    assert BenchTarget(url="http://x/", timeout_ms=math.inf).timeout_ms == math.inf
 
 
 def test_bench_result_properties_on_empty():
