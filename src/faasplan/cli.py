@@ -21,6 +21,7 @@ import os
 import sys
 from decimal import Decimal
 from pathlib import Path
+from threading import TIMEOUT_MAX
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, FaasPlanError, PreflightError
@@ -129,6 +130,9 @@ _finite_float = _number(float)
 _finite_decimal = _number(Decimal, *_NON_NEGATIVE)  # --vm and --months: a price, a horizon
 _megabytes = _number(float, *_POSITIVE, size=True)  # --max-package-mb: a budget
 _ratio = _number(float, "must lie in [0, 1]", lambda value: 0 <= value <= 1)
+# --stub-delay-ms and --stub-jitter-ms: a wait the stub's thread can time, as StubServer bounds it.
+_stub_ms = _number(float, f"must lie in [0, {TIMEOUT_MAX * 1000:.0f}]",
+                   lambda value: 0 <= value <= TIMEOUT_MAX * 1000)
 
 
 def _mb_list(text: str) -> list[int]:
@@ -222,9 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write post-warmup samples to this CSV")
     p.add_argument("--stub", action="store_true",
                    help="bench the built-in stub server instead of a real endpoint")
-    p.add_argument("--stub-delay-ms", type=_number(float, *_NON_NEGATIVE), default=50.0,
+    p.add_argument("--stub-delay-ms", type=_stub_ms, default=50.0,
                    help="stub response delay (default: 50)")
-    p.add_argument("--stub-jitter-ms", type=_number(float, *_NON_NEGATIVE), default=0.0,
+    p.add_argument("--stub-jitter-ms", type=_stub_ms, default=0.0,
                    help="uniform extra stub delay (default: 0)")
     p.add_argument("--stub-fail-every", type=_number(int, *_POSITIVE), default=None,
                    help="stub fails every k-th request with HTTP 500")

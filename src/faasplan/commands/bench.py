@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from ..errors import ScenarioError
+from ..errors import ScenarioError, create_outputs
 from . import emit, fields
 
 
@@ -46,6 +46,8 @@ def run(args, store) -> int:
     else:
         pattern = TrafficPattern.poisson(args.rate, args.duration)
     limits = store.provider(args.limits_profile) if args.limits_profile else None
+    if args.out:
+        create_outputs(args.out)
 
     stub = None
     try:

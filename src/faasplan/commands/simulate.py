@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..errors import ScenarioError, Where, writing
+from ..errors import ScenarioError, Where, create_outputs, writing
 from ..units import MB
 from . import emit, fields
 
@@ -51,6 +51,14 @@ def run(args, store) -> int:
     pricing = scenario.pricing or store.pricing_profile("aws")
 
     sweep_mb = args.memory_sweep or scenario.memory_sweep_mb
+    if not args.out:
+        outputs = ()
+    elif sweep_mb:
+        outputs = (Path(f"{args.out}_sweep.csv"),)
+    else:
+        outputs = (Path(f"{args.out}.csv"), Path(f"{args.out}.json"))
+    create_outputs(*outputs)
+
     if sweep_mb:
         # --memory-sweep sizes are positive already, so a bad size is the scenario's.
         with Where(f"{scenario.path}: memory_sweep_mb"):
@@ -63,8 +71,8 @@ def run(args, store) -> int:
             del row["memory_bytes"]  # the row's memory_mb says it
             rows.append(row)
         emit(args, {"sweep": rows}, _sweep_table)
-        if args.out:
-            out = Path(f"{args.out}_sweep.csv")
+        if outputs:
+            out, = outputs
             with writing(out), open(out, "w") as fh:
                 fh.write(",".join(_SWEEP_CSV) + "\n")
                 for row in rows:
@@ -74,8 +82,8 @@ def run(args, store) -> int:
 
     result = simulate(scenario.profile, scenario.traffic, scenario.sim_config, pricing)
     emit(args, result, _result_table, render_result_json)
-    if args.out:
-        csv_path, json_path = Path(f"{args.out}.csv"), Path(f"{args.out}.json")
+    if outputs:
+        csv_path, json_path = outputs
         with writing(csv_path):
             export_result_csv(result, csv_path)
         with writing(json_path):

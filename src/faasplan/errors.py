@@ -65,6 +65,17 @@ def writing(path):
         raise FaasPlanError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
 
+def create_outputs(*paths) -> None:
+    """Create or empty each of ``paths`` through :func:`writing`.
+
+    A command calls this before its run, so an output it cannot write
+    fails at once instead of after the work whose result it would hold.
+    """
+    for path in paths:
+        with writing(path), open(path, "w"):
+            pass
+
+
 class PreflightError(FaasPlanError):
     """A bench target violates the selected provider's request limits."""
 

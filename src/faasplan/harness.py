@@ -12,13 +12,12 @@ A built-in stub responder makes fully offline runs possible.
 
 from __future__ import annotations
 
-import math
 import random
+import socketserver
 import sys
 import threading
 import time
 from collections import Counter
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 from urllib.parse import urlsplit
@@ -372,37 +371,118 @@ def export_run(result: BenchResult, path: str | Path) -> None:
         write_samples_csv(result.samples, path)
 
 
-class _StubHandler(BaseHTTPRequestHandler):
+# http.server's limits: the longest request or header line, and the most header lines.
+_MAX_LINE = 65536
+_MAX_FIELDS = 100
+# The most digits of a Content-Length: a body of 10**18 bytes or more is no real request.
+_MAX_DIGITS = 18
+# The stub's longest delay plus jitter: the longest wait threading can time.
+_MAX_DELAY_MS = threading.TIMEOUT_MAX * 1000.0
+_DAY_S = 86400.0
+_ERRORS = {400: "Bad Request", 414: "URI Too Long", 431: "Request Header Fields Too Large",
+           501: "Not Implemented", 505: "HTTP Version Not Supported"}
+
+
+def _sleep(seconds: float) -> None:
+    """``time.sleep`` that takes up to ``threading.TIMEOUT_MAX`` s.
+
+    ``time.sleep`` alone fails once its deadline passes 2**63 ns on the
+    monotonic clock, as a sleep of ``threading.TIMEOUT_MAX`` s does.
+    """
+    while seconds > 0:
+        time.sleep(min(seconds, _DAY_S))
+        seconds -= _DAY_S
+
+
+class _StubHandler(socketserver.StreamRequestHandler):
+    """Answers the requests of one connection in turn, as RFC 9112 frames them.
+
+    A GET or POST gets the stub's answer once its ``Content-Length`` body
+    is read and dropped; ``Expect: 100-continue`` gets ``100 Continue``
+    first. Refused, each with an answer that closes the connection:
+
+    - 400: a malformed request line, or a ``Content-Length`` that is not
+      a decimal of at most ``_MAX_DIGITS`` digits;
+    - 414: a request line over ``_MAX_LINE`` bytes;
+    - 431: a header line over ``_MAX_LINE`` bytes, or more than
+      ``_MAX_FIELDS`` of them;
+    - 501: a method other than GET and POST, or any ``Transfer-Encoding``;
+    - 505: a version other than HTTP/1.0 and HTTP/1.1.
+
+    The answer to an HTTP/1.0 request, or to one with ``Connection: close``,
+    closes the connection too.
+    """
+
     server: "_StubHTTPServer"
-    protocol_version = "HTTP/1.1"  # keep connections open between requests
-    # Headers and body are two writes: with Nagle on, the body would wait
-    # for the client's delayed ACK of the headers, about 40 ms.
+    # An answer is one write, but ``100 Continue`` goes before it: with
+    # Nagle on, the answer would wait for the client's delayed ACK, about 40 ms.
     disable_nagle_algorithm = True
 
-    def _respond(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length:
-            self.rfile.read(length)
+    def handle(self) -> None:
+        rfile = self.rfile
+        while True:
+            line = rfile.readline(_MAX_LINE + 1)
+            if not line:
+                return  # the client closed the connection
+            if len(line) > _MAX_LINE:
+                return self._refuse(414)
+            words = line.split()
+            if len(words) != 3 or not words[2].startswith(b"HTTP/"):
+                return self._refuse(400)
+            method, _, version = words
+            if version not in (b"HTTP/1.0", b"HTTP/1.1"):
+                return self._refuse(505)
+            fields: dict[str, str] = {}
+            for _ in range(_MAX_FIELDS + 1):
+                line = rfile.readline(_MAX_LINE + 1)
+                if line in (b"\r\n", b"\n"):
+                    break
+                if not line:
+                    return  # the client left part way through the header
+                if len(line) > _MAX_LINE:
+                    return self._refuse(431)
+                name, _, value = line.decode("latin-1").partition(":")
+                name, value = name.strip().lower(), value.strip()
+                # Repeated fields combine into one list, as RFC 9110 5.3 has it.
+                fields[name] = f"{fields[name]}, {value}" if name in fields else value
+            else:
+                return self._refuse(431)
+            if method not in (b"GET", b"POST") or "transfer-encoding" in fields:
+                return self._refuse(501)
+            length = fields.get("content-length", "0")
+            if not (length.isascii() and length.isdigit() and len(length) <= _MAX_DIGITS):
+                return self._refuse(400)
+            if version == b"HTTP/1.1" and fields.get("expect", "").lower() == "100-continue":
+                self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            length = int(length)
+            while length and (chunk := rfile.read(min(length, _MAX_LINE))):
+                length -= len(chunk)
+            if length:
+                return  # the client left part way through the body
+            close = version == b"HTTP/1.0" or "close" in _tokens(fields.get("connection", ""))
+            self._answer(close)
+            if close:
+                return
+
+    def _answer(self, close: bool) -> None:
         index, delay_ms, fail = self.server.plan_response()
         if delay_ms > 0:
-            time.sleep(delay_ms / 1000.0)
-        body = b'{"ok": true}' if not fail else b'{"ok": false}'
-        self.send_response(500 if fail else 200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header(EXEC_TIME_HEADER, repr(delay_ms))
-        self.send_header("X-Request-Index", str(index))
-        self.end_headers()
-        self.wfile.write(body)
+            _sleep(delay_ms / 1000.0)
+        body = b'{"ok": false}' if fail else b'{"ok": true}'
+        connection = "Connection: close\r\n" if close else ""
+        head = (f"HTTP/1.1 {'500 Internal Server Error' if fail else '200 OK'}\r\n"
+                f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+                f"{EXEC_TIME_HEADER}: {delay_ms!r}\r\nX-Request-Index: {index}\r\n"
+                f"{connection}\r\n")
+        self.wfile.write(head.encode("latin-1") + body)
 
-    do_GET = _respond
-    do_POST = _respond
-
-    def log_message(self, *args) -> None:  # silence per-request stderr noise
-        pass
+    def _refuse(self, status: int) -> None:
+        """Answer ``status`` with no body; the connection closes after it."""
+        self.wfile.write(f"HTTP/1.1 {status} {_ERRORS[status]}\r\nContent-Length: 0\r\n"
+                         "Connection: close\r\n\r\n".encode("latin-1"))
 
 
-class _StubHTTPServer(ThreadingHTTPServer):
+class _StubHTTPServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
     def __init__(self, address, handler, delay_ms, jitter_ms, fail_every, seed):
@@ -434,11 +514,12 @@ class StubServer:
     """Local HTTP responder with a configurable delay and failure schedule.
 
     Sleeps ``delay_ms`` (plus uniform jitter up to ``jitter_ms``) before
-    answering, and fails every ``fail_every``-th request (1-based) with
-    HTTP 500, deterministically. The applied delay is echoed in the
-    ``X-Exec-Time-Ms`` response header. Speaks HTTP/1.1, so a client may
-    reuse its connection. ``stop()`` returns without waiting for
-    connections a client still holds open. Usable as a context manager.
+    answering, at most ``threading.TIMEOUT_MAX`` s in all, and fails every
+    ``fail_every``-th request (1-based) with HTTP 500, deterministically.
+    The applied delay is echoed in the ``X-Exec-Time-Ms`` response header.
+    Speaks HTTP/1.1, so a client may reuse its connection. ``stop()``
+    returns without waiting for connections a client still holds open.
+    Usable as a context manager.
     """
 
     def __init__(
@@ -448,9 +529,10 @@ class StubServer:
         fail_every: int | None = None,
         seed: int = 0,
     ):
-        if not (0 <= delay_ms < math.inf and 0 <= jitter_ms < math.inf):  # NaN too
-            raise DomainError(f"delay_ms and jitter_ms must be finite and non-negative, "
-                              f"got {delay_ms} and {jitter_ms}")
+        # NaN fails every comparison, and an infinite delay or jitter the sum's.
+        if not (0 <= delay_ms and 0 <= jitter_ms and delay_ms + jitter_ms <= _MAX_DELAY_MS):
+            raise DomainError(f"delay_ms and jitter_ms must be finite and non-negative, with a sum "
+                              f"of at most {_MAX_DELAY_MS:.0f} ms, got {delay_ms} and {jitter_ms}")
         if fail_every is not None and fail_every < 1:
             raise DomainError("fail_every must be at least 1")
         self._server = _StubHTTPServer(

@@ -7,6 +7,7 @@ import re
 import resource
 import subprocess
 import sys
+import threading
 from decimal import Decimal
 from pathlib import Path
 
@@ -19,6 +20,8 @@ from faasplan.cli import _finite_decimal, _finite_float, _megabytes, _ratio, bui
 from faasplan.simulator import load_result_json
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# The longest stub delay or jitter a flag takes, in ms: threading.TIMEOUT_MAX s.
+STUB_MAX_MS = f"{threading.TIMEOUT_MAX * 1000:.0f}"
 
 
 def run_cli(*argv):
@@ -202,6 +205,27 @@ def test_simulate_out_into_missing_directory_exits_2(tmp_path, capsys, scenario,
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"error: {missing / first_file}: cannot write: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv, work, first_file", [
+    (("bench", "--stub", "--rate", "5", "--duration", "0.2"), "faasplan.harness.run_bench", "out"),
+    (("simulate", "--scenario", SCENARIOS / "smobilebert_replay.json"),
+     "faasplan.simulator.simulate", "out.csv"),
+    (("simulate", "--scenario", SCENARIOS / "memory_sweep.json"),
+     "faasplan.simulator.simulate_sweep", "out_sweep.csv"),
+], ids=["bench", "simulate", "simulate-sweep"])
+def test_out_that_cannot_be_written_fails_before_the_run(tmp_path, capsys, monkeypatch,
+                                                         argv, work, first_file):
+    # bench and simulate once did their whole run and printed its report before this exit.
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(work, never)
+    missing = tmp_path / "nodir"
+    code = run_cli(*argv, "--out", missing / "out")
+    assert capsys.readouterr() == ("", f"error: {missing / first_file}: cannot write: "
+                                       "No such file or directory\n")
+    assert code == 2
 
 
 def test_simulate_sweep_flag_overrides_scenario(capsys):
@@ -1089,9 +1113,14 @@ def test_error_ratio_outside_unit_interval_is_a_usage_error(capsys, value):
     (("bench", "--stub", "--duration", "0"), "argument --duration: must be positive, got '0'"),
     (("bench", "--stub", "--timeout-ms", "0"), "argument --timeout-ms: must be positive, got '0'"),
     (("bench", "--stub", "--stub-delay-ms", "-1"),
-     "argument --stub-delay-ms: must be non-negative, got '-1'"),
+     f"argument --stub-delay-ms: must lie in [0, {STUB_MAX_MS}], got '-1'"),
     (("bench", "--stub", "--stub-jitter-ms", "-0.5"),
-     "argument --stub-jitter-ms: must be non-negative, got '-0.5'"),
+     f"argument --stub-jitter-ms: must lie in [0, {STUB_MAX_MS}], got '-0.5'"),
+    # A finite delay past threading.TIMEOUT_MAX s once passed, then killed every stub handler.
+    (("bench", "--stub", "--stub-delay-ms", "1e300", "--timeout-ms", "500"),
+     f"argument --stub-delay-ms: must lie in [0, {STUB_MAX_MS}], got '1e300'"),
+    (("bench", "--stub", "--stub-jitter-ms", f"{STUB_MAX_MS}1"),
+     f"argument --stub-jitter-ms: must lie in [0, {STUB_MAX_MS}], got '{STUB_MAX_MS}1'"),
     (("bench", "--stub", "--warmup", "-1"), "argument --warmup: must be non-negative, got '-1'"),
     (("bench", "--stub", "--stub-fail-every", "0"),
      "argument --stub-fail-every: must be positive, got '0'"),
@@ -1102,6 +1131,7 @@ def test_error_ratio_outside_unit_interval_is_a_usage_error(capsys, value):
 ], ids=["months-snan", "vm-not-a-number", "rate-not-a-number", "memory-mb-negative",
         "memory-sweep-negative", "months-negative", "vm-negative", "rate-negative",
         "duration-zero", "timeout-ms-zero", "stub-delay-ms-negative", "stub-jitter-ms-negative",
+        "stub-delay-ms-huge", "stub-jitter-ms-huge",
         "warmup-negative", "stub-fail-every-zero", "max-package-mb-negative", "code-mb-negative"])
 def test_unparsable_number_flag_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc_info:
@@ -1219,6 +1249,17 @@ def test_harness_import_loads_no_simulator():
     assert "faasplan.harness" in loaded
     assert loaded & {"faasplan.simulator", "faasplan.cost", "faasplan.providers",
                      "faasplan._schema"} == set()
+
+
+def test_harness_import_loads_no_http_server():
+    # The stub is built on socketserver: http.server would load http.client, email and ssl.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, faasplan.harness; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "socketserver" in loaded
+    assert loaded & {"http.server", "http.client", "email", "ssl"} == set()
 
 
 def test_planner_commands_load_only_the_modules_they_run(planner_footprint):

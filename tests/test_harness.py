@@ -83,10 +83,106 @@ def test_stub_validation():
         StubServer(fail_every=0)
     # A NaN delay once answered at once with "X-Exec-Time-Ms: nan", and an
     # infinite jitter turned every request into a transport error.
+    # A finite delay past threading.TIMEOUT_MAX s once passed, then killed every handler.
+    longest_ms = threading.TIMEOUT_MAX * 1000
     for delay_ms, jitter_ms in ((math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan),
-                                (0.0, math.inf), (0.0, -math.inf)):
+                                (0.0, math.inf), (0.0, -math.inf), (1e300, 0.0), (0.0, 1e300),
+                                (longest_ms, 1.0), (longest_ms / 2, longest_ms)):
         with pytest.raises(DomainError, match="must be finite and non-negative"):
             StubServer(delay_ms=delay_ms, jitter_ms=jitter_ms)
+    with StubServer(delay_ms=longest_ms / 2, jitter_ms=longest_ms / 2):
+        pass
+
+
+def _raw(stub: StubServer, request: bytes, timeout: float = 2.0) -> bytes:
+    """Send ``request`` on a new connection to ``stub``; return all it answers until it closes.
+
+    Raises TimeoutError if the stub neither answers nor closes within ``timeout`` s.
+    """
+    parts = urlsplit(stub.url)
+    answer = b""
+    with socket.create_connection((parts.hostname, parts.port), timeout=timeout) as client:
+        client.sendall(request)
+        try:
+            while chunk := client.recv(65536):
+                answer += chunk
+        except ConnectionResetError:  # the stub closed with part of the request unread
+            pass
+    return answer
+
+
+def test_stub_holds_a_request_for_its_longest_delay(capfd):
+    # time.sleep fails on a sleep this long: the handler once died with a traceback.
+    with StubServer(delay_ms=threading.TIMEOUT_MAX * 1000) as stub:
+        with pytest.raises(TimeoutError):
+            _raw(stub, b"GET / HTTP/1.1\r\nHost: stub\r\n\r\n", timeout=0.3)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("request_bytes, status", [
+    (b"GARBAGE\r\n\r\n", 400),
+    (b"GET /" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+    (b"GET / HTTP/1.1\r\nX-Long: " + b"x" * 70_000 + b"\r\n\r\n", 431),
+    (b"GET / HTTP/1.1\r\n" + b"".join(b"X-%d: 1\r\n" % i for i in range(101)) + b"\r\n", 431),
+    (b"PUT / HTTP/1.1\r\nContent-Length: 2\r\n\r\nok", 501),
+    (b"GET / HTTP/2.0\r\n\r\n", 505),
+    # Once a ValueError traceback, and the connection dropped without an answer.
+    (b"POST / HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+    # Once a handler blocked in rfile.read(-1) until the client left.
+    (b"POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+    # No real body is 10**18 bytes or more; from 4,301 digits on, int() would raise.
+    (b"POST / HTTP/1.1\r\nContent-Length: " + b"1" * 19 + b"\r\n\r\n", 400),
+    # Once answered 200, and then its chunk lines answered 400 as the next request.
+    (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n", 501),
+], ids=["malformed-request-line", "long-request-line", "long-header-line", "too-many-headers",
+        "unsupported-method", "unsupported-version", "length-not-a-number", "length-negative",
+        "length-19-digits", "transfer-coding"])
+def test_stub_refuses_a_bad_request_and_closes(capfd, request_bytes, status):
+    with StubServer(delay_ms=0.0) as stub:
+        answer = _raw(stub, request_bytes)
+        assert stub.requests_seen == 0
+    assert answer.startswith(b"HTTP/1.1 %d " % status)
+    assert answer.count(b"HTTP/1.1 ") == 1 and b"\r\nConnection: close\r\n" in answer
+    assert capfd.readouterr().err == ""
+
+
+def test_stub_takes_100_headers_and_keeps_the_connection():
+    fields = b"".join(b"X-%d: 1\r\n" % i for i in range(100))
+    with StubServer(delay_ms=0.0) as stub:
+        answer = _raw(stub, b"GET / HTTP/1.1\r\n" + fields + b"\r\n"
+                            b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n")
+    assert answer.count(b"HTTP/1.1 200 OK\r\n") == 2
+
+
+def test_stub_drops_a_body_and_answers_the_next_request():
+    # Each answer is framed by its Content-Length; the second ends the connection.
+    with StubServer(delay_ms=0.0) as stub:
+        answer = _raw(stub, b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello"
+                            b"POST / HTTP/1.1\r\nconnection: Keep-Alive, Close\r\n\r\n")
+    first, second = answer.split(b'{"ok": true}')[:2]
+    assert b"\r\nX-Request-Index: 1\r\n" in first and b"Connection" not in first
+    assert b"\r\nX-Request-Index: 2\r\n" in second and b"\r\nConnection: close\r\n" in second
+    assert answer.endswith(b'{"ok": true}')
+
+
+def test_stub_closes_after_an_http_1_0_request():
+    with StubServer(delay_ms=0.0) as stub:
+        answer = _raw(stub, b"GET / HTTP/1.0\r\n\r\n")
+    assert answer.startswith(b"HTTP/1.1 200 OK\r\n") and answer.endswith(b'{"ok": true}')
+
+
+def test_stub_sends_100_continue_before_reading_the_body():
+    with StubServer(delay_ms=0.0) as stub:
+        url = urlsplit(stub.url)
+        with socket.create_connection((url.hostname, url.port), timeout=2.0) as client:
+            client.sendall(b"POST / HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n"
+                           b"Connection: close\r\n\r\n")
+            assert client.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            client.sendall(b"ok")
+            answer = b""
+            while chunk := client.recv(65536):
+                answer += chunk
+    assert answer.startswith(b"HTTP/1.1 200 OK\r\n")
 
 
 def test_preflight_checks_request_size():
@@ -567,7 +663,10 @@ def test_run_bench_reuses_one_connection_at_a_steady_rate(stub_connections):
     with StubServer(delay_ms=1.0) as stub:
         result = _get(stub.url, n=10)
     assert result.errors == {}
-    assert len(stub_connections) == 1
+    # Overlapping requests would need a second connection: a send before the answer before it.
+    assert len(stub_connections) == 1, "(sent_ms, latency_ms) per request: " + ", ".join(
+        f"({sent:.1f}, {latency:.1f})"
+        for sent, latency in zip(result.samples.timestamps, result.samples.values))
 
 
 def test_run_bench_opens_a_connection_for_each_request_in_flight(stub_connections):
