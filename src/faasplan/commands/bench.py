@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import sys
 from pathlib import Path
 
@@ -35,6 +36,8 @@ def run(args, store) -> int:
 
     if not args.url and not args.stub:
         raise ScenarioError("bench needs --url (or --stub for an offline run)")
+    if args.url and args.stub:
+        raise ScenarioError("bench takes --url or --stub, not both")
     payload = b""
     if args.payload_file:
         try:
@@ -49,19 +52,13 @@ def run(args, store) -> int:
     if args.out:
         create_outputs(args.out)
 
-    stub = None
-    try:
-        if args.stub:
-            stub = StubServer(
-                delay_ms=args.stub_delay_ms,
-                jitter_ms=args.stub_jitter_ms,
-                fail_every=args.stub_fail_every,
-            ).start()
-            url = stub.url
-        else:
-            url = args.url
+    with (StubServer(
+        delay_ms=args.stub_delay_ms,
+        jitter_ms=args.stub_jitter_ms,
+        fail_every=args.stub_fail_every,
+    ) if args.stub else contextlib.nullcontext()) as stub:
         target = BenchTarget(
-            url=url,
+            url=stub.url if args.stub else args.url,
             method=args.method,
             payload=payload,
             timeout_ms=args.timeout_ms,
@@ -74,9 +71,6 @@ def run(args, store) -> int:
             seed=args.seed,
         )
         result = run_bench(bench_run)
-    finally:
-        if stub is not None:
-            stub.stop()
 
     summary = summarize(result.samples) if len(result.samples) else None
     server_summary = summarize(result.server_exec) if result.server_exec else None

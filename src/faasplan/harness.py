@@ -121,6 +121,10 @@ class BenchResult:
 
     Every attempt lands in exactly one bucket, so
     ``len(samples) + warmup_excluded + sum(errors.values()) == attempts``.
+    ``server_exec`` is not warm-up filtered: it holds the server's own time
+    of every successful response that sent one, warm-up included, in send
+    order (None if none did). So against the stub, which always sends it,
+    ``len(server_exec) == len(samples) + warmup_excluded``.
     ``scheduled_ms``/``sent_ms`` are offsets from the run start for every
     attempt, in send order; their gap is the scheduling error.
     """
@@ -413,7 +417,7 @@ class _StubHandler(socketserver.StreamRequestHandler):
     closes the connection too.
     """
 
-    server: "_StubHTTPServer"
+    server: "StubServer"
     # An answer is one write, but ``100 Continue`` goes before it: with
     # Nagle on, the answer would wait for the client's delayed ACK, about 40 ms.
     disable_nagle_algorithm = True
@@ -482,45 +486,19 @@ class _StubHandler(socketserver.StreamRequestHandler):
                          "Connection: close\r\n\r\n".encode("latin-1"))
 
 
-class _StubHTTPServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-
-    def __init__(self, address, handler, delay_ms, jitter_ms, fail_every, seed):
-        super().__init__(address, handler)
-        self._delay_ms = delay_ms
-        self._jitter_ms = jitter_ms
-        self._fail_every = fail_every
-        self._rng = random.Random(seed)
-        self._counter = 0
-        self._lock = threading.Lock()
-
-    def handle_error(self, request, client_address) -> None:
-        # A client may reset a connection it keeps alive, or leave before its answer.
-        if not isinstance(sys.exc_info()[1], ConnectionError):
-            super().handle_error(request, client_address)
-
-    def plan_response(self) -> tuple[int, float, bool]:
-        with self._lock:
-            self._counter += 1
-            index = self._counter
-            delay = self._delay_ms
-            if self._jitter_ms:
-                delay += self._rng.uniform(0.0, self._jitter_ms)
-        fail = self._fail_every is not None and index % self._fail_every == 0
-        return index, delay, fail
-
-
-class StubServer:
+class StubServer(socketserver.ThreadingTCPServer):
     """Local HTTP responder with a configurable delay and failure schedule.
 
     Sleeps ``delay_ms`` (plus uniform jitter up to ``jitter_ms``) before
     answering, at most ``threading.TIMEOUT_MAX`` s in all, and fails every
     ``fail_every``-th request (1-based) with HTTP 500, deterministically.
     The applied delay is echoed in the ``X-Exec-Time-Ms`` response header.
-    Speaks HTTP/1.1, so a client may reuse its connection. ``stop()``
-    returns without waiting for connections a client still holds open.
-    Usable as a context manager.
+    Speaks HTTP/1.1, so a client may reuse its connection. ``stop()`` may
+    be called in any state, and returns without waiting for connections a
+    client still holds open. ``with`` starts the stub and stops it.
     """
+
+    daemon_threads = True
 
     def __init__(
         self,
@@ -535,32 +513,50 @@ class StubServer:
                               f"of at most {_MAX_DELAY_MS:.0f} ms, got {delay_ms} and {jitter_ms}")
         if fail_every is not None and fail_every < 1:
             raise DomainError("fail_every must be at least 1")
-        self._server = _StubHTTPServer(
-            ("127.0.0.1", 0), _StubHandler, delay_ms, jitter_ms, fail_every, seed
-        )
+        self._delay_ms = delay_ms
+        self._jitter_ms = jitter_ms
+        self._fail_every = fail_every
+        self._rng = random.Random(seed)
+        self._lock = threading.Lock()
         self._thread: threading.Thread | None = None
+        self.requests_seen = 0
+        super().__init__(("127.0.0.1", 0), _StubHandler)
 
     @property
     def url(self) -> str:
-        host, port = self._server.server_address[:2]
+        host, port = self.server_address[:2]
         return f"http://{host}:{port}/"
 
-    @property
-    def requests_seen(self) -> int:
-        return self._server._counter
+    def handle_error(self, request, client_address) -> None:
+        # A client may reset a connection it keeps alive, or leave before its answer.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+    def plan_response(self) -> tuple[int, float, bool]:
+        with self._lock:
+            self.requests_seen += 1
+            index = self.requests_seen
+            delay = self._delay_ms
+            if self._jitter_ms:
+                delay += self._rng.uniform(0.0, self._jitter_ms)
+        fail = self._fail_every is not None and index % self._fail_every == 0
+        return index, delay, fail
 
     def start(self) -> "StubServer":
         self._thread = threading.Thread(
-            target=self._server.serve_forever, args=(_STUB_POLL_S,), daemon=True
+            target=self.serve_forever, args=(_STUB_POLL_S,), daemon=True
         )
         self._thread.start()
         return self
 
     def stop(self) -> None:
-        self._server.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._server.server_close()
+        # shutdown() waits for a serve_forever loop to end, so it would wait
+        # forever on a stub that start() never ran, or that stop() already ended.
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            self.shutdown()
+            thread.join(timeout=5.0)
+        self.server_close()
 
     def __enter__(self) -> "StubServer":
         return self.start()

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
 from ._record import dataclass
-from .errors import DomainError, Where
+from .errors import DomainError
 
 CSV_HEADER = ("timestamp_ms", "duration_ms", "cold", "instance")
 
@@ -207,6 +207,9 @@ def write_samples_csv(samples: SampleSet, path: str | Path) -> None:
             ])
 
 
+_COLD_CELLS = {"": None, "0": False, "1": True}
+
+
 def read_samples_csv(path: str | Path) -> SampleSet:
     """Read a sample CSV written by :func:`write_samples_csv`.
 
@@ -228,17 +231,23 @@ def read_samples_csv(path: str | Path) -> SampleSet:
             try:
                 timestamps.append(float(row[0]) if row[0] else None)
                 values.append(float(row[1]))
+                cold.append(_COLD_CELLS[row[2]])
             except ValueError as exc:
                 raise DomainError(f"{path}:{lineno}: {exc}") from exc
-            cold.append(None if row[2] == "" else row[2] == "1")
+            except KeyError:
+                raise DomainError(
+                    f"{path}:{lineno}: cold must be 0, 1 or empty, got {row[2]!r}") from None
             instances.append(row[3] if row[3] else None)
-    with Where(str(path), DomainError):
+    try:
         return SampleSet(
             values=tuple(values),
             timestamps=None if all(t is None for t in timestamps) else tuple(timestamps),
             cold=None if all(c is None for c in cold) else tuple(cold),
             instances=None if all(i is None for i in instances) else tuple(instances),
         )
+    except DomainError as exc:  # a bad duration: the columns are equally long
+        lineno = next(i for i, v in enumerate(values, start=2) if not 0.0 <= v < math.inf)
+        raise DomainError(f"{path}:{lineno}: {exc}") from exc
 
 
 def summary_to_dict(summary: Summary) -> dict:

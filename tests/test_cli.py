@@ -375,6 +375,14 @@ def test_bench_needs_url_or_stub(capsys):
     assert "bench needs --url" in capsys.readouterr().err
 
 
+def test_bench_refuses_url_with_stub(capsys):
+    # Once benched the stub and ignored --url without a word.
+    code = run_cli("bench", "--url", "http://127.0.0.1:1/", "--stub", "--rate", "5",
+                   "--duration", "0.4", "--warmup", "0")
+    assert code == 2
+    assert capsys.readouterr().err == "error: bench takes --url or --stub, not both\n"
+
+
 def test_bench_out_into_missing_directory_exits_2(tmp_path, capsys):
     # The form simulate --out uses; bench once wrote "cannot write samples to <path>: [Errno 2] ...".
     out = tmp_path / "nodir" / "bench.csv"
@@ -894,9 +902,6 @@ RECORD = {"arrival_ms": 0.0, "start_ms": 0.0, "end_ms": 12.0, "cold": False, "in
     ("timestamp_ms,duration_ms,cold,instance\n,1e300,,\n",
      "amounts too large to price; check --vm, --months, --memory-mb and the samples "
      "(OverflowError)"),
-    # A sample CSV: this once named no file.
-    ("timestamp_ms,duration_ms,cold,instance\n,12.0,,\n,-3.0,,\n",
-     "durations must be finite and non-negative, got -3.0"),
 ])
 def test_cost_malformed_result_exits_2(tmp_path, capsys, edit, message):
     if isinstance(edit, str):
@@ -908,6 +913,21 @@ def test_cost_malformed_result_exits_2(tmp_path, capsys, edit, message):
     code, err = run_error(capsys, "cost", "--result", path)
     assert code == 2
     assert err == f"error: {path}: {message}\n"
+
+
+# A bad duration once named no line, and a bad cold cell loaded as False.
+@pytest.mark.parametrize("rows, message", [
+    (",12.0,,\n,-3.0,,\n", "3: durations must be finite and non-negative, got -3.0"),
+    (",1.0,,\n,2.0,,\n,inf,,\n,nan,,\n", "4: durations must be finite and non-negative, got inf"),
+    ("0.0,1.0,1,\n0.0,1.0,2,\n", "3: cold must be 0, 1 or empty, got '2'"),
+    ("0.0,1.0,true,\n", "2: cold must be 0, 1 or empty, got 'true'"),
+])
+def test_cost_malformed_samples_csv_names_the_line(tmp_path, capsys, rows, message):
+    path = tmp_path / "samples.csv"
+    path.write_text("timestamp_ms,duration_ms,cold,instance\n" + rows)
+    code, err = run_error(capsys, "cost", "--result", path)
+    assert code == 2
+    assert err == f"error: {path}:{message}\n"
 
 
 @pytest.mark.parametrize("argv", [

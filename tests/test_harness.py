@@ -239,6 +239,16 @@ def test_run_bench_records_server_exec_times():
     assert set(result.server_exec.values) == {5.0}
 
 
+def test_run_bench_keeps_server_exec_times_of_warmup_responses():
+    # perfbench's accounting pairs every success with its server time, warm-up included.
+    with StubServer(delay_ms=1.0) as stub:
+        run = BenchRun(target=BenchTarget(url=stub.url), pattern=TrafficPattern.steady(40, 0.25),
+                       n_warmup=4)
+        result = run_bench(run)
+    assert result.warmup_excluded == 4
+    assert len(result.server_exec) == len(result.samples) + result.warmup_excluded == 10
+
+
 def test_run_bench_jittered_exec_stays_in_band():
     with StubServer(delay_ms=5.0, jitter_ms=3.0, seed=17) as stub:
         run = BenchRun(
@@ -761,6 +771,26 @@ def test_stub_stops_promptly(hold_connection):
     finally:
         conn.close()
     assert elapsed < 0.1
+
+
+def test_stub_stop_returns_in_any_state():
+    # BaseServer.shutdown() waits for a serve_forever loop, so a stop() that called it
+    # unconditionally hung forever here: the thread keeps that from hanging the suite.
+    done = []
+
+    def stop_in_every_state():
+        stub = StubServer(delay_ms=0)
+        stub.stop()  # never started
+        stub.stop()  # already stopped
+        with StubServer(delay_ms=0) as stub:
+            pass
+        stub.stop()  # stopped by the with block
+        done.append(True)
+
+    stopper = threading.Thread(target=stop_in_every_state, daemon=True)
+    stopper.start()
+    stopper.join(timeout=2.0)
+    assert done == [True]
 
 
 def test_stub_takes_a_reset_connection_quietly(capfd):
