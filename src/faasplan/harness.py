@@ -126,7 +126,9 @@ class BenchResult:
     order (None if none did). So against the stub, which always sends it,
     ``len(server_exec) == len(samples) + warmup_excluded``.
     ``scheduled_ms``/``sent_ms`` are offsets from the run start for every
-    attempt, in send order; their gap is the scheduling error.
+    attempt, in send order; their gap is the scheduling error. ``sent_ms``
+    stamps the write of the request on a reused connection, and the request
+    for a connection on a new one: the connect and the write follow it.
     """
 
     attempts: int
@@ -207,7 +209,10 @@ def run_bench(run: BenchRun) -> BenchResult:
 
     A request takes the most recently idled HTTP/1.1 connection of the
     run, or opens a new one when none is idle, so a send never waits for
-    a connection and requests are never pipelined. The response body is
+    a connection and requests are never pipelined. On an idle connection
+    the pacer writes the request in the step that stamps its send, and the
+    task only reads the answer; a new connection is opened and written by
+    the request's own task, after the stamp. The response body is
     framed by RFC 9112 section 6.3: none after ``HEAD``, 1xx, 204 or 304;
     chunked coding, trailers included; ``Content-Length``; else the end of
     the stream. A connection is reused only after a response framed
@@ -262,6 +267,8 @@ def run_bench(run: BenchRun) -> BenchResult:
 
     # Open connections that no request holds, most recently idled last.
     idle: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
+    # Request index -> the idle connection the pacer wrote it on, until the request's task takes it.
+    handed: dict[int, tuple[asyncio.StreamReader, asyncio.StreamWriter]] = {}
 
     def connect():
         return asyncio.open_connection(host, port, ssl=ssl_context)
@@ -285,12 +292,13 @@ def run_bench(run: BenchRun) -> BenchResult:
         await reader.read()
         return False
 
-    async def exchange() -> tuple[float, float | None]:
-        reused = bool(idle)
-        reader, writer = idle.pop() if reused else await connect()
+    async def exchange(index: int) -> tuple[float, float | None]:
+        reused = index in handed
+        reader, writer = handed.pop(index) if reused else await connect()
         keep = False
         try:
-            writer.write(request)
+            if not reused:
+                writer.write(request)
             try:
                 first = await reader.readexactly(1)
             except (asyncio.IncompleteReadError, ConnectionError):
@@ -322,10 +330,14 @@ def run_bench(run: BenchRun) -> BenchResult:
 
     async def fire(index: int, send: float) -> None:
         try:
-            end, server_ms = await asyncio.wait_for(exchange(), target.timeout_ms / 1000.0)
+            end, server_ms = await asyncio.wait_for(exchange(index), target.timeout_ms / 1000.0)
         except Exception as exc:  # noqa: BLE001 - every failure is tallied, not raised
             errors[_classify(exc)] += 1
             return
+        finally:
+            # exchange() never ran if the task was cancelled or timed out first.
+            if (held := handed.pop(index, None)) is not None:
+                held[1].transport.abort()
         latencies[index] = (end - send) * 1000.0
         server_times[index] = server_ms
 
@@ -343,6 +355,11 @@ def run_bench(run: BenchRun) -> BenchResult:
                     await asyncio.sleep(0)
             send = time.perf_counter()
             sent_ms[index] = (send - start) * 1000.0
+            if idle:
+                # The request leaves now; its task only reads the answer. A transport
+                # write does not raise on a send error: the read that follows sees it.
+                _, writer = handed[index] = idle.pop()
+                writer.write(request)
             tasks.append(asyncio.create_task(fire(index, send)))
         await asyncio.gather(*tasks)
         for _, writer in idle:
@@ -402,8 +419,10 @@ class _StubHandler(socketserver.StreamRequestHandler):
     """Answers the requests of one connection in turn, as RFC 9112 frames them.
 
     A GET or POST gets the stub's answer once its ``Content-Length`` body
-    is read and dropped; ``Expect: 100-continue`` gets ``100 Continue``
-    first. Refused, each with an answer that closes the connection:
+    is read and dropped, but no sooner than the stub's delay after its
+    request line arrived: reading the rest of the request counts toward
+    the delay. ``Expect: 100-continue`` gets ``100 Continue`` first.
+    Refused, each with an answer that closes the connection:
 
     - 400: a malformed request line, or a ``Content-Length`` that is not
       a decimal of at most ``_MAX_DIGITS`` digits;
@@ -426,6 +445,7 @@ class _StubHandler(socketserver.StreamRequestHandler):
         rfile = self.rfile
         while True:
             line = rfile.readline(_MAX_LINE + 1)
+            arrival = time.perf_counter()
             if not line:
                 return  # the client closed the connection
             if len(line) > _MAX_LINE:
@@ -464,21 +484,22 @@ class _StubHandler(socketserver.StreamRequestHandler):
             if length:
                 return  # the client left part way through the body
             close = version == b"HTTP/1.0" or "close" in _tokens(fields.get("connection", ""))
-            self._answer(close)
+            self._answer(close, arrival)
             if close:
                 return
 
-    def _answer(self, close: bool) -> None:
+    def _answer(self, close: bool, arrival: float) -> None:
+        """Answer ``delay_ms`` after the request line's ``arrival``, or now if that is past."""
         index, delay_ms, fail = self.server.plan_response()
-        if delay_ms > 0:
-            _sleep(delay_ms / 1000.0)
         body = b'{"ok": false}' if fail else b'{"ok": true}'
         connection = "Connection: close\r\n" if close else ""
         head = (f"HTTP/1.1 {'500 Internal Server Error' if fail else '200 OK'}\r\n"
                 f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
                 f"{EXEC_TIME_HEADER}: {delay_ms!r}\r\nX-Request-Index: {index}\r\n"
                 f"{connection}\r\n")
-        self.wfile.write(head.encode("latin-1") + body)
+        answer = head.encode("latin-1") + body
+        _sleep(arrival + delay_ms / 1000.0 - time.perf_counter())
+        self.wfile.write(answer)
 
     def _refuse(self, status: int) -> None:
         """Answer ``status`` with no body; the connection closes after it."""
@@ -489,10 +510,12 @@ class _StubHandler(socketserver.StreamRequestHandler):
 class StubServer(socketserver.ThreadingTCPServer):
     """Local HTTP responder with a configurable delay and failure schedule.
 
-    Sleeps ``delay_ms`` (plus uniform jitter up to ``jitter_ms``) before
-    answering, at most ``threading.TIMEOUT_MAX`` s in all, and fails every
-    ``fail_every``-th request (1-based) with HTTP 500, deterministically.
-    The applied delay is echoed in the ``X-Exec-Time-Ms`` response header.
+    Answers ``delay_ms`` (plus uniform jitter up to ``jitter_ms``) after
+    the request line arrives, or once the whole request is read if that is
+    later; the delay is at most ``threading.TIMEOUT_MAX`` s in all. Fails
+    every ``fail_every``-th request (1-based) with HTTP 500,
+    deterministically. The applied delay, the time from the request line
+    to the answer, is echoed in the ``X-Exec-Time-Ms`` response header.
     Speaks HTTP/1.1, so a client may reuse its connection. ``stop()`` may
     be called in any state, and returns without waiting for connections a
     client still holds open. ``with`` starts the stub and stops it.

@@ -15,7 +15,7 @@ import reprlib
 import sys
 from array import array
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from . import _schema
 from ._record import dataclass
@@ -116,6 +116,8 @@ _KIND_TEXT = {_NUMBER: "a finite non-negative number", _BOOL: "true or false", _
 _BOUNDS_TEXT = {**_KIND_TEXT, _ID: "an integer in [0, 2**63)"}
 # One record as json.dumps(..., indent=2) lays it out inside the "records" list.
 _JSON_RECORD = "    {\n" + ",\n".join(f'      "{key}": %s' for key in InvocationRecord._fields) + "\n    }"
+# Records save_result_json formats and writes at a time.
+_JSON_BLOCK = 16384
 # One row of the sample CSV, as csv.writer writes it: no cell here ever needs quoting.
 _CSV_ROW = "{!r},{!r},{},{}\r\n"
 
@@ -141,23 +143,39 @@ def result_to_dict(result: SimulationResult) -> dict:
 def render_result_json(result: SimulationResult) -> str:
     """``json.dumps(result_to_dict(result), indent=2)``, built column by column.
 
-    The indented encoder runs in pure Python; here each column goes
-    through one compact (C-encoded) ``json.dumps`` and the records are
-    joined through one template, which gives the same text several times
-    faster. Only the header goes through the indented encoder.
+    The indented encoder runs in pure Python; here each column of a block
+    of records goes through one compact (C-encoded) ``json.dumps`` and the
+    records are joined through one template, which gives the same text
+    several times faster. Only the header goes through the indented encoder.
     """
-    header = json.dumps({**result_header(result), "records": []}, indent=2)
-    if not result.arrival_ms:
-        return header
-    # A compact dump of a column of numbers and booleans is "[a, b, ...]".
-    cells = [json.dumps(list(column))[1:-1].split(", ") for column in _COLUMNS(result)]
-    body = ",\n".join(map(_JSON_RECORD.__mod__, zip(*cells)))
-    return header.removesuffix("[]\n}") + "[\n" + body + "\n  ]\n}"
+    return "".join(_result_json_parts(result))
 
 
 def save_result_json(result: SimulationResult, path: str | Path) -> None:
-    """Write :func:`render_result_json` and a final newline to ``path``."""
-    Path(path).write_text(render_result_json(result) + "\n", "utf-8")
+    """Write :func:`render_result_json` and a final newline to ``path``.
+
+    The records go out ``_JSON_BLOCK`` at a time, so the text of the whole
+    file is never held at once.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_result_json_parts(result))
+        fh.write("\n")
+
+
+def _result_json_parts(result: SimulationResult) -> Iterator[str]:
+    """The text of :func:`render_result_json`, in parts of at most ``_JSON_BLOCK`` records."""
+    header = json.dumps({**result_header(result), "records": []}, indent=2)
+    if not result.arrival_ms:
+        yield header
+        return
+    yield header.removesuffix("[]\n}") + "["
+    columns = _COLUMNS(result)
+    for low in range(0, len(result.arrival_ms), _JSON_BLOCK):
+        # A compact dump of a column of numbers and booleans is "[a, b, ...]".
+        cells = [json.dumps(list(column[low:low + _JSON_BLOCK]))[1:-1].split(", ")
+                 for column in columns]
+        yield ("\n" if low == 0 else ",\n") + ",\n".join(map(_JSON_RECORD.__mod__, zip(*cells)))
+    yield "\n  ]\n}"
 
 
 def _check_records(records: list, label: str) -> list[tuple]:

@@ -59,8 +59,8 @@ _BLOCK = 4096
 # of it the event loop's per-request lists; the result keeps 57 B of it in
 # typed columns. In a fresh process with numpy loaded, simulate() raised
 # the peak RSS 370 MiB above the imports at 10^6 Poisson requests and
-# 729 MiB at 2*10^6. So a run at this limit needs about 3.9 GB; writing its
-# JSON file takes about 800 B per request more.
+# 729 MiB at 2*10^6. So a run at this limit needs about 3.9 GB. Writing its
+# JSON file adds one block of records as text, about 15 MiB at any run size.
 MAX_REQUESTS = 10**7
 # A run that finds numpy unloaded draws in pure Python, unless its draws
 # would cost more there than importing numpy. Measured on a shared 2-vCPU

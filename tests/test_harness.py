@@ -185,6 +185,27 @@ def test_stub_sends_100_continue_before_reading_the_body():
     assert answer.startswith(b"HTTP/1.1 200 OK\r\n")
 
 
+def test_stub_counts_its_delay_from_the_request_line():
+    # The rest of the header comes 100 ms after the request line: the answer is
+    # due 150 ms after the line, so about 50 ms after the header's last byte.
+    with StubServer(delay_ms=150.0) as stub:
+        url = urlsplit(stub.url)
+        with socket.create_connection((url.hostname, url.port), timeout=2.0) as client:
+            line_sent = time.perf_counter()  # before the send, so before the stub sees the line
+            client.sendall(b"GET / HTTP/1.1\r\n")
+            time.sleep(0.1)
+            client.sendall(b"Host: stub\r\nConnection: close\r\n\r\n")
+            header_sent = time.perf_counter()
+            answer = client.recv(65536)
+            answered = time.perf_counter()
+            while chunk := client.recv(65536):
+                answer += chunk
+    assert answer.startswith(b"HTTP/1.1 200 OK\r\n")
+    assert b"\r\n%s: 150.0\r\n" % EXEC_TIME_HEADER.encode() in answer
+    assert answered - line_sent >= 0.150
+    assert answered - header_sent < 0.120  # 150 ms or more if the delay began at the header's end
+
+
 def test_preflight_checks_request_size():
     target = BenchTarget(url="http://x/", payload=b"x" * (7 * MB))
     report = preflight(target, LIMITS)
@@ -824,6 +845,77 @@ def test_run_bench_leaves_no_socket_open(run):
             gc.collect()
     finally:
         sys.unraisablehook = previous
+    assert [u.exc_value for u in caught] == []
+
+
+def test_run_bench_writes_on_an_idle_connection_in_the_step_that_stamps_it(monkeypatch):
+    # Each write names the coroutine that made it, its request, and the requests
+    # stamped by then: the pacer writes a request on an idle connection right
+    # after stamping it, before any later stamp; the first request has no idle
+    # connection, so its own task connects and writes.
+    writes = []
+    write = asyncio.StreamWriter.write
+
+    def recording_write(self, data):
+        caller = sys._getframe(1)
+        sent_ms = caller.f_locals.get("sent_ms")
+        stamped = None if sent_ms is None else [i for i, sent in enumerate(sent_ms) if sent]
+        writes.append((caller.f_code.co_name, caller.f_locals["index"], stamped))
+        return write(self, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", recording_write)
+    with StubServer(delay_ms=1.0) as stub:
+        result = _get(stub.url, n=4, rate=5.0)
+    assert result.errors == {}
+    assert writes[0] == ("exchange", 0, None)
+    assert len(writes) == 4
+    assert any(name == "pace" for name, _, _ in writes)
+    for name, index, stamped in writes[1:]:
+        if name == "pace":
+            # sent_ms[0] may be 0.0 itself, so it is left out.
+            assert stamped[-1] == index and set(stamped) >= set(range(1, index + 1))
+        else:  # no connection was idle: the task connected after its stamp
+            assert name == "exchange"
+
+
+def test_run_bench_closes_a_written_connection_whose_exchange_never_ran(monkeypatch):
+    # The first request runs as usual and leaves its connection idle. Every later
+    # one times out before its exchange starts, as wait_for does with a timeout
+    # of 0 on Python 3.12: the pacer has already written the second request on
+    # the idle connection, and nothing but its task can close it.
+    wait_for = asyncio.wait_for
+    calls = []
+
+    async def timing_out_first(awaitable, timeout):
+        calls.append(timeout)
+        if len(calls) == 1:
+            return await wait_for(awaitable, timeout)
+        task = asyncio.ensure_future(awaitable)
+        task.cancel()
+        with contextlib.suppress(asyncio.CancelledError):
+            await task
+        raise asyncio.TimeoutError
+
+    caught = []
+    previous = sys.unraisablehook
+    sys.unraisablehook = caught.append  # a ResourceWarning raised in a finalizer lands here
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with _open_stub_connections() as held:
+                with StubServer(delay_ms=1.0) as stub:
+                    monkeypatch.setattr(asyncio, "wait_for", timing_out_first)
+                    result = _get(stub.url, n=3, rate=5.0)
+                    monkeypatch.undo()
+                    deadline = time.monotonic() + 5.0
+                    while held and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    assert held == []
+                    assert stub.requests_seen == 2  # the second request left on the idle connection
+            gc.collect()
+    finally:
+        sys.unraisablehook = previous
+    assert result.errors == {"timeout": 2}
     assert [u.exc_value for u in caught] == []
 
 

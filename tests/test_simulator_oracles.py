@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from faasplan import GB, MB, UNLIMITED, LatencyProfile, PricingModel, SampleSet, SimulationConfig, TrafficPattern
+from faasplan import results
 from faasplan.errors import DomainError
 from faasplan.metrics import nearest_rank_index, summary_to_dict, write_samples_csv
 from faasplan.simulator import (
@@ -342,6 +343,36 @@ def test_writers_match_on_simulated_results(tmp_path_factory, gaps, profile_valu
                               cold_start_ms=cold_start_ms, max_instances=max_instances)
     result = simulate(profile, _trace(gaps), config, PER_MS)
     _assert_writers_match(result, tmp_path_factory.mktemp("run"))
+
+
+def _numbered_result(n):
+    """``n`` records whose values all differ, so a record out of place changes the text."""
+    return SimulationResult(
+        [i * 1.5 for i in range(n)], [i * 1.5 + 0.25 for i in range(n)],
+        [i * 2.0 + 1 for i in range(n)],
+        [i % 3 == 0 for i in range(n)], list(range(n)), [i + 0.75 for i in range(n)],
+        [i + 1.0 for i in range(n)], cold_fraction=0.5, latency_summary=None,
+        total_billed_gb_s=0.125, memory_bytes=GB)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 7])
+def test_save_result_json_writes_blocks_of_the_same_text(tmp_path, monkeypatch, n):
+    # With blocks of 3: none, one short block, one full block, a full one and a
+    # short one, and two full ones and a short one.
+    monkeypatch.setattr(results, "_JSON_BLOCK", 3)
+    result = _numbered_result(n)
+    parts = list(results._result_json_parts(result))
+    assert len(parts) == (1 if n == 0 else 2 + math.ceil(n / 3))
+    save_result_json(result, tmp_path / "x.json")
+    text = dict_result_text(result) + "\n"
+    assert (tmp_path / "x.json").read_bytes() == text.encode()
+    assert render_result_json(result) + "\n" == text
+
+
+def test_save_result_json_at_its_own_block_size(tmp_path):
+    result = _numbered_result(2 * results._JSON_BLOCK + 5)
+    save_result_json(result, tmp_path / "x.json")
+    assert (tmp_path / "x.json").read_bytes() == (dict_result_text(result) + "\n").encode()
 
 
 def test_csv_rejects_a_negative_latency_as_before(tmp_path):
