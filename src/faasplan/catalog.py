@@ -160,16 +160,23 @@ def select_model(models: Iterable[ModelArtifact], constraints: SelectionConstrai
     if not models:
         raise DomainError("cannot select from an empty catalog")
     evaluations = evaluate_candidates(models, constraints)
-    feasible = [ev for ev in evaluations if ev.feasible]
-    if not feasible:
+    best = _best(evaluations)
+    if best is None:
         rejections = {ev.model.name: ev.reason for ev in evaluations}
         raise NoFeasibleModelError(
             f"no model satisfies {constraints.objective_metric} selection within "
             f"{mb_text(constraints.max_package_bytes)}",
             rejections,
         )
-    best = min(feasible, key=lambda ev: (-ev.score, ev.model.size_bytes, ev.model.name))
-    return best.model
+    return best
+
+
+def _best(evaluations: Iterable[CandidateEvaluation]) -> ModelArtifact | None:
+    """The feasible model with the highest score, then the smallest size, then the first
+    name: the one rule for ``select_model`` and ``faasplan select``. None if none is feasible."""
+    best = min((ev for ev in evaluations if ev.feasible), default=None,
+               key=lambda ev: (-ev.score, ev.model.size_bytes, ev.model.name))
+    return None if best is None else best.model
 
 
 def parse_catalog(payload, source: str = "<catalog>") -> list[ModelArtifact]:

@@ -11,11 +11,18 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 
 
 def emit(args, report, table, dumps=functools.partial(json.dumps, indent=2)) -> None:
-    """Print ``report`` in the ``--format`` asked for: ``dumps(report)`` or ``table(report)``."""
-    print(dumps(report) if args.format == "json" else table(report))
+    """Print ``report`` in the ``--format`` asked for: ``dumps(report)`` or ``table(report)``.
+
+    A ``dumps`` that returns an iterator of parts, not a str, has each part
+    written as it comes, so the whole text is never held at once.
+    """
+    text = dumps(report) if args.format == "json" else table(report)
+    sys.stdout.writelines([text] if isinstance(text, str) else text)
+    sys.stdout.write("\n")
 
 
 def fields(rows, gap: str = "  ") -> str:

@@ -50,9 +50,7 @@ def run(args, store) -> int:
         min_score=args.min_score,
     )
     evaluations = catalog_mod.evaluate_candidates(models, constraints)
-    selected = None
-    if any(ev.feasible for ev in evaluations):
-        selected = catalog_mod.select_model(models, constraints)
+    selected = catalog_mod._best(evaluations)
     report = {
         "selected": None if selected is None else asdict(selected),
         "objective_metric": args.metric,

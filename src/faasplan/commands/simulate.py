@@ -39,9 +39,9 @@ def _result_table(result) -> str:
 
 
 def run(args, store) -> int:
+    from ..results import _result_json_parts
     from ..scenario import load_scenario
-    from ..simulator import (export_result_csv, render_result_json, result_header,
-                             save_result_json, simulate, simulate_sweep)
+    from ..simulator import export_result_csv, result_header, save_result_json, simulate, simulate_sweep
 
     scenario = load_scenario(args.scenario, store, seed_override=args.seed)
     for field_name in ("profile", "traffic", "sim_config"):
@@ -81,7 +81,7 @@ def run(args, store) -> int:
         return 0
 
     result = simulate(scenario.profile, scenario.traffic, scenario.sim_config, pricing)
-    emit(args, result, _result_table, render_result_json)
+    emit(args, result, _result_table, _result_json_parts)  # in parts, as save_result_json writes
     if outputs:
         csv_path, json_path = outputs
         with writing(csv_path):

@@ -212,7 +212,8 @@ def run_bench(run: BenchRun) -> BenchResult:
     a connection and requests are never pipelined. On an idle connection
     the pacer writes the request in the step that stamps its send, and the
     task only reads the answer; a new connection is opened and written by
-    the request's own task, after the stamp. The response body is
+    the request's own task, after the stamp. Interim responses (1xx but
+    101) are read and dropped, and the sample ends at the final one's body,
     framed by RFC 9112 section 6.3: none after ``HEAD``, 1xx, 204 or 304;
     chunked coding, trailers included; ``Content-Length``; else the end of
     the stream. A connection is reused only after a response framed
@@ -275,7 +276,7 @@ def run_bench(run: BenchRun) -> BenchResult:
 
     async def read_body(reader: asyncio.StreamReader, status: int, headers: dict) -> bool:
         """Read and drop the body; True if its end was framed, so the connection may carry more."""
-        if status < 200:  # an interim response: the final one is still to come
+        if status < 200:  # a 101, or no valid status: what follows is not HTTP/1.1
             return False
         if head_request or status in (204, 304):
             return True
@@ -309,9 +310,16 @@ def run_bench(run: BenchRun) -> BenchResult:
                 reader, writer = await connect()
                 writer.write(request)
                 first = await reader.readexactly(1)
-            status_line, *lines = (first + await reader.readuntil(b"\r\n\r\n")).decode("latin-1").split("\r\n")
-            version, status = status_line.split(" ", 2)[:2]
-            status = int(status)
+            head = first + await reader.readuntil(b"\r\n\r\n")
+            while True:
+                status_line, *lines = head.decode("latin-1").split("\r\n")
+                version, status = status_line.split(" ", 2)[:2]
+                status = int(status)
+                # An interim response comes before the final one (RFC 9110 section 15.2):
+                # drop it with its header fields. A 101 would switch protocols; it stays final.
+                if not 100 <= status < 200 or status == 101:
+                    break
+                head = await reader.readuntil(b"\r\n\r\n")
             headers = {name.strip().lower(): value.strip()
                        for name, _, value in (line.partition(":") for line in lines if line)}
             framed = await read_body(reader, status, headers)

@@ -3,8 +3,9 @@
 A scenario names the provider, pricing and catalog fixtures it builds on
 and holds the blocks a command reads: ``package``, ``memory_mb``,
 ``profile``, ``traffic``, ``simulation``, ``memory_sweep_mb``, ``cost``
-and ``vm``. Each block loads the faasplan module that builds it, so a
-scenario without a simulation never loads the simulator.
+and ``vm``. Loading checks the keys of the file and of every block. A
+block is built, and its values checked, when a command first reads it,
+so ``validate`` builds no simulation and never loads the simulator.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import _schema
-from ._record import dataclass
 from ._schema import Block
 from .errors import ScenarioError, Where
 from .units import MB, UNLIMITED
@@ -22,9 +22,8 @@ from .units import MB, UNLIMITED
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import ModelArtifact
     from .cli import ProfileStore
-    from .cost import PricingModel, VmBaseline
+    from .cost import VmBaseline
     from .packaging import DeploymentPackage
-    from .providers import ProviderLimits
     from .simulator import LatencyProfile, SimulationConfig, TrafficPattern
 
 SCENARIO_SCHEMA_VERSION = 1
@@ -54,26 +53,7 @@ _TRAFFIC_KEYS = {
 _TRAFFIC_ALIASES = {"poisson_constant": "poisson", "on_off_burst": "burst", "trace_replay": "trace"}
 
 
-@dataclass
-class Scenario:
-    """A scenario file resolved against the fixture store."""
-
-    path: Path
-    name: str | None
-    provider: ProviderLimits | None
-    pricing: PricingModel | None
-    catalog: list[ModelArtifact] | None
-    package: DeploymentPackage | None
-    memory_bytes: int
-    profile: LatencyProfile | None
-    traffic: TrafficPattern | None
-    sim_config: SimulationConfig | None
-    memory_sweep_mb: list[int] | None
-    cost_block: dict | None
-    vm: VmBaseline | None
-
-
-def _parse_profile(block: Block, scenario_dir: Path) -> LatencyProfile:
+def _parse_profile(block: Block, scenario: Scenario) -> LatencyProfile:
     from .simulator import LatencyProfile
 
     reference = block.size("reference_memory_mb", "reference_memory_bytes")
@@ -94,7 +74,7 @@ def _parse_profile(block: Block, scenario_dir: Path) -> LatencyProfile:
         return LatencyProfile.from_quantile_anchors(quantiles, block.get("n_samples", int), reference)
     from .metrics import read_samples_csv
 
-    csv_path = scenario_dir / block.get("samples_csv", str)
+    csv_path = scenario.path.parent / block.get("samples_csv", str)
     try:
         samples = read_samples_csv(csv_path)
     except OSError as exc:
@@ -102,20 +82,25 @@ def _parse_profile(block: Block, scenario_dir: Path) -> LatencyProfile:
     return LatencyProfile(reference, samples)
 
 
-def _parse_traffic(block: Block) -> TrafficPattern:
-    from .simulator import TrafficPattern
-
+def _traffic_kind(block: Block) -> str:
+    """The traffic block's kind, an alias resolved to its name in ``_TRAFFIC_KEYS``."""
     kind = block.get("kind", str)
     kind = _TRAFFIC_ALIASES.get(kind, kind)
     if kind not in _TRAFFIC_KEYS:
         raise ScenarioError(f"{block.context}: kind: unknown traffic kind {kind!r}")
-    block = Block(block.raw, block.context, {"kind", *_TRAFFIC_KEYS[kind]})
+    return kind
+
+
+def _parse_traffic(block: Block, scenario: Scenario) -> TrafficPattern:
+    from .simulator import TrafficPattern
+
+    kind = _traffic_kind(block)
     if kind == "trace":
         return TrafficPattern.trace(block.get_list("timestamps", float))
     return getattr(TrafficPattern, kind)(*(block.get(key, float) for key in _TRAFFIC_KEYS[kind]))
 
 
-def _parse_simulation(block: Block, seed_override: int | None) -> SimulationConfig:
+def _parse_simulation(block: Block, scenario: Scenario) -> SimulationConfig:
     from .providers import CpuScaling
     from .simulator import DEFAULT_COLD_START_MS, DEFAULT_KEEP_ALIVE_S, SimulationConfig
 
@@ -125,7 +110,7 @@ def _parse_simulation(block: Block, seed_override: int | None) -> SimulationConf
     scaling = block.block("scaling", _SCALING_KEYS, default={})
     keep_alive = block.raw.get("keep_alive_s")
     return SimulationConfig(
-        seed=seed if seed_override is None else seed_override,
+        seed=seed if scenario.seed_override is None else scenario.seed_override,
         memory_bytes=block.size("memory_mb", "memory_bytes"),
         scaling=CpuScaling(
             bytes_per_full_cpu=scaling.size("mb_per_full_cpu", "bytes_per_full_cpu",
@@ -141,17 +126,26 @@ def _parse_simulation(block: Block, seed_override: int | None) -> SimulationConf
     )
 
 
-def _parse_package(block: Block, store: ProfileStore, models) -> DeploymentPackage:
+def _parse_package(block: Block, scenario: Scenario) -> DeploymentPackage:
     from .packaging import DEFAULT_CODE_BYTES, DeploymentPackage
 
     with Where(f"{block.context}: runtime"):
-        runtime = store.runtime(block.get("runtime", str))
-    model = _resolve_model(block.get("model"), models, block.context)
+        runtime = scenario.store.runtime(block.get("runtime", str))
+    model = _resolve_model(block.get("model"), scenario, block.context)
     code_bytes = block.size("code_mb", "code_bytes", DEFAULT_CODE_BYTES)
     return DeploymentPackage(code_bytes=code_bytes, runtime=runtime, model=model)
 
 
-def _parse_vm(block: Block) -> VmBaseline:
+def _parse_cost(block: Block, scenario: Scenario) -> dict:
+    return {
+        "n_requests": block.get("n_requests", int),
+        "billed_ms_per_request": block.get("billed_ms_per_request", Decimal, Decimal(0)),
+        "memory_bytes": block.size("memory_mb", "memory_bytes", 1024 * MB),
+        "months": block.get("months", Decimal, Decimal(1)),
+    }
+
+
+def _parse_vm(block: Block, scenario: Scenario) -> VmBaseline:
     from .cost import VmBaseline
 
     return VmBaseline(
@@ -160,85 +154,89 @@ def _parse_vm(block: Block) -> VmBaseline:
     )
 
 
-def _resolve_model(entry, scenario_catalog, context: str) -> ModelArtifact:
+def _resolve_model(entry, scenario: Scenario, context: str) -> ModelArtifact:
     if isinstance(entry, str):
-        if scenario_catalog is None:
+        if scenario.catalog is None:
             raise ScenarioError(f"{context}: model {entry!r} needs a 'catalog' to look it up in")
-        for model in scenario_catalog:
+        for model in scenario.catalog:
             if model.name == entry:
                 return model
         raise ScenarioError(f"{context}: model {entry!r} not found in catalog")
     if isinstance(entry, dict):
         from .catalog import CATALOG_SCHEMA_VERSION, parse_catalog
-        parsed = parse_catalog({"version": CATALOG_SCHEMA_VERSION, "models": [entry]}, context)
-        return parsed[0]
+        return parse_catalog({"version": CATALOG_SCHEMA_VERSION, "models": [entry]}, context)[0]
     raise ScenarioError(f"{context}: model must be a name or an inline object")
 
 
+# Attribute of a Scenario -> its key in the file, the keys its block may hold
+# (None for a fixture name; a traffic block's depend on its kind), and what
+# builds it: the ProfileStore method that resolves the name, or a _parse_*.
+_BLOCKS = {
+    "provider": ("provider", None, "provider"),
+    "pricing": ("pricing", None, "pricing_profile"),
+    "catalog": ("catalog", None, "catalog"),
+    "package": ("package", _PACKAGE_KEYS, _parse_package),
+    "profile": ("profile", _PROFILE_KEYS, _parse_profile),
+    "traffic": ("traffic", lambda block: {"kind", *_TRAFFIC_KEYS[_traffic_kind(block)]}, _parse_traffic),
+    "sim_config": ("simulation", _SIMULATION_KEYS, _parse_simulation),
+    "cost_block": ("cost", _COST_KEYS, _parse_cost),
+    "vm": ("vm", _VM_KEYS, _parse_vm),
+}
+
+
+class Scenario:
+    """A scenario file resolved against the fixture store, one block at a time.
+
+    ``path``, ``name``, ``memory_bytes`` and ``memory_sweep_mb`` are read on
+    load. Each attribute in ``_BLOCKS`` is built when first read, its errors
+    named as ``<path>: <block>: ...``, and then kept; it is None when the
+    file does not hold its block.
+    """
+
+    def __init__(self, path: str | Path, store: ProfileStore, seed_override: int | None = None):
+        self.path, self.store, self.seed_override = Path(path), store, seed_override
+        # Exact decimals throughout: money stays Decimal, and float() of a
+        # parsed Decimal is the same float json would have produced.
+        raw, context = _schema.load(self.path, "scenario", parse_float=Decimal)
+        self._top = top = Block(raw, context, _SCENARIO_KEYS)
+        if top.get("version", int) != SCENARIO_SCHEMA_VERSION:
+            raise ScenarioError(f"{context}: scenario version must be {SCENARIO_SCHEMA_VERSION}")
+        for key, keys, _ in _BLOCKS.values():
+            if keys is not None:
+                _block(top, key, keys)
+        self.name = top.get("name", str, None)
+        self.memory_bytes = top.megabytes("memory_mb", 1024 * MB)
+        self.memory_sweep_mb = top.get_list("memory_sweep_mb", int, None)
+
+    def __getattr__(self, attr: str):
+        if attr not in _BLOCKS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+        key, keys, build = _BLOCKS[attr]
+        if keys is None:  # a fixture name
+            name = self._top.get(key, str, None)
+            with Where(f"{self._top.context}: {key}"):
+                value = None if name is None else getattr(self.store, build)(name)
+        elif (block := _block(self._top, key, keys)) is None:
+            value = None
+        else:
+            with block:
+                value = build(block, self)
+        setattr(self, attr, value)
+        return value
+
+
+def _block(top: Block, key: str, keys) -> Block | None:
+    """The block at ``key``, checked to hold only ``keys`` (or ``keys(block)``); None if absent."""
+    block = top.block(key, None if callable(keys) else keys, default=None)
+    if block is not None and callable(keys):
+        block = Block(block.raw, block.context, keys(block))
+    return block
+
+
 def load_scenario(path: str | Path, store: ProfileStore, seed_override: int | None = None) -> Scenario:
-    """Load and resolve a scenario file.
+    """Load a scenario file, checking its keys and those of every block it holds.
 
     Raises:
-        ScenarioError: on unreadable files, schema violations, or names
-            that do not resolve against the fixture store.
+        ScenarioError: on unreadable files and schema violations.
     """
-    path = Path(path)
-    # Exact decimals throughout: money stays Decimal, and float() of a
-    # parsed Decimal is the same float json would have produced.
-    raw, context = _schema.load(path, "scenario", parse_float=Decimal)
-    top = Block(raw, context, _SCENARIO_KEYS)
-    if top.get("version", int) != SCENARIO_SCHEMA_VERSION:
-        raise ScenarioError(f"{context}: scenario version must be {SCENARIO_SCHEMA_VERSION}")
-
-    def lookup(key: str, find):
-        """The fixture that the name at top-level ``key`` resolves to, None if absent."""
-        name = top.get(key, str, None)
-        if name is None:
-            return None
-        with Where(f"{context}: {key}"):
-            return find(name)
-
-    def parse(key: str, keys, parse_block, *args):
-        """What ``parse_block`` builds from the block at ``key``, None if absent."""
-        block = top.block(key, keys, default=None)
-        if block is None:
-            return None
-        with block:
-            return parse_block(block, *args)
-
-    provider = lookup("provider", store.provider)
-    pricing = lookup("pricing", store.pricing_profile)
-    models = lookup("catalog", store.catalog)
-    package = parse("package", _PACKAGE_KEYS, _parse_package, store, models)
-    memory_bytes = top.megabytes("memory_mb", 1024 * MB)
-    profile = parse("profile", _PROFILE_KEYS, _parse_profile, path.parent)
-    traffic = parse("traffic", None, _parse_traffic)
-    sim_config = parse("simulation", _SIMULATION_KEYS, _parse_simulation, seed_override)
-
-    # Priced, and so checked, only by `cost` (as ``<path>: cost: ...``).
-    cost_block = None
-    block = top.block("cost", _COST_KEYS, default=None)
-    if block is not None:
-        cost_block = {
-            "n_requests": block.get("n_requests", int),
-            "billed_ms_per_request": block.get("billed_ms_per_request", Decimal, Decimal(0)),
-            "memory_bytes": block.size("memory_mb", "memory_bytes", 1024 * MB),
-            "months": block.get("months", Decimal, Decimal(1)),
-        }
-    vm = parse("vm", _VM_KEYS, _parse_vm)
-
-    return Scenario(
-        path=path,
-        name=top.get("name", str, None),
-        provider=provider,
-        pricing=pricing,
-        catalog=models,
-        package=package,
-        memory_bytes=memory_bytes,
-        profile=profile,
-        traffic=traffic,
-        sim_config=sim_config,
-        memory_sweep_mb=top.get_list("memory_sweep_mb", int, None),
-        cost_block=cost_block,
-        vm=vm,
-    )
+    return Scenario(path, store, seed_override)

@@ -130,6 +130,37 @@ def test_simulate_json_is_deterministic(capsys):
     assert payload["latency_summary"]["count"] == 5000
 
 
+class _Writes(io.StringIO):
+    """A stdout that keeps the size of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_simulate_json_prints_the_rendered_text_in_blocks(monkeypatch):
+    from faasplan import results, simulator
+    from faasplan.cli import ProfileStore, load_scenario
+
+    # 5,000 records in blocks of 1,000: the header, five blocks, the close and a newline.
+    monkeypatch.setattr(results, "_JSON_BLOCK", 1000)
+    monkeypatch.setattr(sys, "stdout", _Writes())
+    assert run_cli("simulate", "--scenario", SCENARIOS / "smobilebert_replay.json",
+                   "--format", "json") == 0
+    out, sizes = sys.stdout.getvalue(), sys.stdout.sizes
+    monkeypatch.undo()
+    scenario = load_scenario(SCENARIOS / "smobilebert_replay.json", ProfileStore(None))
+    result = simulator.simulate(scenario.profile, scenario.traffic, scenario.sim_config,
+                                scenario.pricing)
+    assert out == simulator.render_result_json(result) + "\n"
+    assert len(sizes) == 8
+    assert max(sizes) < len(out) / 4
+
+
 def test_simulate_seed_override_changes_draws(capsys):
     args = ("simulate", "--scenario", SCENARIOS / "smobilebert_replay.json", "--format", "json")
     run_cli(*args)
@@ -662,6 +693,34 @@ def test_bad_scenario_value_exits_2(tmp_path, capsys, case):
     code, err = run_error(capsys, command, "--scenario", path)
     assert code == 2
     assert err == f"error: {path}: {message}\n"
+
+
+def with_every_block(doc):
+    """Add smobilebert_replay.json's simulation blocks and million_predictions.json's cost blocks."""
+    for name, keys in (("smobilebert_replay.json", ("pricing", "profile", "traffic", "simulation")),
+                       ("million_predictions.json", ("cost", "vm"))):
+        other = json.loads((SCENARIOS / name).read_text())
+        doc.update({key: other[key] for key in keys})
+
+
+@pytest.mark.parametrize("block, key", [
+    ("profile", "n_sample"), ("traffic", "rate"), ("simulation", "keepalive_s"),
+    ("cost", "month"), ("vm", "monthly"),
+])
+def test_typod_key_in_a_block_validate_does_not_read_exits_2(tmp_path, capsys, block, key):
+    # Keys are checked on load, so a typo fails every command, not only the one reading it.
+    path = scenario_file(tmp_path, "tinybert_aws.json",
+                         lambda d: (with_every_block(d), d[block].update({key: 1})))
+    assert run_error(capsys, "validate", "--scenario", path) == (
+        2, f"error: {path}: {block}: unknown keys [{key!r}]\n")
+
+
+def test_validate_does_not_check_the_values_of_a_block_it_does_not_read(tmp_path, capsys):
+    # simulate refuses this profile ("n-samples-below-anchors"); validate never builds it.
+    path = scenario_file(tmp_path, "tinybert_aws.json",
+                         lambda d: (with_every_block(d), d["profile"].update(n_samples=1)))
+    assert run_cli("validate", "--scenario", path) == 0
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_infinite_traffic_rate_exits_2(tmp_path, capsys):
@@ -1247,6 +1306,16 @@ def planner_footprint(request, saved_result):
 def test_planner_commands_load_no_numpy_or_http_stack(planner_footprint):
     heavy, _, _ = planner_footprint
     assert heavy == []
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_validate_loads_no_module_of_a_block_it_does_not_read(tmp_path, fmt):
+    # tinybert_aws.json with a pricing, profile, traffic, simulation, cost and vm block.
+    path = scenario_file(tmp_path, "tinybert_aws.json", with_every_block)
+    heavy, loaded = footprint("validate", "--scenario", path, "--format", fmt)
+    assert heavy == []
+    assert "commands.validate" in loaded  # the control
+    assert loaded & PLANNER_COMMANDS["validate"][1] == set()
 
 
 def test_harness_import_loads_no_dataclasses_or_inspect():

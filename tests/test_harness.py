@@ -584,15 +584,16 @@ def test_run_bench_reads_no_body_after_204_or_304(status, errors):
 
 
 class _NeverCloses(_KeepAliveHandler):
-    """Answers ``/1.0`` with an HTTP/1.0 status line, ``/close`` with ``Connection: close``
-    and ``/100`` with an interim response before the final one, and keeps every
-    connection open all the same, so only the client can end one."""
+    """Answers ``/1.0`` with an HTTP/1.0 status line, ``/close`` with ``Connection: close``,
+    ``/100`` with an interim response before the final one and ``/101`` with a switch of
+    protocols before it, and keeps every connection open all the same, so only the
+    client can end one."""
 
     def do_GET(self):
         if self.path == "/1.0":
             self.protocol_version = "HTTP/1.0"
-        if self.path == "/100":
-            self.send_response_only(100)
+        if self.path in ("/100", "/101"):
+            self.send_response_only(int(self.path[1:]))
             self.end_headers()
         headers = {"Content-Length": "2"}
         if self.path == "/close":
@@ -601,14 +602,31 @@ class _NeverCloses(_KeepAliveHandler):
         self.close_connection = False
 
 
-@pytest.mark.parametrize("path, headers, errors", [
-    ("/1.0", {}, {}), ("/close", {}, {}), ("/", {"Connection": "close"}, {}), ("/100", {}, {"http": 5}),
-], ids=["http-1.0-response", "close-response", "close-request", "interim-response"])
-def test_run_bench_reuses_no_connection_the_rules_exclude(path, headers, errors):
+@pytest.mark.parametrize("path, headers, errors, connections", [
+    ("/1.0", {}, {}, {5}), ("/close", {}, {}, {5}), ("/", {"Connection": "close"}, {}, {5}),
+    # The client skips an interim response, and may reuse its connection; after a 101
+    # the connection no longer speaks HTTP/1.1, so the answer is an error.
+    ("/100", {}, {}, {1, 2, 3, 4, 5}), ("/101", {}, {"http": 5}, {5}),
+], ids=["http-1.0-response", "close-response", "close-request", "interim-response",
+        "switching-protocols"])
+def test_run_bench_reuses_no_connection_the_rules_exclude(path, headers, errors, connections):
     with _serving(_NeverCloses) as server:
         result = _get(server.url + path, headers=headers)
     assert result.errors == errors
-    assert len(server.connections) == 5
+    assert len(server.connections) in connections
+
+
+def test_run_bench_skips_the_stubs_100_continue():
+    # The stub answers "Expect: 100-continue" with an interim response before the final one.
+    with StubServer(delay_ms=1.0) as stub:
+        result = run_bench(BenchRun(
+            target=BenchTarget(url=stub.url, payload=b"ok", headers={"Expect": "100-continue"}),
+            pattern=TrafficPattern.steady(10, 1.0),
+            n_warmup=2,
+        ))
+    assert result.errors == {}
+    assert len(result.samples) + result.warmup_excluded == result.attempts == 10
+    assert set(result.server_exec.values) == {1.0}  # the final response's X-Exec-Time-Ms
 
 
 class _ClosesWhenIdle(_KeepAliveHandler):

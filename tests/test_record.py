@@ -14,7 +14,6 @@ import math
 import sys
 import textwrap
 from decimal import Decimal
-from pathlib import Path
 
 import pytest
 
@@ -32,7 +31,6 @@ from faasplan import (
     simulator,
 )
 from faasplan.catalog import CandidateEvaluation, ModelArtifact, SelectionConstraints
-from faasplan.cli import Scenario
 from faasplan.cost import CostAssumptions, CostReport, PricingModel, VmBaseline
 from faasplan.errors import DomainError
 from faasplan.harness import BenchResult, BenchRun, BenchTarget
@@ -51,7 +49,6 @@ RUNTIME = RuntimeLibrary("onnxruntime", 40 * MB, frozenset({"onnx"}))
 MODEL = ModelArtifact("tinybert", 60 * MB, "onnx", {"f1_macro": 0.8})
 PACKAGE = DeploymentPackage(MB, RUNTIME, MODEL)
 LIMITS = ProviderLimits("aws", 250 * MB, 10 * GB, 6 * MB)
-PRICING = PricingModel(Decimal("0.2"), Decimal("0.0000166667"))
 SAMPLES = SampleSet((1.0, 2.0))
 SUMMARY = Summary(2, 1.5, 1.0, 2.0, 2.0)
 PATTERN = TrafficPattern.poisson(10.0, 1.0)
@@ -73,15 +70,6 @@ EXAMPLES = {
     CandidateEvaluation: (
         dict(model=MODEL, package_bytes=101 * MB, score=0.8, feasible=True, reason=None),
         dict(model=MODEL, package_bytes=None, score=None, feasible=False, reason="too large"),
-    ),
-    Scenario: (
-        dict(path=Path("a.json"), name="a", provider=LIMITS, pricing=PRICING, catalog=[MODEL],
-             package=PACKAGE, memory_bytes=GB, profile=None, traffic=PATTERN, sim_config=None,
-             memory_sweep_mb=[128, 256], cost_block={"months": 1}, vm=None),
-        dict(path=Path("b.json"), name=None, provider=None, pricing=None, catalog=None,
-             package=None, memory_bytes=2 * GB, profile=LatencyProfile(GB, SAMPLES), traffic=None,
-             sim_config=SimulationConfig(1, GB), memory_sweep_mb=None, cost_block=None,
-             vm=VmBaseline(Decimal("30"))),
     ),
     PricingModel: (
         dict(per_million_requests=Decimal("0.2"), per_gb_second=Decimal("0.0000166667")),
