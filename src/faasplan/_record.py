@@ -138,8 +138,6 @@ def _asdict_inner(obj):
         return obj
     if hasattr(type(obj), "__record_fields__"):
         return {name: _asdict_inner(getattr(obj, name)) for name in type(obj).__record_fields__}
-    if isinstance(obj, tuple) and hasattr(obj, "_fields"):  # a namedtuple
-        return type(obj)(*[_asdict_inner(v) for v in obj])
     if isinstance(obj, (list, tuple)):
         return type(obj)(_asdict_inner(v) for v in obj)
     if isinstance(obj, dict):

@@ -23,6 +23,9 @@ from .units import mb_bytes
 
 REQUIRED = object()
 
+# The keys of a model entry: in a catalog fixture, and inline as a scenario's package model.
+MODEL_KEYS = {"name", "size_bytes", "size_mb", "format", "metrics", "embedding_dim"}
+
 _KIND_NAMES = {
     str: "a string", int: "an integer", float: "a number", Decimal: "a number",
     list: "a list", dict: "an object",

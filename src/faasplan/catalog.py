@@ -183,8 +183,7 @@ def parse_catalog(payload, source: str = "<catalog>") -> list[ModelArtifact]:
     """Parse the catalog schema, rejecting duplicates and invalid entries."""
     models: list[ModelArtifact] = []
     for name, entry in _schema.entries(
-        payload, "models", CATALOG_SCHEMA_VERSION, source, error=CatalogError,
-        keys={"name", "size_bytes", "size_mb", "format", "metrics", "embedding_dim"},
+        payload, "models", CATALOG_SCHEMA_VERSION, source, keys=_schema.MODEL_KEYS, error=CatalogError,
     ):
         metrics = entry.block("metrics", default={})
         with entry:

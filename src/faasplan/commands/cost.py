@@ -46,21 +46,24 @@ def run(args, store) -> int:
 def _cost_report(args, store) -> CostReport:
     from .. import cost as cost_mod
 
-    baseline_override = (
-        cost_mod.VmBaseline(monthly_price=args.vm) if args.vm is not None else None
-    )
+    scenario = block = None
     if args.scenario:
         from ..scenario import load_scenario
         scenario = load_scenario(args.scenario, store)
-        if scenario.cost_block is None:
-            raise ScenarioError(f"{scenario.path}: cost needs a 'cost' block")
-        pricing = (
-            store.pricing_profile(args.pricing) if args.pricing
-            else scenario.pricing or store.pricing_profile("aws")
-        )
-        baseline = baseline_override or scenario.vm or cost_mod.DEFAULT_VM_BASELINE
         block = scenario.cost_block
-        months = args.months if args.months is not None else block["months"]
+        if block is None:
+            raise ScenarioError(f"{scenario.path}: cost needs a 'cost' block")
+    # Each input is its flag's, else the scenario's, else the default.
+    pricing = (
+        store.pricing_profile(args.pricing) if args.pricing
+        else scenario and scenario.pricing or store.pricing_profile("aws")
+    )
+    baseline = (
+        cost_mod.VmBaseline(monthly_price=args.vm) if args.vm is not None
+        else scenario and scenario.vm or cost_mod.DEFAULT_VM_BASELINE
+    )
+    months = args.months if args.months is not None else block["months"] if block else 1
+    if block:
         # The flags are non-negative already, so a bad amount is the cost block's.
         with Where(f"{scenario.path}: cost"):
             return cost_mod.build_cost_report(
@@ -71,23 +74,18 @@ def _cost_report(args, store) -> CostReport:
                 baseline=baseline,
                 months=months,
             )
-    else:
-        pricing = store.pricing_profile(args.pricing or "aws")
-        baseline = baseline_override or cost_mod.DEFAULT_VM_BASELINE
-        months = args.months if args.months is not None else 1
-        result_path = Path(args.result)
-        if _is_json(result_path):
-            from ..results import load_result_json
-            result = load_result_json(result_path)
-            return cost_mod.cost_from_simulation(result, pricing, baseline, months)
-        else:
-            from ..metrics import read_samples_csv
-            memory_bytes = (1024 if args.memory_mb is None else args.memory_mb) * MB
-            try:
-                samples = read_samples_csv(result_path)
-            except (OSError, UnicodeDecodeError) as exc:
-                raise ScenarioError(f"cannot read result {result_path}: {exc}") from exc
-            return cost_mod.cost_from_samples(samples, pricing, baseline, memory_bytes, months)
+    result_path = Path(args.result)
+    if _is_json(result_path):
+        from ..results import load_result_json
+        result = load_result_json(result_path)
+        return cost_mod.cost_from_simulation(result, pricing, baseline, months)
+    from ..metrics import read_samples_csv
+    memory_bytes = (1024 if args.memory_mb is None else args.memory_mb) * MB
+    try:
+        samples = read_samples_csv(result_path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read result {result_path}: {exc}") from exc
+    return cost_mod.cost_from_samples(samples, pricing, baseline, memory_bytes, months)
 
 
 def _is_json(result) -> bool:

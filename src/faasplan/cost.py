@@ -3,13 +3,15 @@
 Money is ``decimal.Decimal`` end to end. Pricing profiles ship in
 ``data/pricing.json`` and are parsed with ``parse_float=Decimal``, so a
 rate like 0.0000166667 stays exactly what the file says rather than its
-nearest binary float.
+nearest binary float. Every amount is computed in one fixed 60-digit
+context, so the caller's decimal context (its precision, rounding and
+traps) does not change a report; rendering one runs in the caller's.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal, Underflow, localcontext
+from decimal import Context, Decimal, Underflow, localcontext
 from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
@@ -27,8 +29,9 @@ if TYPE_CHECKING:  # pragma: no cover
 PRICING_SCHEMA_VERSION = 1
 
 # Enough digits that request fees, GB-second products and the memory/GB
-# ratio (denominator 2**30) all come out exact.
-_PRECISION = 60
+# ratio (denominator 2**30) all come out exact. Entered only through
+# localcontext(), which works on a copy, so its flags are never shared.
+_EXACT = Context(prec=60)
 
 Money = Union[int, float, str, Decimal]
 
@@ -40,6 +43,14 @@ def _dec(value: Money) -> Decimal:
     if isinstance(value, int):
         return Decimal(value)
     return Decimal(str(value))
+
+
+def _non_negative(value: Money, name: str) -> Decimal:
+    """``_dec(value)``, or DomainError naming ``name`` when it is negative."""
+    amount = _dec(value)
+    if amount < 0:
+        raise DomainError(f"{name} must be non-negative")
+    return amount
 
 
 @dataclass(frozen=True)
@@ -77,9 +88,7 @@ class VmBaseline:
     memory_bytes: int = GB
 
     def __post_init__(self):
-        object.__setattr__(self, "monthly_price", _dec(self.monthly_price))
-        if self.monthly_price < 0:
-            raise DomainError("monthly_price must be non-negative")
+        object.__setattr__(self, "monthly_price", _non_negative(self.monthly_price, "monthly_price"))
         if self.memory_bytes <= 0:
             raise DomainError("memory_bytes must be positive")
 
@@ -150,11 +159,8 @@ def serverless_cost(
 
     Linear in ``n_requests``; zero requests cost exactly zero.
     """
-    billed = _dec(billed_ms_per_request)
-    if billed < 0:
-        raise DomainError("billed_ms_per_request must be non-negative")
-    with localcontext() as ctx:
-        ctx.prec = _PRECISION
+    billed = _non_negative(billed_ms_per_request, "billed_ms_per_request")
+    with localcontext(_EXACT):
         return serverless_cost_total(n_requests, n_requests * billed, memory_bytes, pricing)
 
 
@@ -171,13 +177,10 @@ def serverless_cost_total(
     """
     if n_requests < 0:
         raise DomainError("n_requests must be non-negative")
-    billed_total = _dec(billed_ms_total)
-    if billed_total < 0:
-        raise DomainError("billed_ms_total must be non-negative")
+    billed_total = _non_negative(billed_ms_total, "billed_ms_total")
     if memory_bytes <= 0:
         raise DomainError("memory_bytes must be positive")
-    with localcontext() as ctx:
-        ctx.prec = _PRECISION
+    with localcontext(_EXACT):
         request_fee = Decimal(n_requests) * pricing.per_million_requests / 1_000_000
         gb_seconds = billed_total / 1000 * Decimal(memory_bytes) / GB
         return request_fee + gb_seconds * pricing.per_gb_second
@@ -185,11 +188,8 @@ def serverless_cost_total(
 
 def vm_baseline_cost(baseline: VmBaseline, months: Money = 1) -> Decimal:
     """Flat VM cost over ``months`` (fractional months allowed)."""
-    months = _dec(months)
-    if months < 0:
-        raise DomainError("months must be non-negative")
-    with localcontext() as ctx:
-        ctx.prec = _PRECISION
+    months = _non_negative(months, "months")
+    with localcontext(_EXACT):
         return baseline.monthly_price * months
 
 
@@ -222,17 +222,12 @@ def build_cost_report(
     months: Money = 1,
 ) -> CostReport:
     """Closed-form report for a uniform per-request billed duration."""
-    billed = _dec(billed_ms_per_request)
-    if billed < 0:
-        raise DomainError("billed_ms_per_request must be non-negative")
-    with localcontext() as ctx:
-        ctx.prec = _PRECISION
-        billed_total_ms = n_requests * billed
-    return _report_from_billed(n_requests, billed_total_ms, memory_bytes, pricing, baseline,
-                               months, billed)
+    billed = _non_negative(billed_ms_per_request, "billed_ms_per_request")
+    with localcontext(_EXACT):
+        return _report(n_requests, n_requests * billed, memory_bytes, pricing, baseline, months, billed)
 
 
-def _report_from_billed(
+def _report(
     n: int,
     billed_total_ms: Money,
     memory_bytes: int,
@@ -248,8 +243,7 @@ def _report_from_billed(
     request bills the same. No requests cost exactly zero and have no break-even.
     """
     if billed_ms_per_request is None and n:
-        with localcontext() as ctx:
-            ctx.prec = _PRECISION
+        with localcontext(_EXACT):
             billed_ms_per_request = Decimal(billed_total_ms) / n
     return CostReport(
         serverless_total=serverless_cost_total(n, billed_total_ms, memory_bytes, pricing),
@@ -297,7 +291,7 @@ def _bill(durations_ms: Sequence[float], memory_bytes: int, pricing: PricingMode
           baseline: VmBaseline, months: Money) -> CostReport:
     """Report for one request per duration, each rounded up to ``pricing``'s granularity."""
     billed_ms = sum(map(ceil_ms, durations_ms, repeat(pricing.billing_granularity_ms)))
-    return _report_from_billed(len(durations_ms), billed_ms, memory_bytes, pricing, baseline, months)
+    return _report(len(durations_ms), billed_ms, memory_bytes, pricing, baseline, months)
 
 
 # Both formats write amounts in positional notation, and the table rounds

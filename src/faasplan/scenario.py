@@ -3,9 +3,11 @@
 A scenario names the provider, pricing and catalog fixtures it builds on
 and holds the blocks a command reads: ``package``, ``memory_mb``,
 ``profile``, ``traffic``, ``simulation``, ``memory_sweep_mb``, ``cost``
-and ``vm``. Loading checks the keys of the file and of every block. A
-block is built, and its values checked, when a command first reads it,
-so ``validate`` builds no simulation and never loads the simulator.
+and ``vm``. Loading checks the keys of the file, of every block and of
+the objects nested in one (``simulation.scaling`` and an inline
+``package.model``). A block is built, and its values checked, when a
+command first reads it, so ``validate`` builds no simulation and never
+loads the simulator.
 """
 
 from __future__ import annotations
@@ -204,6 +206,13 @@ class Scenario:
         for key, keys, _ in _BLOCKS.values():
             if keys is not None:
                 _block(top, key, keys)
+        # And those of the objects nested in a block, named as the commands that read them do.
+        simulation = top.block("simulation", default=None)
+        if simulation is not None:
+            simulation.block("scaling", _SCALING_KEYS, default=None)
+        model = (top.raw.get("package") or {}).get("model")
+        if isinstance(model, dict):
+            Block(model, f"{context}: package: model entry", _schema.MODEL_KEYS)
         self.name = top.get("name", str, None)
         self.memory_bytes = top.megabytes("memory_mb", 1024 * MB)
         self.memory_sweep_mb = top.get_list("memory_sweep_mb", int, None)

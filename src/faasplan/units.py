@@ -41,13 +41,8 @@ class Unlimited:
     def __repr__(self) -> str:
         return "UNLIMITED"
 
-    def __copy__(self) -> "Unlimited":
-        return self
-
-    def __deepcopy__(self, memo) -> "Unlimited":
-        return self
-
     def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __new__, so each gives UNLIMITED itself.
         return (Unlimited, ())
 
 

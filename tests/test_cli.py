@@ -431,6 +431,16 @@ def test_bench_missing_payload_file_exits_2(tmp_path, capsys):
     assert err.startswith(f"error: cannot read payload file {missing}: ")
 
 
+def test_bench_payload_over_the_request_cap_exits_1(tmp_path, capsys):
+    payload = tmp_path / "body.bin"
+    payload.write_bytes(b"x" * 7_000_000)
+    code = run_cli("bench", "--stub", "--limits-profile", "aws", "--payload-file", payload)
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == ("error: payload of 7000000 B exceeds aws's request cap\n"
+                   "  request_size: 7000000 B > 6291456 B limit\n")
+
+
 TABLES = {
     "validate-pass": (("validate", "--scenario", SCENARIOS / "tinybert_aws.json"), 0, """\
 provider  aws
@@ -723,6 +733,52 @@ def test_validate_does_not_check_the_values_of_a_block_it_does_not_read(tmp_path
     assert "PASS" in capsys.readouterr().out
 
 
+INLINE_MODEL = {"name": "inline", "size_mb": 50, "format": "onnx"}
+NESTED_TYPOS = {
+    "scaling": (lambda d: d["simulation"].update(scaling={"mb_per_ful_cpu": 1769}),
+                "simulation: scaling: unknown keys ['mb_per_ful_cpu']"),
+    "inline-model": (lambda d: (d.pop("catalog"), d["package"].update(model={**INLINE_MODEL, "metrix": {}})),
+                     "package: model entry: unknown keys ['metrix']"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("nested", sorted(NESTED_TYPOS))
+def test_typod_key_in_a_nested_object_fails_every_command(tmp_path, capsys, nested, command):
+    # Checked on load, as a block's own keys are: each typo once passed the command not reading it.
+    edit, message = NESTED_TYPOS[nested]
+    path = scenario_file(tmp_path, "tinybert_aws.json", lambda d: (with_every_block(d), edit(d)))
+    assert run_error(capsys, command, "--scenario", path) == (2, f"error: {path}: {message}\n")
+
+
+def test_validate_an_inline_model_without_a_catalog(tmp_path, capsys):
+    path = scenario_file(tmp_path, "tinybert_aws.json",
+                         lambda d: (d.pop("catalog"), d["package"].update(model=INLINE_MODEL)))
+    assert run_cli("validate", "--scenario", path, "--format", "json") == 0
+    # 1 MB of code, onnxruntime's 14 MB and the 50 MB model.
+    assert json.loads(capsys.readouterr().out)["package_bytes"] == 68_157_440
+
+
+def test_samples_csv_profile_resolves_against_the_scenario_directory(tmp_path):
+    # How measured latencies enter a simulation: the file next to the scenario, resampled.
+    from faasplan import LatencyProfile, simulate
+    from faasplan.cli import ProfileStore, load_scenario
+    from faasplan.metrics import read_samples_csv
+
+    (tmp_path / "run").mkdir()
+    csv_path = tmp_path / "run" / "samples.csv"
+    write_samples_csv(SampleSet.from_values([40.0, 52.5, 61.0, 75.25, 90.0]), csv_path)
+    path = scenario_file(tmp_path / "run", "smobilebert_replay.json", lambda d: (
+        d.update(profile={"reference_memory_mb": 1024, "samples_csv": "samples.csv"}),
+        d["traffic"].update(duration_s=2)))
+    scenario = load_scenario(path, ProfileStore())
+    run = simulate(scenario.profile, scenario.traffic, scenario.sim_config, scenario.pricing)
+    expected = simulate(LatencyProfile(GB, read_samples_csv(csv_path)), scenario.traffic,
+                        scenario.sim_config, scenario.pricing)
+    assert len(run.records) == 100
+    assert run.records == expected.records
+
+
 def test_infinite_traffic_rate_exits_2(tmp_path, capsys):
     # JSON's Infinity once made simulate draw zero-length gaps without end.
     path = scenario_file(tmp_path, "smobilebert_replay.json", lambda d: d.update(
@@ -853,6 +909,15 @@ def test_bad_fixture_value_exits_2(tmp_path, capsys, case):
     code, err = run_error(capsys, *argv, "--profile-dir", tmp_path)
     assert code == 2
     assert err == f"error: {tmp_path / filename}: {message}\n"
+
+
+def test_provider_entry_without_a_memory_cap_exits_2(tmp_path, capsys):
+    path = tmp_path / "providers.json"
+    path.write_text(json.dumps({"version": 1, "providers": [
+        {"name": "aws", "max_package_bytes": 262144000, "max_request_bytes": 6291456}]}))
+    code, err = run_error(capsys, "validate", "--scenario", SCENARIOS / "tinybert_aws.json",
+                          "--profile-dir", tmp_path)
+    assert (code, err) == (2, f"error: {path}: provider entry: missing keys ['max_memory_bytes']\n")
 
 
 @pytest.mark.parametrize("command, base, block, typo, correct", [
@@ -987,6 +1052,13 @@ def test_cost_malformed_samples_csv_names_the_line(tmp_path, capsys, rows, messa
     code, err = run_error(capsys, "cost", "--result", path)
     assert code == 2
     assert err == f"error: {path}:{message}\n"
+
+
+def test_cost_samples_csv_row_of_three_cells_exits_2(tmp_path, capsys):
+    path = tmp_path / "samples.csv"
+    path.write_text("timestamp_ms,duration_ms,cold,instance\n0.0,1.0,0\n")
+    assert run_error(capsys, "cost", "--result", path) == (
+        2, f"error: {path}:2: expected 4 columns, got 3\n")
 
 
 @pytest.mark.parametrize("argv", [

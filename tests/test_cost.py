@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import random
@@ -240,6 +241,32 @@ def test_samples_and_simulation_share_one_report(billed):
     # The mean of 401 / 3 or 7 / 7 billed ms must not depend on which file it came from.
     from_samples = cost_from_samples(SampleSet.from_values(billed), AWS, DEFAULT_VM_BASELINE, GB, 2)
     assert from_samples == cost_from_simulation(synthetic_result(billed), AWS, DEFAULT_VM_BASELINE, 2)
+
+
+def reports_past_60_digits():
+    # A 52-digit billed duration at 1536 MB, and a mean of 200 / 3 billed ms:
+    # amounts whose exact values do not fit in 60 digits, so a context's
+    # rounding and traps would decide them.
+    billed = Decimal("66.66666666666666666666666666666666666666666666666667")
+    durations = [66.0, 67.0, 67.0]
+    return (
+        build_cost_report(3, billed, 1536 * MB, AWS),
+        cost_from_samples(SampleSet.from_values(durations), AWS),
+        cost_from_simulation(synthetic_result(durations), AWS),
+    )
+
+
+@pytest.mark.parametrize("caller", [
+    lambda ctx: setattr(ctx, "rounding", decimal.ROUND_DOWN),
+    lambda ctx: ctx.traps.__setitem__(decimal.Inexact, True),
+    lambda ctx: setattr(ctx, "prec", 5),
+], ids=["round-down", "inexact-trapped", "prec-5"])
+def test_amounts_do_not_depend_on_the_callers_decimal_context(caller):
+    expected = reports_past_60_digits()
+    with decimal.localcontext() as ctx:
+        caller(ctx)
+        reports = reports_past_60_digits()
+    assert reports == expected
 
 
 # Durations on, just below and just above a granularity boundary, and anywhere else.
