@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain
+from types import ModuleType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from ._record import dataclass, replace
@@ -55,12 +57,15 @@ _TAIL_FACTOR = Fraction(1.05)
 # Standard exponentials numpy draws at once for an arrival walk.
 _BLOCK = 4096
 # Most requests a traffic pattern may expect, and most periods a burst
-# pattern may span. A run holds about 390 B per request at its peak, most
-# of it the event loop's per-request lists; the result keeps 57 B of it in
-# typed columns. In a fresh process with numpy loaded, simulate() raised
-# the peak RSS 370 MiB above the imports at 10^6 Poisson requests and
-# 729 MiB at 2*10^6. So a run at this limit needs about 3.9 GB. Writing its
-# JSON file adds one block of records as text, about 15 MiB at any run size.
+# pattern may span. A run that numpy drew holds about 265 B per request at
+# its peak, most of it the event loop's per-request lists; the result keeps
+# 57 B of it in typed columns. In a fresh process with numpy loaded,
+# simulate() raised the peak RSS 250 MiB above the imports at 10^6 Poisson
+# requests and 505 MiB at 2*10^6, so a run at this limit needs about 2.7 GB.
+# A run drawn in Python builds its columns as lists, about 390 B per request
+# (369 MiB at 10^6 with numpy not importable), so 3.9 GB at this limit.
+# Writing its JSON file adds one block of records as text, about 15 MiB at
+# any run size.
 MAX_REQUESTS = 10**7
 # A run that finds numpy unloaded draws in pure Python, unless its draws
 # would cost more there than importing numpy. Measured on a shared 2-vCPU
@@ -74,6 +79,8 @@ MAX_REQUESTS = 10**7
 _IMPORT_NUMPY_NS = 160_000_000
 _GAP_NS = 1_200
 _INDEX_NS = 800
+# Below this many µs, int64 and float64 hold every integer exactly.
+_EXACT_US = 2**53
 
 
 @dataclass(frozen=True)
@@ -295,15 +302,17 @@ class SimulationConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", check_seed(self.seed))
-        if self.memory_bytes <= 0:
+        if not self.memory_bytes > 0:  # NaN too
             raise DomainError("memory_bytes must be positive")
         if math.isnan(self.keep_alive_s) or self.keep_alive_s < 0:
             raise DomainError("keep_alive_s must be non-negative (math.inf allowed)")
         if not math.isfinite(self.cold_start_ms) or self.cold_start_ms < 0:
             raise DomainError("cold_start_ms must be finite and non-negative")
-        if not isinstance(self.max_instances, Unlimited):
-            if self.max_instances <= 0:
-                raise DomainError("max_instances must be positive or UNLIMITED")
+        cap = self.max_instances
+        if not (isinstance(cap, Unlimited)
+                or isinstance(cap, int) and not isinstance(cap, bool) and cap >= 1):
+            raise DomainError(f"max_instances must be an integer of at least 1 or UNLIMITED, "
+                              f"got {cap!r}")
 
 
 def scale_duration(
@@ -426,25 +435,26 @@ def generate_arrivals(pattern: TrafficPattern, seed) -> list[float]:
 
 def _draw_requests(
     pattern: TrafficPattern, seed: int, n_values: int
-) -> tuple[list[float], list[int]]:
-    """A run's arrivals in ms and, per arrival, the index of its profile sample.
+) -> tuple[list[float], Sequence[int], ModuleType | None]:
+    """A run's arrivals in ms, per arrival the index of its profile sample, and who drew.
 
     They come from the two children of ``SeedSequence(seed)``, drawn by
     numpy or, bit for bit the same, by :mod:`._pcg64` (see
-    :func:`_draws_in_python`).
+    :func:`_draws_in_python`). The last item is the numpy module when numpy
+    drew, and the indices are then its int64 array; else it is None.
     """
     if _draws_in_python(pattern, seed, service_draws=True):
         from ._pcg64 import Generator, SeedSequence
 
         arrival_seed, service_seed = SeedSequence(seed).spawn(2)
         arrivals_ms = _walk(pattern, _exponentials(arrival_seed, in_python=True))
-        return arrivals_ms, Generator(service_seed).integers(n_values, len(arrivals_ms))
+        return arrivals_ms, Generator(service_seed).integers(n_values, len(arrivals_ms)), None
     import numpy as np
 
     arrival_seed, service_seed = np.random.SeedSequence(seed).spawn(2)
     arrivals_ms = _walk(pattern, _exponentials(arrival_seed, in_python=False))
     rng = np.random.default_rng(service_seed)
-    return arrivals_ms, rng.integers(0, n_values, size=len(arrivals_ms)).tolist()
+    return arrivals_ms, rng.integers(0, n_values, size=len(arrivals_ms)), np
 
 
 def simulate(
@@ -477,10 +487,14 @@ def simulate(
     amortized, however many instances exist.
 
     Arrivals and service draws come from the two children of
-    ``SeedSequence(config.seed)`` (see :func:`_draw_requests`).
+    ``SeedSequence(config.seed)`` (see :func:`_draw_requests`). When numpy
+    drew them, the per-request arithmetic before and after the event loop
+    (µs times, latencies, billing, ms columns) runs on numpy arrays; a run
+    whose µs values could reach 2**53 takes the Python columns instead.
+    Either way the result holds the same bytes.
     """
-    arrivals_ms, draw_index = _draw_requests(pattern, config.seed, len(profile.samples.values))
-    return _run_requests(profile, config, pricing, arrivals_ms, draw_index)
+    return _run_requests(profile, config, pricing,
+                         *_draw_requests(pattern, config.seed, len(profile.samples.values)))
 
 
 def simulate_sweep(
@@ -497,8 +511,8 @@ def simulate_sweep(
     ``config``. Every size is checked before anything is drawn or run.
     """
     configs = [replace(config, memory_bytes=memory_bytes) for memory_bytes in memory_sizes]
-    arrivals_ms, draw_index = _draw_requests(pattern, config.seed, len(profile.samples.values))
-    return (_run_requests(profile, c, pricing, arrivals_ms, draw_index) for c in configs)
+    draws = _draw_requests(pattern, config.seed, len(profile.samples.values))
+    return (_run_requests(profile, c, pricing, *draws) for c in configs)
 
 
 def _run_requests(
@@ -506,19 +520,43 @@ def _run_requests(
     config: SimulationConfig,
     pricing: PricingModel,
     arrivals_ms: list[float],
-    draw_index: list[int],
+    draw_index: Sequence[int],
+    np: ModuleType | None = None,
 ) -> SimulationResult:
-    """The event loop of :func:`simulate` over drawn arrivals and profile sample indices."""
+    """The event loop of :func:`simulate` over drawn arrivals and profile sample indices.
+
+    ``np`` is the numpy module when numpy drew the indices. Then the
+    arithmetic before and after the loop runs on numpy arrays, for a run
+    whose µs values all stay below 2**53: there int64, float64 and Python's
+    ints hold the same integers, so each column gets the same bits.
+    """
     # One factor serves every draw; scale_duration(d) == d * factor for d > 0.
     factor = scale_duration(
         1.0, profile.reference_memory_bytes, config.memory_bytes, config.scaling
     )
     base_values = profile.samples.values
-    t_us = [round(a * 1000) for a in arrivals_ms]
-    exec_us = [round(base_values[j] * 1000 * factor) for j in draw_index]
+    cold_us = round(config.cold_start_ms * 1000)
+    granularity_us = pricing.billing_granularity_ms * 1000
+    vector = np is not None and len(arrivals_ms) > 0
+    if vector:
+        # A product or sum that overflows is inf, which fails the bound below: the Python
+        # columns then raise what they always did, and numpy warns of nothing.
+        with np.errstate(over="ignore"):
+            # rint rounds half to even, as round() does, after the same products.
+            t_us = np.rint(np.array(arrivals_ms) * 1000)
+            exec_us = np.rint(np.array(base_values) * 1000 * factor)[draw_index]
+            # No end passes the last arrival plus every exec time and cold start, and no
+            # billed time passes an exec time plus the granularity. Floats add non-negative
+            # integers exactly below 2**53, and give at least 2**53 for a sum that reaches it.
+            bound = t_us.max() + exec_us.sum()
+        vector = bound < _EXACT_US and int(bound) + len(t_us) * cold_us + granularity_us < _EXACT_US
+    if vector:
+        t_us, exec_us = t_us.astype(np.int64), exec_us.astype(np.int64)
+    else:
+        t_us = [round(a * 1000) for a in arrivals_ms]
+        exec_us = [round(base_values[j] * 1000 * factor) for j in draw_index]
 
     keep_alive_us = math.inf if math.isinf(config.keep_alive_s) else round(config.keep_alive_s * 1e6)
-    cold_us = round(config.cold_start_ms * 1000)
     capped = not isinstance(config.max_instances, Unlimited)
     cap = config.max_instances if capped else math.inf
 
@@ -538,7 +576,7 @@ def _run_requests(
     n_instances = 0
     starts, ends, colds, ids = [], [], [], []  # per arrival: start_us, end_us, cold, id
 
-    for t, e in zip(t_us, exec_us):
+    for t, e in zip(t_us.tolist(), exec_us.tolist()) if vector else zip(t_us, exec_us):
         while busy and busy[0] >> S <= t:
             key = heappop(busy)
             free_at = key >> S
@@ -583,19 +621,32 @@ def _run_requests(
         ids.append(k)
 
     n = len(colds)
-    latency_summary = summarize([(end - t) / 1000 for end, t in zip(ends, t_us)]) if n else None
-    granularity_us = pricing.billing_granularity_ms * 1000
-    billed_ms = [round_up(e, granularity_us) / 1000 for e in exec_us]
     # Each µs column is dropped as soon as its ms column exists, so a large
     # run never holds both in full.
-    arrival_ms = [t / 1000 for t in t_us]
-    del t_us
-    start_ms = [start / 1000 for start in starts]
-    del starts
-    end_ms = [end / 1000 for end in ends]
-    del ends
-    exec_ms = [e / 1000 for e in exec_us]
-    del exec_us
+    if vector:
+        # Below 2**53 an int64 converts to float64 exactly, so / 1000 rounds as int / int does.
+        start_ms = _ms_column(np.array(starts, dtype=np.int64))
+        del starts
+        ends = np.array(ends, dtype=np.int64)
+        latency_summary = summarize(np.sort((ends - t_us) / 1000).tolist())
+        end_ms = _ms_column(ends)
+        del ends
+        arrival_ms = _ms_column(t_us)
+        del t_us
+        billed_ms = _ms_column(round_up(exec_us, granularity_us))
+        exec_ms = _ms_column(exec_us)
+        del exec_us
+    else:
+        latency_summary = summarize([(end - t) / 1000 for end, t in zip(ends, t_us)]) if n else None
+        billed_ms = [round_up(e, granularity_us) / 1000 for e in exec_us]
+        arrival_ms = [t / 1000 for t in t_us]
+        del t_us
+        start_ms = [start / 1000 for start in starts]
+        del starts
+        end_ms = [end / 1000 for end in ends]
+        del ends
+        exec_ms = [e / 1000 for e in exec_us]
+        del exec_us
     return SimulationResult(
         arrival_ms=arrival_ms,
         start_ms=start_ms,
@@ -609,3 +660,8 @@ def _run_requests(
         total_billed_gb_s=math.fsum(billed_ms) * (config.memory_bytes / GB) / 1000,
         memory_bytes=config.memory_bytes,
     )
+
+
+def _ms_column(us) -> array:
+    """An int64 numpy array of µs as an ``array('d')`` of ms, copied from the quotient's bytes."""
+    return array("d", (us / 1000).tobytes())

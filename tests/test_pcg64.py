@@ -15,7 +15,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_simulator_oracles import (
-    PER_MS,
     duration_ending_at,
     idle_then_poisson,
     scalar_generate_arrivals,
@@ -23,7 +22,8 @@ from test_simulator_oracles import (
     scalar_walk,
 )
 
-from faasplan import GB, DomainError, LatencyProfile, SimulationConfig, TrafficPattern, _pcg64
+from faasplan import GB, MB, DomainError, LatencyProfile, SimulationConfig, TrafficPattern, _pcg64
+from faasplan.cost import load_pricing
 from faasplan.simulator import _BLOCK, _draws_in_python, _walk, generate_arrivals, simulate
 
 MASK64 = (1 << 64) - 1
@@ -322,6 +322,7 @@ def test_draws_in_python_only_without_numpy_below_the_break_even_count(pattern, 
 
 
 PROFILE = LatencyProfile.from_quantile_anchors({0.5: 40.0, 0.95: 70.0, 0.99: 120.0}, 997, GB)
+PRICING = load_pricing()  # aws bills by the 1 ms, gcp by the 100 ms
 
 
 @settings(deadline=None, max_examples=40)
@@ -329,13 +330,18 @@ PROFILE = LatencyProfile.from_quantile_anchors({0.5: 40.0, 0.95: 70.0, 0.99: 120
     high=st.floats(0.0, 400.0), low=st.floats(0.0, 5.0), period_s=st.floats(0.05, 20.0),
     duty=st.floats(0.0, 1.0), duration_s=st.floats(0.1, 10.0), seed=seeds,
     keep_alive_s=st.floats(0.0, 10.0), max_instances=st.one_of(st.just(None), st.integers(1, 8)),
+    memory_bytes=st.sampled_from([128 * MB, GB // 2, 1769 * MB, 10 * GB]),
+    pricing=st.sampled_from(sorted(PRICING)),
 )
 def test_simulate_without_numpy_gives_the_same_result(high, low, period_s, duty, duration_s, seed,
-                                                       keep_alive_s, max_instances):
+                                                       keep_alive_s, max_instances, memory_bytes,
+                                                       pricing):
+    # With numpy loaded the run does its column arithmetic on numpy arrays, and without
+    # it on Python ints and floats: every column, the summary and the total must agree.
     pattern = TrafficPattern.burst(high, low, period_s, duty, duration_s)
-    config = SimulationConfig(seed=seed, memory_bytes=GB // 2, keep_alive_s=keep_alive_s,
+    config = SimulationConfig(seed=seed, memory_bytes=memory_bytes, keep_alive_s=keep_alive_s,
                               cold_start_ms=300.0,
                               **({} if max_instances is None else {"max_instances": max_instances}))
     with numpy_hidden():
-        pure = simulate(PROFILE, pattern, config, PER_MS)
-    assert pure == simulate(PROFILE, pattern, config, PER_MS)
+        pure = simulate(PROFILE, pattern, config, PRICING[pricing])
+    assert pure == simulate(PROFILE, pattern, config, PRICING[pricing])

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_pcg64 import numpy_hidden
 
 from faasplan import (
     GB,
@@ -238,6 +240,31 @@ KEY_EDGES = [
 @pytest.mark.parametrize("profile, pattern, config", KEY_EDGES)
 def test_packed_keys_match_scan_oracle_at_their_edges(profile, pattern, config):
     assert simulate(profile, pattern, config, PER_MS) == scan_simulate(profile, pattern, config, PER_MS)
+
+
+# A run that numpy drew does its column arithmetic in int64 and float64 while its bound on
+# every µs value (last arrival + exec times + cold starts + the billing granularity) stays
+# below 2**53. Here one cold request of 0.7 ms ends at end_us, so the bound is end_us + 1000:
+# 2**53 - 1 takes numpy's columns, 2**53 Python's. Past 2**53, int64 -> float64 rounds
+# 2**53 + 3 up to 2**53 + 4, and its / 1000 would differ from Python's in the last bit.
+@pytest.mark.parametrize("end_us", [2**53 - 1001, 2**53 - 1000, 2**53 + 3])
+def test_columns_are_exact_on_both_sides_of_2_53_us(end_us):
+    arrival_ms = (end_us - 2000) // 1000  # whole ms, so the arrival is exactly 1000 * it µs
+    cold_us = end_us - 1000 * arrival_ms - 700
+    profile, pattern, config = _edge([0.7], [float(arrival_ms)], cold_start_ms=cold_us / 1000)
+    result = simulate(profile, pattern, config, PER_MS)
+    assert result.records == ((arrival_ms, arrival_ms, end_us / 1000, True, 0, 0.7, 1.0),)
+    with numpy_hidden():
+        assert simulate(profile, pattern, config, PER_MS) == result
+    assert scan_simulate(profile, pattern, config, PER_MS) == result
+
+
+def test_an_exec_time_past_the_float_range_fails_as_in_python_without_a_warning():
+    profile, pattern, config = _edge([1.7e306], [0.0])  # 1.7e306 ms is inf µs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="cannot convert float infinity to integer"):
+            simulate(profile, pattern, config, PER_MS)
 
 
 def test_simulate_sweep_is_simulate_at_each_size():
