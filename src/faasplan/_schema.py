@@ -2,7 +2,8 @@
 
 All of them fail the same way on malformed input: ``cannot read <what>
 <path>: ...`` for an unreadable file, ``<path>:<line>: ...`` for invalid
-JSON, ``<path>: <block>: <key>: ...`` for a value of the wrong shape, and
+JSON (``<path>: ...`` for an integer literal too long to convert),
+``<path>: <block>: <key>: ...`` for a value of the wrong shape, and
 ``<path>: <block>: ...`` for a value that the class built from it rejects
 (``with block:``, see :class:`.errors.Where`), a fixture name that does
 not resolve included. Unknown keys are errors, never silently ignored, and
@@ -51,6 +52,8 @@ def load(path: str | Path | None, what: str, error: type[Exception] = ScenarioEr
         return json.loads(text, parse_float=parse_float), label
     except json.JSONDecodeError as exc:
         raise error(f"{label}:{exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past sys.get_int_max_str_digits()
+        raise error(f"{label}: {exc}") from exc
 
 
 def _check(value, kind: type, where: str, error: type[Exception]):

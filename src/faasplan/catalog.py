@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 from . import _schema
 from ._record import dataclass, field
-from .errors import CatalogError, DomainError, NoFeasibleModelError
+from .errors import CatalogError, DomainError, NoFeasibleModelError, check_int
 from .packaging import DeploymentPackage, RuntimeLibrary
 from .units import mb_text
 
@@ -44,8 +44,7 @@ class ModelArtifact:
     def __post_init__(self):
         if not self.name:
             raise DomainError("model name must be non-empty")
-        if self.size_bytes <= 0:
-            raise DomainError("size_bytes must be positive")
+        object.__setattr__(self, "size_bytes", check_int(self.size_bytes, "size_bytes", positive=True))
         if not self.format:
             raise DomainError("format must be non-empty")
         object.__setattr__(self, "metrics", dict(self.metrics))
@@ -54,8 +53,9 @@ class ModelArtifact:
                 raise DomainError(f"score for {metric!r} must be finite")
             if "f1" in metric.lower() and not 0.0 <= score <= 1.0:
                 raise DomainError(f"{metric} = {score} is outside [0, 1]")
-        if self.embedding_dim is not None and self.embedding_dim <= 0:
-            raise DomainError("embedding_dim must be positive")
+        if self.embedding_dim is not None:
+            object.__setattr__(self, "embedding_dim",
+                               check_int(self.embedding_dim, "embedding_dim", positive=True))
 
     def score(self, metric: str) -> float | None:
         return self.metrics.get(metric)
@@ -76,10 +76,9 @@ class SelectionConstraints:
     min_score: float | None = None
 
     def __post_init__(self):
-        if self.max_package_bytes <= 0:
-            raise DomainError("max_package_bytes must be positive")
-        if self.code_bytes < 0:
-            raise DomainError("code_bytes must be non-negative")
+        object.__setattr__(self, "max_package_bytes",
+                           check_int(self.max_package_bytes, "max_package_bytes", positive=True))
+        object.__setattr__(self, "code_bytes", check_int(self.code_bytes, "code_bytes"))
         if not self.objective_metric:
             raise DomainError("objective_metric must be non-empty")
         if self.max_package_bytes <= self.code_bytes + self.runtime.size_bytes:

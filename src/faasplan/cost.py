@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 from . import _schema
 from ._record import dataclass
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .units import GB, mb_text
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,25 +72,23 @@ class PricingModel:
         object.__setattr__(self, "per_gb_second", _dec(self.per_gb_second))
         if self.per_million_requests < 0 or self.per_gb_second < 0:
             raise DomainError("pricing rates must be non-negative")
-        if isinstance(self.billing_granularity_ms, bool) or not isinstance(self.billing_granularity_ms, int):
-            raise DomainError("billing_granularity_ms must be an integer")
-        if self.billing_granularity_ms < 1:
-            raise DomainError(
-                f"billing_granularity_ms must be at least 1, got {self.billing_granularity_ms}"
-            )
+        object.__setattr__(self, "billing_granularity_ms",
+                           check_int(self.billing_granularity_ms, "billing_granularity_ms", positive=True))
 
 
 @dataclass(frozen=True)
 class VmBaseline:
-    """Always-on VM to compare against: flat monthly price at a memory size."""
+    """Always-on VM to compare against: flat monthly price at a memory size.
+
+    The price is flat: ``memory_bytes`` is checked, but enters no amount.
+    """
 
     monthly_price: Decimal
     memory_bytes: int = GB
 
     def __post_init__(self):
         object.__setattr__(self, "monthly_price", _non_negative(self.monthly_price, "monthly_price"))
-        if self.memory_bytes <= 0:
-            raise DomainError("memory_bytes must be positive")
+        object.__setattr__(self, "memory_bytes", check_int(self.memory_bytes, "memory_bytes", positive=True))
 
 
 DEFAULT_VM_BASELINE = VmBaseline(monthly_price=Decimal("8"), memory_bytes=GB)
@@ -144,9 +142,7 @@ def billed_duration(exec_ms: float, granularity_ms: int) -> float:
     """Smallest multiple of the granularity at or above ``exec_ms`` (see ``ceil_ms``)."""
     if exec_ms < 0 or not math.isfinite(exec_ms):
         raise DomainError(f"exec_ms must be finite and non-negative, got {exec_ms}")
-    if granularity_ms < 1:
-        raise DomainError(f"granularity_ms must be at least 1, got {granularity_ms}")
-    return float(ceil_ms(exec_ms, granularity_ms))
+    return float(ceil_ms(exec_ms, check_int(granularity_ms, "granularity_ms", positive=True)))
 
 
 def serverless_cost(
@@ -159,6 +155,7 @@ def serverless_cost(
 
     Linear in ``n_requests``; zero requests cost exactly zero.
     """
+    n_requests = check_int(n_requests, "n_requests")
     billed = _non_negative(billed_ms_per_request, "billed_ms_per_request")
     with localcontext(_EXACT):
         return serverless_cost_total(n_requests, n_requests * billed, memory_bytes, pricing)
@@ -175,11 +172,9 @@ def serverless_cost_total(
     The request fee scales with ``n_requests``; the compute fee scales
     with the summed billed milliseconds.
     """
-    if n_requests < 0:
-        raise DomainError("n_requests must be non-negative")
+    n_requests = check_int(n_requests, "n_requests")
     billed_total = _non_negative(billed_ms_total, "billed_ms_total")
-    if memory_bytes <= 0:
-        raise DomainError("memory_bytes must be positive")
+    memory_bytes = check_int(memory_bytes, "memory_bytes", positive=True)
     with localcontext(_EXACT):
         request_fee = Decimal(n_requests) * pricing.per_million_requests / 1_000_000
         gb_seconds = billed_total / 1000 * Decimal(memory_bytes) / GB
@@ -205,6 +200,7 @@ def breakeven(
     zero. The count is computed in exact rationals, so the boundary
     property holds: cost(n - 1) < vm_price <= cost(n).
     """
+    memory_bytes = check_int(memory_bytes, "memory_bytes", positive=True)
     if baseline.monthly_price <= 0:
         return 0
     marginal = serverless_cost(1, billed_ms_per_request, memory_bytes, pricing)
@@ -222,6 +218,7 @@ def build_cost_report(
     months: Money = 1,
 ) -> CostReport:
     """Closed-form report for a uniform per-request billed duration."""
+    n_requests = check_int(n_requests, "n_requests")
     billed = _non_negative(billed_ms_per_request, "billed_ms_per_request")
     with localcontext(_EXACT):
         return _report(n_requests, n_requests * billed, memory_bytes, pricing, baseline, months, billed)
@@ -242,6 +239,7 @@ def _report(
     mean billed duration, which matches the exact answer whenever every
     request bills the same. No requests cost exactly zero and have no break-even.
     """
+    n, memory_bytes = check_int(n, "n_requests"), check_int(memory_bytes, "memory_bytes", positive=True)
     if billed_ms_per_request is None and n:
         with localcontext(_EXACT):
             billed_ms_per_request = Decimal(billed_total_ms) / n

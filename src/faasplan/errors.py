@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import contextlib
 import operator
+import reprlib
+
+from .units import Unlimited
 
 
 class FaasPlanError(Exception):
@@ -84,19 +87,23 @@ class PreflightError(FaasPlanError):
         self.report = report
 
 
-def check_seed(seed) -> int:
-    """``seed`` as a plain ``int``, the seeds a run's draws start from.
+_REPR = reprlib.Repr()
+_REPR.maxother = 80  # reprlib.repr's limits, but an object's default repr fits whole
 
-    Any integer type passes, numpy's included (``operator.index``), so long
-    as its value is non-negative.
 
-    Raises:
-        DomainError: naming the bad seed.
+def check_int(value, name: str, positive: bool = False, unlimited: bool = False):
+    """``value`` as a plain ``int``: the one check of every count, byte size and seed.
+
+    Any integer type but bool passes (``operator.index``, numpy's included) if at least 0,
+    or at least 1 if ``positive``; UNLIMITED too, as it is, if ``unlimited``. Else DomainError
+    ``<name> must be a <non-negative | positive> integer [or UNLIMITED], got <value>``.
     """
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        value = None
-    if value is None or value < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    return value
+    if unlimited and isinstance(value, Unlimited):
+        return value
+    with contextlib.suppress(TypeError):
+        number = operator.index(value)
+        if number >= positive and not isinstance(value, bool):
+            return number
+    kind = ("positive integer or UNLIMITED" if unlimited else "positive integer" if positive
+            else "non-negative integer")
+    raise DomainError(f"{name} must be a {kind}, got {_REPR.repr(value)}")

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Mapping
 from urllib.parse import urlsplit
 
 from ._record import dataclass, field
-from .errors import DomainError, PreflightError, check_seed, writing
+from .errors import DomainError, PreflightError, check_int, writing
 from .metrics import DEFAULT_WARMUP, SampleSet, warmup_filter, write_samples_csv
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -110,9 +110,8 @@ class BenchRun:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", check_seed(self.seed))
-        if self.n_warmup < 0:
-            raise DomainError("n_warmup must be non-negative")
+        object.__setattr__(self, "seed", check_int(self.seed, "seed"))
+        object.__setattr__(self, "n_warmup", check_int(self.n_warmup, "n_warmup"))
 
 
 @dataclass(frozen=True)
@@ -542,11 +541,9 @@ class StubServer(socketserver.ThreadingTCPServer):
         if not (0 <= delay_ms and 0 <= jitter_ms and delay_ms + jitter_ms <= _MAX_DELAY_MS):
             raise DomainError(f"delay_ms and jitter_ms must be finite and non-negative, with a sum "
                               f"of at most {_MAX_DELAY_MS:.0f} ms, got {delay_ms} and {jitter_ms}")
-        if fail_every is not None and fail_every < 1:
-            raise DomainError("fail_every must be at least 1")
         self._delay_ms = delay_ms
         self._jitter_ms = jitter_ms
-        self._fail_every = fail_every
+        self._fail_every = None if fail_every is None else check_int(fail_every, "fail_every", positive=True)
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
         self._thread: threading.Thread | None = None

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
 from ._record import dataclass
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 CSV_HEADER = ("timestamp_ms", "duration_ms", "cold", "instance")
 
@@ -165,8 +165,7 @@ def warmup_filter(samples: SampleSet, n_warmup: int = DEFAULT_WARMUP) -> SampleS
     surviving samples is preserved; an instance with fewer than
     ``n_warmup`` samples contributes nothing.
     """
-    if n_warmup < 0:
-        raise DomainError(f"n_warmup must be non-negative, got {n_warmup}")
+    n_warmup = check_int(n_warmup, "n_warmup")
     if n_warmup == 0:
         return samples
     if samples.instances is None:

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import _schema
 from ._record import dataclass
-from .errors import DomainError, IncompatibleFormatError
+from .errors import DomainError, IncompatibleFormatError, check_int
 from .providers import ProviderLimits
 from .units import MB, Limit, Unlimited
 
@@ -38,8 +38,7 @@ class RuntimeLibrary:
     def __post_init__(self):
         if not self.name:
             raise DomainError("runtime name must be non-empty")
-        if self.size_bytes <= 0:
-            raise DomainError("size_bytes must be positive")
+        object.__setattr__(self, "size_bytes", check_int(self.size_bytes, "size_bytes", positive=True))
         object.__setattr__(self, "model_formats", frozenset(self.model_formats))
         if not self.model_formats:
             raise DomainError("must support at least one model format")
@@ -57,8 +56,7 @@ class DeploymentPackage:
     model: "ModelArtifact"
 
     def __post_init__(self):
-        if self.code_bytes < 0:
-            raise DomainError(f"code_bytes must be non-negative, got {self.code_bytes}")
+        object.__setattr__(self, "code_bytes", check_int(self.code_bytes, "code_bytes"))
         if not self.runtime.supports(self.model.format):
             raise IncompatibleFormatError(
                 f"model {self.model.name!r} is {self.model.format!r}, which runtime "
@@ -80,8 +78,7 @@ class DeploymentPlan:
     memory_bytes: int
 
     def __post_init__(self):
-        if self.memory_bytes <= 0:
-            raise DomainError(f"memory_bytes must be positive, got {self.memory_bytes}")
+        object.__setattr__(self, "memory_bytes", check_int(self.memory_bytes, "memory_bytes", positive=True))
 
 
 @dataclass(frozen=True)

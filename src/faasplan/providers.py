@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from . import _schema
 from ._record import asdict, dataclass
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .units import MB, UNLIMITED, Limit, Unlimited
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,18 +47,8 @@ class ProviderLimits:
         if not self.name or not isinstance(self.name, str):
             raise DomainError("provider name must be a non-empty string")
         for field in _LIMIT_FIELDS:
-            value = getattr(self, field)
-            if isinstance(value, Unlimited):
-                if field in _FINITE_FIELDS:
-                    raise DomainError(f"{field} must be a finite byte count")
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise DomainError(f"{field} must be an integer or UNLIMITED, got {value!r}")
-            if value <= 0:
-                raise DomainError(
-                    f"{field} must be strictly positive, got {value}; "
-                    "an absent limit is UNLIMITED, never 0"
-                )
+            object.__setattr__(self, field, check_int(getattr(self, field), field, positive=True,
+                                                     unlimited=field not in _FINITE_FIELDS))
 
 
 @dataclass(frozen=True)
@@ -75,10 +65,8 @@ class CpuScaling:
     max_useful_cpus: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.bytes_per_full_cpu, bool) or not isinstance(self.bytes_per_full_cpu, int):
-            raise DomainError("bytes_per_full_cpu must be an integer byte count")
-        if self.bytes_per_full_cpu <= 0:
-            raise DomainError(f"bytes_per_full_cpu must be positive, got {self.bytes_per_full_cpu}")
+        object.__setattr__(self, "bytes_per_full_cpu",
+                           check_int(self.bytes_per_full_cpu, "bytes_per_full_cpu", positive=True))
         if not self.max_useful_cpus >= 1:
             raise DomainError(f"max_useful_cpus must be at least 1, got {self.max_useful_cpus}")
 
@@ -89,10 +77,9 @@ def effective_cpu(memory_bytes: int, scaling: CpuScaling) -> float:
     Grows in proportion to memory and saturates at ``scaling.max_useful_cpus``.
 
     Raises:
-        DomainError: if ``memory_bytes`` is not strictly positive.
+        DomainError: ``memory_bytes must be a positive integer, got <value>``.
     """
-    if memory_bytes <= 0:
-        raise DomainError(f"memory_bytes must be positive, got {memory_bytes}")
+    memory_bytes = check_int(memory_bytes, "memory_bytes", positive=True)
     return min(memory_bytes / scaling.bytes_per_full_cpu, scaling.max_useful_cpus)
 
 

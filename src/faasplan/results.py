@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from . import _schema
 from ._record import dataclass
-from .errors import ScenarioError
+from .errors import ScenarioError, check_int
 from .metrics import CSV_HEADER, Summary, _durations, summary_from_dict, summary_to_dict
 
 
@@ -55,7 +55,7 @@ class SimulationResult:
     the ms columns as ``array('d')``, ``instance_id`` as ``array('q')``
     and ``cold`` as a tuple of bools. So a value of another kind raises
     TypeError (OverflowError for an id outside ``[-2**63, 2**63)``) when
-    the result is built, and columns of different lengths ValueError.
+    built, columns of different lengths ValueError, a bad ``memory_bytes`` DomainError.
     """
 
     arrival_ms: Sequence[float]
@@ -71,6 +71,7 @@ class SimulationResult:
     memory_bytes: int
 
     def __post_init__(self):
+        object.__setattr__(self, "memory_bytes", check_int(self.memory_bytes, "memory_bytes", positive=True))
         for name, typecode in _TYPECODES.items():
             column = getattr(self, name)
             object.__setattr__(self, name, tuple(map(bool, column)) if typecode is None
@@ -228,8 +229,6 @@ def result_from_dict(payload: Mapping, source: str = "<result>") -> SimulationRe
     cold_fraction = top.get("cold_fraction", float)
     total_billed_gb_s = top.get("total_billed_gb_s", float)
     memory_bytes = top.get("memory_bytes", int)
-    if memory_bytes <= 0:
-        raise ScenarioError(f"{source}: memory_bytes: must be positive")
     latency_summary = None
     if top.get("latency_summary") is not None:
         summary = top.block("latency_summary")
@@ -237,7 +236,8 @@ def result_from_dict(payload: Mapping, source: str = "<result>") -> SimulationRe
         for key in ("mean_ms", "q50_ms", "q95_ms", "q99_ms"):
             summary.get(key, float)
         latency_summary = summary_from_dict(summary.raw)
-    return SimulationResult(*columns, cold_fraction, latency_summary, total_billed_gb_s, memory_bytes)
+    with top:
+        return SimulationResult(*columns, cold_fraction, latency_summary, total_billed_gb_s, memory_bytes)
 
 
 def load_result_json(path: str | Path) -> SimulationResult:

@@ -79,7 +79,7 @@ def _parse_profile(block: Block, scenario: Scenario) -> LatencyProfile:
     csv_path = scenario.path.parent / block.get("samples_csv", str)
     try:
         samples = read_samples_csv(csv_path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{block.context}: samples_csv: cannot read {csv_path}: {exc}") from exc
     return LatencyProfile(reference, samples)
 
@@ -107,8 +107,6 @@ def _parse_simulation(block: Block, scenario: Scenario) -> SimulationConfig:
     from .simulator import DEFAULT_COLD_START_MS, DEFAULT_KEEP_ALIVE_S, SimulationConfig
 
     seed = block.get("seed", int, 0)
-    if seed < 0:
-        raise ScenarioError(f"{block.context}: seed: must be a non-negative integer, got {seed}")
     scaling = block.block("scaling", _SCALING_KEYS, default={})
     keep_alive = block.raw.get("keep_alive_s")
     return SimulationConfig(

@@ -21,13 +21,14 @@ import sys
 from array import array
 from fractions import Fraction
 from heapq import heappop, heappush
+from importlib.util import find_spec
 from itertools import chain
 from types import ModuleType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from ._record import dataclass, replace
 from .cost import PricingModel, round_up
-from .errors import DomainError, check_seed
+from .errors import DomainError, check_int
 from .metrics import SampleSet, nearest_rank_index, summarize
 from .providers import CpuScaling, effective_cpu
 from .results import (  # noqa: F401 - re-exported
@@ -91,8 +92,8 @@ class LatencyProfile:
     samples: SampleSet
 
     def __post_init__(self):
-        if self.reference_memory_bytes <= 0:
-            raise DomainError("reference_memory_bytes must be positive")
+        object.__setattr__(self, "reference_memory_bytes",
+                           check_int(self.reference_memory_bytes, "reference_memory_bytes", positive=True))
         if len(self.samples) == 0:
             raise DomainError("a latency profile needs at least one sample")
 
@@ -127,8 +128,7 @@ class LatencyProfile:
         """
         if not anchors:
             raise DomainError("anchors must not be empty")
-        if n_samples <= 0:
-            raise DomainError("n_samples must be positive")
+        n_samples = check_int(n_samples, "n_samples", positive=True)
         parsed = sorted((float(q), float(v)) for q, v in anchors.items())
         for q, v in parsed:
             if not 0 < q <= 1:
@@ -301,18 +301,14 @@ class SimulationConfig:
     max_instances: Union[int, Unlimited] = UNLIMITED
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", check_seed(self.seed))
-        if not self.memory_bytes > 0:  # NaN too
-            raise DomainError("memory_bytes must be positive")
+        object.__setattr__(self, "seed", check_int(self.seed, "seed"))
+        object.__setattr__(self, "memory_bytes", check_int(self.memory_bytes, "memory_bytes", positive=True))
         if math.isnan(self.keep_alive_s) or self.keep_alive_s < 0:
             raise DomainError("keep_alive_s must be non-negative (math.inf allowed)")
         if not math.isfinite(self.cold_start_ms) or self.cold_start_ms < 0:
             raise DomainError("cold_start_ms must be finite and non-negative")
-        cap = self.max_instances
-        if not (isinstance(cap, Unlimited)
-                or isinstance(cap, int) and not isinstance(cap, bool) and cap >= 1):
-            raise DomainError(f"max_instances must be an integer of at least 1 or UNLIMITED, "
-                              f"got {cap!r}")
+        object.__setattr__(self, "max_instances",
+                           check_int(self.max_instances, "max_instances", positive=True, unlimited=True))
 
 
 def scale_duration(
@@ -342,26 +338,25 @@ def _draws_in_python(pattern: TrafficPattern, seed, service_draws: bool) -> bool
     Both draw the same numbers. numpy draws once it is loaded, since its
     draws then cost nothing to set up; for a run whose draws (arrival gaps,
     and one service index per request if ``service_draws``) would cost more
-    in Python than importing numpy; and for any seed but a non-negative
-    int, which only ``numpy.random.default_rng`` takes. Where numpy cannot
-    be imported, Python draws them all.
+    in Python than importing numpy; and for any seed that :func:`.errors.check_int`
+    refuses (a bool too), which only ``numpy.random.default_rng`` takes. Where
+    numpy cannot be imported, Python draws them all.
 
     Raises:
         DomainError: for a seed that only numpy takes, when it cannot be imported.
     """
     if sys.modules.get("numpy") is not None:
         return False
-    if isinstance(seed, int) and seed >= 0:
-        requests = pattern.expected_requests
-        gaps = 0 if pattern.kind == "trace_replay" else requests
-        if gaps * _GAP_NS + (requests * _INDEX_NS if service_draws else 0) < _IMPORT_NUMPY_NS:
-            return True
-    from importlib.util import find_spec
-
-    if find_spec("numpy") is not None:
-        return False
-    check_seed(seed)
-    return True
+    try:
+        check_int(seed, "seed")
+    except DomainError:  # a seed that only numpy takes
+        if find_spec("numpy") is not None:
+            return False
+        raise
+    requests = pattern.expected_requests
+    gaps = 0 if pattern.kind == "trace_replay" else requests
+    return (gaps * _GAP_NS + (requests * _INDEX_NS if service_draws else 0) < _IMPORT_NUMPY_NS
+            or find_spec("numpy") is None)
 
 
 def _exponentials(seed, in_python: bool) -> Iterator[float]:

@@ -586,7 +586,7 @@ BAD_SCENARIO_VALUES = {
     "seed-negative": (
         "simulate", "smobilebert_replay.json",
         lambda d: d["simulation"].update(seed=-1),
-        "simulation: seed: must be a non-negative integer, got -1"),
+        "simulation: seed must be a non-negative integer, got -1"),
     "n-requests-not-an-integer": (
         "cost", "million_predictions.json",
         lambda d: d["cost"].update(n_requests="many"),
@@ -662,22 +662,22 @@ BAD_SCENARIO_VALUES = {
     "code-bytes-negative": (
         "validate", "tinybert_aws.json",
         lambda d: d.update(package={**d["package"], "code_mb": None, "code_bytes": -1}),
-        "package: code_bytes must be non-negative, got -1"),
+        "package: code_bytes must be a non-negative integer, got -1"),
     "vm-price-negative": (
         "cost", "million_predictions.json", lambda d: d["vm"].update(monthly_price=-1),
         "vm: monthly_price must be non-negative"),
     "n-requests-negative": (
         "cost", "million_predictions.json", lambda d: d["cost"].update(n_requests=-1),
-        "cost: n_requests must be non-negative"),
+        "cost: n_requests must be a non-negative integer, got -1"),
     "months-negative": (
         "cost", "million_predictions.json", lambda d: d["cost"].update(months=-1),
         "cost: months must be non-negative"),
     "memory-mb-negative": (
         "validate", "tinybert_aws.json", lambda d: d.update(memory_mb=-5),
-        "memory_mb: memory_bytes must be positive, got -5242880"),
+        "memory_mb: memory_bytes must be a positive integer, got -5242880"),
     "memory-sweep-negative": (
         "simulate", "memory_sweep.json", lambda d: d.update(memory_sweep_mb=[512, -1]),
-        "memory_sweep_mb: memory_bytes must be positive"),
+        "memory_sweep_mb: memory_bytes must be a positive integer, got -1048576"),
     "runtime-cannot-run-model": (
         "validate", "tinybert_aws.json", lambda d: d["package"].update(runtime="tflite"),
         "package: model 'TinyBERT' is 'onnx', which runtime 'tflite' cannot execute "
@@ -879,8 +879,7 @@ BAD_FIXTURE_VALUES = {
             {"name": "aws", "max_package_bytes": 262144000, "max_memory_bytes": 0,
              "max_request_bytes": 6291456}]},
         ("validate", "--scenario", SCENARIOS / "tinybert_aws.json"),
-        "provider 'aws': max_memory_bytes must be strictly positive, got 0; "
-        "an absent limit is UNLIMITED, never 0"),
+        "provider 'aws': max_memory_bytes must be a positive integer, got 0"),
     "pricing-rate-negative": (
         "pricing.json",
         {"version": 1, "profiles": [
@@ -892,7 +891,7 @@ BAD_FIXTURE_VALUES = {
         {"version": 1, "runtimes": [
             {"name": "onnxruntime", "size_mb": 0, "model_formats": ["onnx"]}]},
         ("validate", "--scenario", SCENARIOS / "tinybert_aws.json"),
-        "runtime 'onnxruntime': size_bytes must be positive"),
+        "runtime 'onnxruntime': size_bytes must be a positive integer, got 0"),
     "catalog-f1-above-1": (
         "models.json",
         {"version": 1, "models": [
@@ -962,6 +961,19 @@ def test_unreadable_profile_samples_exit_2(tmp_path, capsys):
     assert err.startswith(f"error: {path}: profile: samples_csv: cannot read ")
 
 
+def test_profile_samples_not_in_utf8_exit_2(tmp_path, capsys):
+    # A samples_csv that did not decode once ended in a UnicodeDecodeError traceback.
+    (tmp_path / "samples.csv").write_bytes(b"\xff\xfetimestamp_ms,duration_ms,cold,instance\n")
+
+    def edit(doc):
+        doc["profile"] = {"reference_memory_mb": 1024, "samples_csv": "samples.csv"}
+    path = scenario_file(tmp_path, "smobilebert_replay.json", edit)
+    code, err = run_error(capsys, "simulate", "--scenario", path)
+    assert code == 2
+    assert err.startswith(f"error: {path}: profile: samples_csv: cannot read "
+                          f"{tmp_path / 'samples.csv'}: 'utf-8' codec can't decode ")
+
+
 def test_inline_catalog_list_is_rejected(tmp_path, capsys):
     inline = [{"name": "TinyBERT", "size_mb": 56, "format": "onnx"}]
     path = scenario_file(tmp_path, "tinybert_aws.json", lambda d: d.update(catalog=inline))
@@ -998,7 +1010,7 @@ RECORD = {"arrival_ms": 0.0, "start_ms": 0.0, "end_ms": 12.0, "cold": False, "in
          "'instance_id', 'start_ms']"),
     ({"records": [], "latency_summary": {"count": 1}}, "latency_summary: mean_ms: missing required key"),
     ({"records": [], "memory_bytes": "x"}, "memory_bytes: must be an integer, got 'x'"),
-    ({"records": [], "memory_bytes": 0}, "memory_bytes: must be positive"),
+    ({"records": [], "memory_bytes": 0}, "memory_bytes must be a positive integer, got 0"),
     ({"records": [dict(RECORD, billed_ms=float("nan"))]},
      "records[0]: billed_ms: must be a finite non-negative number, got nan"),
     ({"records": [RECORD, dict(RECORD, cold=1)]}, "records[1]: cold: must be true or false, got 1"),
@@ -1037,6 +1049,29 @@ def test_cost_malformed_result_exits_2(tmp_path, capsys, edit, message):
     code, err = run_error(capsys, "cost", "--result", path)
     assert code == 2
     assert err == f"error: {path}: {message}\n"
+
+
+# An integer literal past CPython's int-string limit (4,300 digits) once ended in a
+# ValueError traceback from json.loads. json.dumps cannot write one, so it goes in as text.
+DIGITS = "9" * 5000
+
+
+@pytest.mark.parametrize("filename, text, argv", [
+    ("scenario.json", (SCENARIOS / "million_predictions.json").read_text().replace(
+        '"n_requests": 1000000', f'"n_requests": -{DIGITS}'), ("cost", "--scenario")),
+    ("providers.json", f'{{"version": 1, "providers": [{{"name": "aws", "max_memory_bytes": {DIGITS}}}]}}',
+     ("validate", "--scenario", SCENARIOS / "tinybert_aws.json", "--profile-dir")),
+    ("run.json", json.dumps(SAVED_RESULT).replace('"memory_bytes": 1', f'"memory_bytes": {DIGITS}'),
+     ("cost", "--result")),
+], ids=["scenario", "fixture", "result"])
+def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys, filename, text, argv):
+    path = tmp_path / filename
+    assert DIGITS in text
+    path.write_text(text)
+    code, err = run_error(capsys, *argv, tmp_path if filename == "providers.json" else path)
+    assert code == 2
+    assert err.startswith(f"error: {path}: Exceeds the limit (4300 digits) for integer string "
+                          "conversion")
 
 
 # A bad duration once named no line, and a bad cold cell loaded as False.

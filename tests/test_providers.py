@@ -62,7 +62,7 @@ def test_limits_accept_unlimited_package():
 
 def test_limits_reject_zero():
     # 0 would be ambiguous with "no limit"; the absent value is UNLIMITED.
-    with pytest.raises(DomainError, match="never 0"):
+    with pytest.raises(DomainError, match="max_package_bytes must be a positive integer or UNLIMITED, got 0"):
         ProviderLimits("x", 0, GB, MB)
 
 

@@ -358,7 +358,7 @@ def test_replace_runs_the_checks_again():
     real, twin = build(SimulationConfig, **EXAMPLES[SimulationConfig][0])
     assert outcome(lambda: _record.replace(real, memory_bytes=0)) == (
         outcome(lambda: dataclasses.replace(twin, memory_bytes=0))) == (
-        DomainError, "memory_bytes must be positive")
+        DomainError, "memory_bytes must be a positive integer, got 0")
 
 
 def test_non_default_field_after_a_default_is_refused():

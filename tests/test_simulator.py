@@ -336,10 +336,10 @@ def test_config_validation():
     # A NaN cap once failed in the event loop with IndexError, 2.5 ran 3 instances,
     # and a NaN memory size failed only when the run converted it.
     for cap in (math.nan, 2.5, 3.0, True, "4", None):
-        with pytest.raises(DomainError, match="max_instances must be an integer of at least 1"):
+        with pytest.raises(DomainError, match="max_instances must be a positive integer or UNLIMITED"):
             SimulationConfig(seed=1, memory_bytes=GB, max_instances=cap)
     for memory_bytes in (math.nan, -GB):
-        with pytest.raises(DomainError, match="memory_bytes must be positive"):
+        with pytest.raises(DomainError, match="memory_bytes must be a positive integer"):
             SimulationConfig(seed=1, memory_bytes=memory_bytes)
     SimulationConfig(seed=1, memory_bytes=GB, max_instances=UNLIMITED)
     SimulationConfig(seed=1, memory_bytes=GB, max_instances=1)
