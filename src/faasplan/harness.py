@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 from urllib.parse import urlsplit
 
+from . import _http
 from ._record import dataclass, field
 from .errors import DomainError, PreflightError, check_int, writing
 from .metrics import DEFAULT_WARMUP, SampleSet, warmup_filter, write_samples_csv
@@ -180,11 +181,6 @@ def _server_ms(text: str | None) -> float | None:
     return value if 0 <= value < float("inf") else None
 
 
-def _tokens(value: str) -> set[str]:
-    """The lower-cased tokens of a comma-separated header value such as ``Connection``'s."""
-    return {token.strip().lower() for token in value.split(",")}
-
-
 def _in_send_order(values: list[float | None], sent_ms: list[float]) -> SampleSet:
     """Samples of the requests with a value, by request index, each stamped with its send time."""
     kept = [i for i, v in enumerate(values) if v is not None]
@@ -212,18 +208,16 @@ def run_bench(run: BenchRun) -> BenchResult:
     the pacer writes the request in the step that stamps its send, and the
     task only reads the answer; a new connection is opened and written by
     the request's own task, after the stamp. Interim responses (1xx but
-    101) are read and dropped, and the sample ends at the final one's body,
-    framed by RFC 9112 section 6.3: none after ``HEAD``, 1xx, 204 or 304;
-    chunked coding, trailers included; ``Content-Length``; else the end of
-    the stream. A connection is reused only after a response framed
-    without the end of the stream, with status line ``HTTP/1.1``, and
-    with ``Connection: close`` in neither the request nor the response; a
-    timeout or any other failure closes it. If a reused connection ends
-    before the first response byte, the server probably closed it while it
-    sat idle: the request is sent once more on a new connection, still as
-    one attempt timed from the first send. Give the target a
-    ``Connection: close`` header for one connection per request. Idle
-    connections are closed when the run ends.
+    101) are read and dropped. ``_http.response`` reads each head: the
+    sample ends at the final body it frames, chunked trailers included,
+    and a head, ``Content-Length`` or chunk size it refuses is a
+    ``transport`` error. A connection is reused where it allows, unless
+    the request has ``Connection: close``; a timeout or any other failure
+    closes it. If a reused connection ends before the first response byte,
+    the server probably closed it while it sat idle: the request is sent
+    once more on a new connection, still as one attempt timed from the
+    first send. Give the target a ``Connection: close`` header for one
+    connection per request. Idle connections are closed when the run ends.
 
     Raises:
         PreflightError: if ``run.provider_limits`` is set and the payload
@@ -255,7 +249,7 @@ def run_bench(run: BenchRun) -> BenchResult:
     fields.update((name.lower(), (name, value)) for name, value in target.headers.items())
     head = "".join(f"{name}: {value}\r\n" for name, value in fields.values())
     request = f"{target.method} {path} HTTP/1.1\r\n{head}\r\n".encode("latin-1") + target.payload
-    close_requested = "close" in _tokens(fields.get("connection", ("", ""))[1])
+    close_requested = "close" in _http.tokens(fields.get("connection", ("", ""))[1])
     head_request = target.method.upper() == "HEAD"
     offsets_ms = generate_arrivals(run.pattern, run.seed)
     n = len(offsets_ms)
@@ -273,24 +267,17 @@ def run_bench(run: BenchRun) -> BenchResult:
     def connect():
         return asyncio.open_connection(host, port, ssl=ssl_context)
 
-    async def read_body(reader: asyncio.StreamReader, status: int, headers: dict) -> bool:
-        """Read and drop the body; True if its end was framed, so the connection may carry more."""
-        if status < 200:  # a 101, or no valid status: what follows is not HTTP/1.1
-            return False
-        if head_request or status in (204, 304):
-            return True
-        coding = headers.get("transfer-encoding")
-        if coding is not None and coding.rsplit(",", 1)[-1].strip().lower() == "chunked":
-            while size := int((await reader.readuntil(b"\r\n")).split(b";", 1)[0], 16):
+    async def read_body(reader: asyncio.StreamReader, length: int | None) -> None:
+        """Read and drop a body of ``length`` bytes, chunked, or to the end of the stream (None)."""
+        if length is None:
+            await reader.read()
+        elif length == _http.CHUNKED:
+            while size := _http.chunk_size(await reader.readuntil(b"\r\n")):
                 await reader.readexactly(size + 2)  # the chunk and its CRLF
             while await reader.readuntil(b"\r\n") != b"\r\n":  # trailer fields
                 pass
-            return True
-        if coding is None and "content-length" in headers:
-            await reader.readexactly(int(headers["content-length"]))
-            return True
-        await reader.read()
-        return False
+        else:
+            await reader.readexactly(length)
 
     async def exchange(index: int) -> tuple[float, float | None]:
         reused = index in handed
@@ -311,20 +298,15 @@ def run_bench(run: BenchRun) -> BenchResult:
                 first = await reader.readexactly(1)
             head = first + await reader.readuntil(b"\r\n\r\n")
             while True:
-                status_line, *lines = head.decode("latin-1").split("\r\n")
-                version, status = status_line.split(" ", 2)[:2]
-                status = int(status)
+                status, headers, length, keep_alive = _http.response(head, head_request)
                 # An interim response comes before the final one (RFC 9110 section 15.2):
                 # drop it with its header fields. A 101 would switch protocols; it stays final.
                 if not 100 <= status < 200 or status == 101:
                     break
                 head = await reader.readuntil(b"\r\n\r\n")
-            headers = {name.strip().lower(): value.strip()
-                       for name, _, value in (line.partition(":") for line in lines if line)}
-            framed = await read_body(reader, status, headers)
+            await read_body(reader, length)
             end = time.perf_counter()
-            keep = (framed and version == "HTTP/1.1" and not close_requested
-                    and "close" not in _tokens(headers.get("connection", "")))
+            keep = keep_alive and not close_requested
         finally:
             if keep:
                 idle.append((reader, writer))
@@ -399,11 +381,6 @@ def export_run(result: BenchResult, path: str | Path) -> None:
         write_samples_csv(result.samples, path)
 
 
-# http.server's limits: the longest request or header line, and the most header lines.
-_MAX_LINE = 65536
-_MAX_FIELDS = 100
-# The most digits of a Content-Length: a body of 10**18 bytes or more is no real request.
-_MAX_DIGITS = 18
 # The stub's longest delay plus jitter: the longest wait threading can time.
 _MAX_DELAY_MS = threading.TIMEOUT_MAX * 1000.0
 _DAY_S = 86400.0
@@ -432,10 +409,10 @@ class _StubHandler(socketserver.StreamRequestHandler):
     Refused, each with an answer that closes the connection:
 
     - 400: a malformed request line, or a ``Content-Length`` that is not
-      a decimal of at most ``_MAX_DIGITS`` digits;
-    - 414: a request line over ``_MAX_LINE`` bytes;
-    - 431: a header line over ``_MAX_LINE`` bytes, or more than
-      ``_MAX_FIELDS`` of them;
+      a decimal of at most ``_http.MAX_DIGITS`` digits;
+    - 414: a request line over ``_http.MAX_LINE`` bytes;
+    - 431: a header line over ``_http.MAX_LINE`` bytes, or more than
+      ``_http.MAX_FIELDS`` of them;
     - 501: a method other than GET and POST, or any ``Transfer-Encoding``;
     - 505: a version other than HTTP/1.0 and HTTP/1.1.
 
@@ -451,11 +428,11 @@ class _StubHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         rfile = self.rfile
         while True:
-            line = rfile.readline(_MAX_LINE + 1)
+            line = rfile.readline(_http.MAX_LINE + 1)
             arrival = time.perf_counter()
             if not line:
                 return  # the client closed the connection
-            if len(line) > _MAX_LINE:
+            if len(line) > _http.MAX_LINE:
                 return self._refuse(414)
             words = line.split()
             if len(words) != 3 or not words[2].startswith(b"HTTP/"):
@@ -463,34 +440,27 @@ class _StubHandler(socketserver.StreamRequestHandler):
             method, _, version = words
             if version not in (b"HTTP/1.0", b"HTTP/1.1"):
                 return self._refuse(505)
-            fields: dict[str, str] = {}
-            for _ in range(_MAX_FIELDS + 1):
-                line = rfile.readline(_MAX_LINE + 1)
-                if line in (b"\r\n", b"\n"):
-                    break
+            lines = []
+            while (line := rfile.readline(_http.MAX_LINE + 1)) not in (b"\r\n", b"\n"):
                 if not line:
                     return  # the client left part way through the header
-                if len(line) > _MAX_LINE:
+                if len(line) > _http.MAX_LINE or len(lines) == _http.MAX_FIELDS:
                     return self._refuse(431)
-                name, _, value = line.decode("latin-1").partition(":")
-                name, value = name.strip().lower(), value.strip()
-                # Repeated fields combine into one list, as RFC 9110 5.3 has it.
-                fields[name] = f"{fields[name]}, {value}" if name in fields else value
-            else:
-                return self._refuse(431)
+                lines.append(line)
+            fields = _http.fields(lines)
             if method not in (b"GET", b"POST") or "transfer-encoding" in fields:
                 return self._refuse(501)
-            length = fields.get("content-length", "0")
-            if not (length.isascii() and length.isdigit() and len(length) <= _MAX_DIGITS):
+            try:
+                length = _http.content_length(fields.get("content-length", "0"))
+            except ValueError:
                 return self._refuse(400)
             if version == b"HTTP/1.1" and fields.get("expect", "").lower() == "100-continue":
                 self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-            length = int(length)
-            while length and (chunk := rfile.read(min(length, _MAX_LINE))):
+            while length and (chunk := rfile.read(min(length, _http.MAX_LINE))):
                 length -= len(chunk)
             if length:
                 return  # the client left part way through the body
-            close = version == b"HTTP/1.0" or "close" in _tokens(fields.get("connection", ""))
+            close = version == b"HTTP/1.0" or "close" in _http.tokens(fields.get("connection", ""))
             self._answer(close, arrival)
             if close:
                 return

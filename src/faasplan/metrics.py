@@ -12,7 +12,7 @@ import csv
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from ._record import dataclass
 from .errors import DomainError, check_int
@@ -209,6 +209,14 @@ def write_samples_csv(samples: SampleSet, path: str | Path) -> None:
 _COLD_CELLS = {"": None, "0": False, "1": True}
 
 
+def _csv_rows(reader, path: str | Path) -> Iterator[list[str]]:
+    """The rows of ``reader``; a row it cannot parse raises ``DomainError("<path>:<line>: ...")``."""
+    try:
+        yield from reader
+    except csv.Error as exc:  # a field over csv.field_size_limit(), a NUL byte
+        raise DomainError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
 def read_samples_csv(path: str | Path) -> SampleSet:
     """Read a sample CSV written by :func:`write_samples_csv`.
 
@@ -216,15 +224,15 @@ def read_samples_csv(path: str | Path) -> SampleSet:
         DomainError: ``<path>: ...`` (``<path>:<line>: ...`` for a bad row).
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _csv_rows(csv.reader(fh), path)
+        header = next(rows, None)
         if header is None or tuple(header) != CSV_HEADER:
             raise DomainError(f"{path}: expected header {','.join(CSV_HEADER)}")
         timestamps: list[float | None] = []
         values: list[float] = []
         cold: list[bool | None] = []
         instances: list[str | None] = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows, start=2):
             if len(row) != 4:
                 raise DomainError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
             try:

@@ -974,6 +974,18 @@ def test_profile_samples_not_in_utf8_exit_2(tmp_path, capsys):
                           f"{tmp_path / 'samples.csv'}: 'utf-8' codec can't decode ")
 
 
+def test_profile_samples_with_an_oversized_field_exit_2(tmp_path, capsys):
+    # A field past csv.field_size_limit() once ended in a _csv.Error traceback.
+    csv_path = tmp_path / "samples.csv"
+    csv_path.write_text("timestamp_ms,duration_ms,cold,instance\n0.0,1.0,0," + "x" * 131_073 + "\n")
+
+    def edit(doc):
+        doc["profile"] = {"reference_memory_mb": 1024, "samples_csv": "samples.csv"}
+    path = scenario_file(tmp_path, "smobilebert_replay.json", edit)
+    assert run_error(capsys, "simulate", "--scenario", path) == (
+        2, f"error: {path}: profile: {csv_path}:2: field larger than field limit (131072)\n")
+
+
 def test_inline_catalog_list_is_rejected(tmp_path, capsys):
     inline = [{"name": "TinyBERT", "size_mb": 56, "format": "onnx"}]
     path = scenario_file(tmp_path, "tinybert_aws.json", lambda d: d.update(catalog=inline))
@@ -1094,6 +1106,15 @@ def test_cost_samples_csv_row_of_three_cells_exits_2(tmp_path, capsys):
     path.write_text("timestamp_ms,duration_ms,cold,instance\n0.0,1.0,0\n")
     assert run_error(capsys, "cost", "--result", path) == (
         2, f"error: {path}:2: expected 4 columns, got 3\n")
+
+
+def test_cost_samples_csv_with_an_oversized_field_exits_2(tmp_path, capsys):
+    # A field past csv.field_size_limit() once ended in a _csv.Error traceback.
+    path = tmp_path / "samples.csv"
+    path.write_text("timestamp_ms,duration_ms,cold,instance\n0.0,1.0,0,\n0.0,1.0,0,"
+                    + "x" * 131_073 + "\n")
+    assert run_error(capsys, "cost", "--result", path) == (
+        2, f"error: {path}:3: field larger than field limit (131072)\n")
 
 
 @pytest.mark.parametrize("argv", [
